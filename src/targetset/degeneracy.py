@@ -109,16 +109,12 @@ def brute_degeneracy_check(instance: Instance, limit: int = BRUTE_LIMIT) -> bool
     n = instance.n
     if n > limit:
         raise OracleLimitError(f"{n} vertices exceeds the exhaustive check limit of {limit}")
-    scale = instance.denominator_lcm
-    verts = instance.vertices
-    idx = instance.index
-    thresholds = [(instance.tau[v] * scale).numerator for v in verts]
+    view = instance.compiled
+    thresholds = view.tau
     weights = [[0] * n for _ in range(n)]
-    for u, v, w in instance.edges:
-        iu, iv = idx[u], idx[v]
-        wi = (w * scale).numerator
-        weights[iu][iv] = wi
-        weights[iv][iu] = wi
+    for i, pairs in enumerate(view.incoming):
+        for j, w in pairs:
+            weights[i][j] = w
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
         found = False

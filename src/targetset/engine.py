@@ -3,6 +3,11 @@
 A vertex activates once the weight arriving from already-active neighbors
 (in-neighbors in directed mode), plus its own incentive if any, reaches its
 threshold. Activation within a round is simultaneous and irreversible.
+
+Every run, trace or predicate, goes through one round loop on the
+instance's integer view (`Instance.compiled`). Each round examines only the
+out-neighbours of the vertices activated in the round before, so a run
+costs O(n + m).
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .instance import Instance, VertexSet, _coerce
+from .instance import CompiledInstance, Instance, VertexSet, _coerce
 
 
 @dataclass(frozen=True)
@@ -55,34 +60,71 @@ def _check_incentives(instance: Instance, p: Mapping[int, Fraction]) -> None:
             raise ValueError(f"negative incentive {x} at vertex {v}")
 
 
-def _run_rounds(instance: Instance, initially_active, p) -> ActivationTrace:
-    tau = instance.tau
-    out = instance.out_adjacency
-    received = {v: Fraction(0) for v in instance.vertices}
-    active = set(initially_active)
-    rounds = [frozenset(active)]
-    frontier = active
+def _spread(view: CompiledInstance, seed, need) -> list[list[int]]:
+    """The activation rounds on an integer view, as lists of positions.
+
+    `need[i]` is the received weight position i lacks to activate. Round 0
+    is `seed` (distinct positions) plus every position that needs nothing.
+    A position whose received weight did not change cannot newly reach its
+    need, so each round only examines the out-neighbours of the round
+    before it.
+    """
+    left = list(need)
+    active = [False] * len(left)
+    frontier = []
+    for i in seed:
+        active[i] = True
+        frontier.append(i)
+    for i, x in enumerate(left):
+        if x <= 0 and not active[i]:
+            active[i] = True
+            frontier.append(i)
+    out = view.out
+    rounds = [frontier]
     while frontier:
+        reached = []
         for v in frontier:
             for u, w in out[v]:
-                received[u] += w
-        frontier = {
-            x
-            for x in instance.vertices
-            if x not in active and received[x] + p.get(x, 0) >= tau[x]
-        }
-        if frontier:
-            active |= frontier
-            rounds.append(frozenset(frontier))
-    return ActivationTrace(tuple(rounds), frozenset(active), len(rounds) - 1)
+                if not active[u]:
+                    left[u] -= w
+                    if left[u] <= 0:
+                        active[u] = True
+                        reached.append(u)
+        if reached:
+            rounds.append(reached)
+        frontier = reached
+    return rounds
 
 
-def _initial_from_seed(instance: Instance, seed) -> set[int]:
+def _activates_all(view: CompiledInstance, seed, need) -> bool:
+    return sum(map(len, _spread(view, seed, need))) == len(need)
+
+
+def _seed_positions(instance: Instance, seed) -> list[int]:
     seed = frozenset(seed)
     stray = seed - instance.vertex_set
     if stray:
         raise ValueError(f"seed contains unknown vertices: {sorted(stray)}")
-    return set(seed) | {v for v in instance.vertices if instance.tau[v] <= 0}
+    position = instance.compiled.position
+    return [position[v] for v in seed]
+
+
+def _incentive_need(instance: Instance, incentives: Mapping[int, Fraction]) -> list[int]:
+    # Received weight is a multiple of 1/scale, so received + p >= tau holds
+    # exactly when the scaled received weight reaches tau*scale - floor(p*scale).
+    _check_incentives(instance, incentives)
+    view = instance.compiled
+    need = list(view.tau)
+    for v, x in incentives.items():
+        need[view.position[v]] -= x.numerator * view.scale // x.denominator
+    return need
+
+
+def _trace(instance: Instance, rounds: list[list[int]]) -> ActivationTrace:
+    verts = instance.vertices
+    sets = tuple(frozenset(verts[i] for i in r) for r in rounds)
+    return ActivationTrace(sets, frozenset().union(*sets), len(sets) - 1)
+
 
 def run_activation(instance: Instance, seed) -> ActivationTrace:
     """Run the process from a seed set.
@@ -90,7 +132,8 @@ def run_activation(instance: Instance, seed) -> ActivationTrace:
     Round 0 activates the seed plus every vertex whose threshold is already
     met with no help (tau <= 0); later rounds follow the threshold rule.
     """
-    return _run_rounds(instance, _initial_from_seed(instance, seed), {})
+    view = instance.compiled
+    return _trace(instance, _spread(view, _seed_positions(instance, seed), view.tau))
 
 
 def run_with_incentives(instance: Instance, incentives: Mapping[int, Fraction]) -> ActivationTrace:
@@ -100,41 +143,18 @@ def run_with_incentives(instance: Instance, incentives: Mapping[int, Fraction]) 
     vertex activates when active-neighbor weight plus its incentive reaches
     its threshold.
     """
-    _check_incentives(instance, incentives)
-    start = {v for v in instance.vertices if incentives.get(v, 0) >= instance.tau[v]}
-    return _run_rounds(instance, start, incentives)
-
-
-def _closure_size(instance: Instance, start, p) -> int:
-    # Queue-based closure; same final set as the round simulation, cheaper
-    # when the round structure is not needed.
-    tau = instance.tau
-    out = instance.out_adjacency
-    received = {v: Fraction(0) for v in instance.vertices}
-    active = set(start)
-    stack = list(active)
-    while stack:
-        v = stack.pop()
-        for u, w in out[v]:
-            if u in active:
-                continue
-            received[u] += w
-            if received[u] + p.get(u, 0) >= tau[u]:
-                active.add(u)
-                stack.append(u)
-    return len(active)
+    return _trace(instance, _spread(instance.compiled, (), _incentive_need(instance, incentives)))
 
 
 def is_target_set(instance: Instance, seed) -> bool:
     """True iff activating `seed` ends with every vertex active."""
-    return _closure_size(instance, _initial_from_seed(instance, seed), {}) == instance.n
+    view = instance.compiled
+    return _activates_all(view, _seed_positions(instance, seed), view.tau)
 
 
 def is_target_vector(instance: Instance, incentives: Mapping[int, Fraction]) -> bool:
     """True iff the incentive vector activates every vertex."""
-    _check_incentives(instance, incentives)
-    start = {v for v in instance.vertices if incentives.get(v, 0) >= instance.tau[v]}
-    return _closure_size(instance, start, incentives) == instance.n
+    return _activates_all(instance.compiled, (), _incentive_need(instance, incentives))
 
 
 def incentive_cost(incentives: Mapping[int, Fraction]) -> Fraction:

@@ -58,8 +58,10 @@ class Instance:
 
     `mode` is "undirected" or "directed". In directed mode an edge (u, v, w)
     is an arc from u to v: its weight counts toward activating v only.
-    Instances are immutable after construction; every operation below is a
-    pure function, so instances can be shared freely across workers.
+    Every operation below is a pure function, so instances can be shared
+    freely across workers as long as nobody mutates them. `tau` is a plain
+    dict and must not be mutated after construction: incident sums and the
+    integer view `compiled` are cached on first use and would go stale.
     """
 
     mode: str
@@ -76,11 +78,6 @@ class Instance:
         return frozenset(self.vertices)
 
     @cached_property
-    def index(self) -> dict[int, int]:
-        """Vertex id to dense position, for bitset-based oracles."""
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
     def in_adjacency(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
         """Per vertex, the (neighbor, weight) pairs that can influence it."""
         adj: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in self.vertices}
@@ -88,16 +85,6 @@ class Instance:
             adj[v].append((u, w))
             if self.mode == UNDIRECTED:
                 adj[u].append((v, w))
-        return {v: tuple(pairs) for v, pairs in adj.items()}
-
-    @cached_property
-    def out_adjacency(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
-        """Per vertex, the (target, weight) pairs it can influence."""
-        adj: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in self.vertices}
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            if self.mode == UNDIRECTED:
-                adj[v].append((u, w))
         return {v: tuple(pairs) for v, pairs in adj.items()}
 
     @cached_property
@@ -117,14 +104,42 @@ class Instance:
         return sum(self.tau.values(), start=Fraction(0))
 
     @cached_property
-    def denominator_lcm(self) -> int:
-        """LCM of all weight/threshold denominators; scaling by it makes every value an integer."""
-        scale = 1
-        for t in self.tau.values():
-            scale = math.lcm(scale, t.denominator)
-        for _, _, w in self.edges:
-            scale = math.lcm(scale, w.denominator)
-        return scale
+    def compiled(self) -> CompiledInstance:
+        """The integer view every activation run and oracle works on."""
+        scale = math.lcm(*(t.denominator for t in self.tau.values()),
+                         *(w.denominator for _, _, w in self.edges))
+        position = {v: i for i, v in enumerate(self.vertices)}
+        out: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        # An undirected edge influences both ways, so in and out lists coincide.
+        incoming = out if self.mode == UNDIRECTED else [[] for _ in self.vertices]
+        for u, v, w in self.edges:
+            iu, iv = position[u], position[v]
+            wi = w.numerator * (scale // w.denominator)
+            out[iu].append((iv, wi))
+            incoming[iv].append((iu, wi))
+        tau = tuple(
+            t.numerator * (scale // t.denominator)
+            for t in (self.tau[v] for v in self.vertices)
+        )
+        return CompiledInstance(scale, position, tau, incoming, out)
+
+
+@dataclass(frozen=True)
+class CompiledInstance:
+    """Integer view of an instance on dense vertex positions.
+
+    Every weight and threshold is multiplied by `scale`, the LCM of all their
+    denominators, so the values here are exact integers. Position i stands
+    for `instance.vertices[i]`; `incoming[i]` lists the (position, weight)
+    pairs that can influence it and `out[i]` those it can influence. The
+    lists are shared by every caller and must be treated as read-only.
+    """
+
+    scale: int
+    position: dict[int, int]
+    tau: tuple[int, ...]
+    incoming: list[list[tuple[int, int]]]
+    out: list[list[tuple[int, int]]]
 
 
 def build_instance(mode: str, vertices, edges=(), tau=0) -> Instance:

@@ -1,8 +1,8 @@
 """Exhaustive ground-truth solvers for small instances.
 
 These are the reference answers the polynomial-time algorithms are tested
-against. Hot loops run on integers obtained by scaling all rationals with
-the common denominator, which keeps them exact.
+against. Hot loops run on the instance's integer view (`Instance.compiled`),
+where every rational is scaled by the common denominator, so they stay exact.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OracleLimitError
-from .engine import incentive_cost, is_target_set, is_target_vector
+from .engine import _activates_all, incentive_cost, is_target_set, is_target_vector
 from .instance import Instance, VertexSet
 
 TARGET_SET_LIMIT = 20
@@ -29,55 +29,6 @@ class OracleResult:
     explored: int
 
 
-def _scaled(instance: Instance):
-    """Integer thresholds and adjacency lists (positions, not ids)."""
-    scale = instance.denominator_lcm
-    verts = instance.vertices
-    idx = instance.index
-    thresholds = [(instance.tau[v] * scale).numerator for v in verts]
-    out = [
-        [(idx[u], (w * scale).numerator) for u, w in instance.out_adjacency[v]]
-        for v in verts
-    ]
-    incoming = [
-        [(idx[u], (w * scale).numerator) for u, w in instance.in_adjacency[v]]
-        for v in verts
-    ]
-    return thresholds, incoming, out, scale
-
-
-def _closure_activates_all(n, thresholds, out, seed, bonus=None) -> bool:
-    received = [0] * n
-    active = [False] * n
-    stack = []
-    if bonus is None:
-        for i in seed:
-            active[i] = True
-            stack.append(i)
-        for i in range(n):
-            if not active[i] and thresholds[i] <= 0:
-                active[i] = True
-                stack.append(i)
-    else:
-        for i in range(n):
-            if bonus[i] >= thresholds[i]:
-                active[i] = True
-                stack.append(i)
-    count = len(stack)
-    while stack:
-        v = stack.pop()
-        for u, w in out[v]:
-            if active[u]:
-                continue
-            received[u] += w
-            need = thresholds[u] if bonus is None else thresholds[u] - bonus[u]
-            if received[u] >= need:
-                active[u] = True
-                stack.append(u)
-                count += 1
-    return count == n
-
-
 def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> OracleResult:
     """Smallest seed set that activates everything, by ascending subset size.
 
@@ -87,13 +38,13 @@ def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> O
     n = instance.n
     if n > limit:
         raise OracleLimitError(f"{n} vertices exceeds the target-set oracle limit of {limit}")
-    thresholds, _, out, _ = _scaled(instance)
+    view = instance.compiled
     verts = instance.vertices
     explored = 0
     for k in range(n + 1):
         for combo in itertools.combinations(range(n), k):
             explored += 1
-            if _closure_activates_all(n, thresholds, out, combo):
+            if _activates_all(view, combo, view.tau):
                 witness = frozenset(verts[i] for i in combo)
                 if not is_target_set(instance, witness):
                     raise RuntimeError("oracle witness failed engine verification")
@@ -116,7 +67,8 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
         raise OracleLimitError(f"{n} vertices exceeds the target-vector oracle limit of {limit}")
     if n == 0:
         return OracleResult(Fraction(0), {}, 0)
-    thresholds, incoming, _, scale = _scaled(instance)
+    view = instance.compiled
+    thresholds, incoming, scale = view.tau, view.incoming, view.scale
     verts = instance.vertices
     size = 1 << n
     best: list[int | None] = [None] * size
@@ -179,17 +131,17 @@ def grid_min_target_vector(instance: Instance) -> OracleResult:
         if w.denominator != 1:
             raise ValueError(f"integer weights required, edge ({u}, {v}) has {w}")
     n = instance.n
-    thresholds, _, out, _ = _scaled(instance)
+    view = instance.compiled
     verts = instance.vertices
     best_cost = None
     best_vec = None
     explored = 0
-    for combo in itertools.product(*(range(t + 1) for t in thresholds)):
+    for combo in itertools.product(*(range(t + 1) for t in view.tau)):
         explored += 1
         cost = sum(combo)
         if best_cost is not None and cost >= best_cost:
             continue
-        if _closure_activates_all(n, thresholds, out, (), bonus=combo):
+        if _activates_all(view, (), [t - b for t, b in zip(view.tau, combo)]):
             best_cost = cost
             best_vec = combo
     assert best_cost is not None and best_vec is not None  # p = tau always works

@@ -206,7 +206,6 @@ def solve_min_or_full(instance: Instance) -> SolveReport:
     # low-low edges are internal to a component and disappear.
     crossing: list[tuple[int, int, Fraction, int | None]] = []  # (fx, fy, w, payback)
     k = len(comps)
-    high_ids = {v: None for v in high}  # filled after the edge count is known
     raw = []
     for u, v, w in canonical_edges(instance):
         cu = comp_of.get(u)

@@ -1,0 +1,91 @@
+"""Golden corpus: `--deterministic` CLI reports must stay byte-identical.
+
+Each case runs one CLI invocation in-process and compares its exit code and
+stdout with `tests/golden/<name>.txt`. To rewrite the corpus after an
+intended output change, run `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from targetset.cli import main
+
+TESTS = pathlib.Path(__file__).parent
+GOLDEN = TESTS / "golden"
+
+
+def _fixture(name: str) -> str:
+    return str(TESTS / "fixtures" / name)
+
+
+def _input(name: str) -> str:
+    return str(GOLDEN / "inputs" / name)
+
+
+CASES = {
+    "validate-ok": ["validate", _fixture("halves.wtg")],
+    "validate-broken": ["validate", _input("broken.wtg")],
+    "simulate-p3-seed": ["simulate", _fixture("p3.wtg"), "--seed-set", "1"],
+    "simulate-triangle-seed": ["simulate", _fixture("triangle_t2.wtg"), "--seed-set", "1"],
+    "simulate-halves-empty": ["simulate", _fixture("halves.wtg"), "--seed-set", ""],
+    "simulate-noncontig-empty": ["simulate", _input("noncontig.wtg"), "--seed-set", ""],
+    "simulate-noncontig-seed": ["simulate", _input("noncontig.wtg"), "--seed-set", "40"],
+    "simulate-capped12-seed": ["simulate", _input("capped12.wtg"), "--seed-set", "1,11"],
+    "simulate-directed-pair-seed": ["simulate", _fixture("directed_pair.wtg"), "--seed-set", "1"],
+    "simulate-tour7-seed": ["simulate", _input("tour7.wtg"), "--seed-set", "3,4"],
+    "simulate-directed-p-seed": ["simulate", _input("directed_p.wtg"), "--seed-set", "9"],
+    "simulate-directed-p-lines": ["simulate", _input("directed_p.wtg")],
+    "simulate-p3-lines": ["simulate", _fixture("p3_incentives.wtg")],
+    "simulate-halves-sevenths": ["simulate", _fixture("halves.wtg"),
+                                 "--incentives", _input("incentives_halves.wtg")],
+    "simulate-k3-sevenths": ["simulate", _fixture("k3_weighted.wtg"),
+                             "--incentives", _input("incentives_k3.wtg")],
+    "solve-auto-deg9": ["solve", _input("deg9.wtg")],
+    "solve-auto-twolevel8": ["solve", _input("twolevel8.wtg")],
+    "solve-auto-minfull9": ["solve", _input("minfull9.wtg")],
+    "solve-auto-triangle": ["solve", _fixture("triangle_t2.wtg")],
+    "solve-auto-tour7": ["solve", _input("tour7.wtg")],
+    "solve-degenerate-deg9": ["solve", _input("deg9.wtg"), "--method", "degenerate"],
+    "solve-degenerate-halves": ["solve", _fixture("halves.wtg"), "--method", "degenerate"],
+    "solve-algorithm-one-deg9": ["solve", _input("deg9.wtg"), "--method", "algorithm-one"],
+    "solve-two-level-twolevel8": ["solve", _input("twolevel8.wtg"), "--method", "two-level"],
+    "solve-two-level-triangle": ["solve", _input("triangle_t1.wtg"), "--method", "two-level"],
+    "solve-min-or-full-minfull9": ["solve", _input("minfull9.wtg"), "--method", "min-or-full"],
+    "solve-vc-bound-cubic10": ["solve", _input("cubic10.wtg"), "--method", "vc-bound"],
+    "oracle-target-set-deg9": ["oracle", "target-set", _input("deg9.wtg")],
+    "oracle-target-set-tour7": ["oracle", "target-set", _input("tour7.wtg")],
+    "oracle-target-set-noncontig": ["oracle", "target-set", _input("noncontig.wtg")],
+    "oracle-target-vector-deg9": ["oracle", "target-vector", _input("deg9.wtg")],
+    "oracle-target-vector-tour7": ["oracle", "target-vector", _input("tour7.wtg")],
+    "oracle-target-vector-directed-p": ["oracle", "target-vector", _input("directed_p.wtg")],
+    "oracle-vertex-cover-cubic10": ["oracle", "vertex-cover", _input("cubic10.wtg")],
+    "oracle-vertex-cover-capped12": ["oracle", "vertex-cover", _input("capped12.wtg")],
+    "degeneracy-deg9": ["degeneracy", _input("deg9.wtg")],
+    "degeneracy-triangle": ["degeneracy", _fixture("triangle_t2.wtg")],
+    "degeneracy-capped12": ["degeneracy", _input("capped12.wtg")],
+    "check-kappa": ["check", "kappa", "--instances", "8"],
+    "check-bidirected": ["check", "bidirected", "--instances", "8"],
+    "check-prop1-preservation": ["check", "prop1-preservation", "--instances", "8"],
+    "check-two-level": ["check", "two-level", "--instances", "8"],
+}
+
+
+def _report(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, "--deterministic"])
+    return f"exit {code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    expected = (GOLDEN / f"{name}.txt").read_bytes()
+    assert _report(CASES[name]).encode() == expected
+
+
+if __name__ == "__main__":
+    for case, args in sorted(CASES.items()):
+        (GOLDEN / f"{case}.txt").write_bytes(_report(args).encode())
