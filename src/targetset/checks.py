@@ -81,7 +81,7 @@ def random_degenerate_tss_instance(rng: random.Random, n: int) -> Instance:
     order = list(base.vertices)
     rng.shuffle(order)
     rank = {v: i for i, v in enumerate(order)}
-    degree = {v: len(base.in_adjacency[v]) for v in base.vertices}
+    degree = {v: len(pairs) for v, pairs in zip(base.vertices, base.compiled.incoming)}
     back = {v: 0 for v in base.vertices}
     for u, v, _ in base.edges:
         back[u if rank[u] > rank[v] else v] += 1
@@ -208,8 +208,7 @@ def check_min_or_full(instances: int = 200, max_n: int = 9, seed: int = 0) -> Ch
             inst = Instance(inst.mode, inst.vertices, inst.edges,
                             {v: mu for v in inst.vertices})
         elif i % 4 == 1:
-            totals = inst.incident_totals
-            inst = Instance(inst.mode, inst.vertices, inst.edges, dict(totals))
+            inst = Instance(inst.mode, inst.vertices, inst.edges, inst.incident_totals)
         report = solve_min_or_full(inst)
         if not is_target_vector(inst, report.incentives):
             failures.append(f"seed {spec.seed}: vector failed engine verification")

@@ -8,6 +8,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -204,7 +205,9 @@ def _cmd_check(args) -> int:
     return EXIT_OK if result.passed else EXIT_VALIDATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing never modifies it."""
     parser = _Parser(prog="targetset", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

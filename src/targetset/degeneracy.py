@@ -17,7 +17,6 @@ from .instance import (
     UNDIRECTED,
     Instance,
     VertexSet,
-    incident_weight_sum,
     induced_subinstance,
     min_edge_weight,
     is_connected,
@@ -57,30 +56,32 @@ def peel_ordering(instance: Instance) -> DegeneracyOrdering | NotDegenerate:
     weight (smallest id first, for determinism); the reversed deletion order
     is the certifying ordering. Deleting a qualifying vertex only lowers the
     other residual sums, so the greedy choice never loses: if peeling sticks,
-    the remaining set itself violates the degeneracy condition. Runs in
-    O(n^2 + m) including ordering construction.
+    the remaining set itself violates the degeneracy condition. Runs on the
+    integer view in O(n^2 + m), including ordering construction.
     """
     _require_undirected(instance, "degeneracy")
-    residual = dict(instance.incident_totals)
-    alive = set(instance.vertices)
-    scan_order = sorted(instance.vertices)
-    deletion: list[int] = []
-    slacks: dict[int, Fraction] = {}
+    view = instance.compiled
+    verts, tau, incoming = instance.vertices, view.tau, view.incoming
+    residual = [sum(w for _, w in pairs) for pairs in incoming]
+    alive = [True] * instance.n
+    scan_order = sorted(range(instance.n), key=verts.__getitem__)
+    slacks: dict[int, int] = {}
     for _ in range(instance.n):
-        pick = None
-        for v in scan_order:
-            if v in alive and instance.tau[v] >= residual[v]:
-                pick = v
+        pick = -1
+        for i in scan_order:
+            if alive[i] and tau[i] >= residual[i]:
+                pick = i
                 break
-        if pick is None:
-            return NotDegenerate(frozenset(alive))
-        slacks[pick] = instance.tau[pick] - residual[pick]
-        deletion.append(pick)
-        alive.remove(pick)
-        for u, w in instance.in_adjacency[pick]:
-            if u in alive:
-                residual[u] -= w
-    return DegeneracyOrdering(tuple(reversed(deletion)), slacks)
+        if pick < 0:
+            return NotDegenerate(frozenset(v for v, live in zip(verts, alive) if live))
+        slacks[verts[pick]] = tau[pick] - residual[pick]
+        alive[pick] = False
+        for j, w in incoming[pick]:
+            if alive[j]:
+                residual[j] -= w
+    # Slacks are keyed in deletion order; the ordering is that order reversed.
+    scaled = {v: Fraction(s, view.scale) for v, s in slacks.items()}
+    return DegeneracyOrdering(tuple(reversed(slacks)), scaled)
 
 
 def slacks_along(instance: Instance, order) -> dict[int, Fraction]:
@@ -92,15 +93,17 @@ def slacks_along(instance: Instance, order) -> dict[int, Fraction]:
     order = tuple(order)
     if len(order) != instance.n or set(order) != instance.vertex_set:
         raise ValueError("order is not a permutation of the instance's vertices")
-    earlier: set[int] = set()
-    slacks: dict[int, Fraction] = {}
+    view = instance.compiled
+    earlier = [False] * instance.n
+    slacks: dict[int, int] = {}
     for v in order:
-        slack = instance.tau[v] - incident_weight_sum(instance, v, earlier)
+        i = view.position[v]
+        slack = view.tau[i] - sum(w for j, w in view.incoming[i] if earlier[j])
         if slack < 0:
-            raise ValueError(f"not a degeneracy ordering: vertex {v} has slack {slack}")
+            raise ValueError(f"not a degeneracy ordering: vertex {v} has slack {Fraction(slack, view.scale)}")
         slacks[v] = slack
-        earlier.add(v)
-    return slacks
+        earlier[i] = True
+    return {v: Fraction(s, view.scale) for v, s in slacks.items()}
 
 
 def brute_degeneracy_check(instance: Instance, limit: int = BRUTE_LIMIT) -> bool:
@@ -164,7 +167,7 @@ def kappa_complement_check(instance: Instance, target) -> bool:
     peeling problem with thresholds d(v) - tau(v), so peel_ordering decides it.
     """
     _require_undirected(instance, "the complement-ordering check")
-    degrees = {v: len(instance.in_adjacency[v]) for v in instance.vertices}
+    degrees = {v: len(pairs) for v, pairs in zip(instance.vertices, instance.compiled.incoming)}
     for _, _, w in instance.edges:
         if w != 1:
             raise PreconditionError(f"unit edge weights required, found {w}")

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import DIRECTED, UNDIRECTED, Instance, parse_rational, validate
+from .instance import DIRECTED, UNDIRECTED, Instance, parse_rational
 
 
 @dataclass(frozen=True)
@@ -182,13 +182,9 @@ _FAMILIES = {
 
 
 def generate(spec: GenSpec) -> Instance:
-    """Build the instance described by `spec`; output always validates."""
+    """Build the instance described by `spec`."""
     try:
         family = _FAMILIES[spec.family]
     except KeyError:
         raise ValueError(f"unknown family {spec.family!r}") from None
-    instance = family(spec)
-    violation = validate(instance)
-    if violation is not None:
-        raise RuntimeError(f"generator produced an invalid instance: {violation.detail}")
-    return instance
+    return family(spec)

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+from .errors import ValidationError
 
 UNDIRECTED = "undirected"
 DIRECTED = "directed"
@@ -58,16 +61,26 @@ class Instance:
 
     `mode` is "undirected" or "directed". In directed mode an edge (u, v, w)
     is an arc from u to v: its weight counts toward activating v only.
-    Every operation below is a pure function, so instances can be shared
-    freely across workers as long as nobody mutates them. `tau` is a plain
-    dict and must not be mutated after construction: incident sums and the
-    integer view `compiled` are cached on first use and would go stale.
+    Construction checks every invariant (see `validate`) and raises
+    ValidationError on the first violation, so every Instance is valid.
+    `tau` is copied into a read-only mapping, so instances are immutable and
+    hashable, and can be shared freely across workers.
     """
 
     mode: str
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
-    tau: Mapping[int, Fraction]
+    tau: Mapping[int, Fraction] = field(hash=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tau", MappingProxyType(dict(self.tau)))
+        violation = validate(self)
+        if violation is not None:
+            raise ValidationError(violation)
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled; rebuild through the constructor.
+        return Instance, (self.mode, self.vertices, self.edges, dict(self.tau))
 
     @property
     def n(self) -> int:
@@ -78,21 +91,12 @@ class Instance:
         return frozenset(self.vertices)
 
     @cached_property
-    def in_adjacency(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
-        """Per vertex, the (neighbor, weight) pairs that can influence it."""
-        adj: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in self.vertices}
-        for u, v, w in self.edges:
-            adj[v].append((u, w))
-            if self.mode == UNDIRECTED:
-                adj[u].append((v, w))
-        return {v: tuple(pairs) for v, pairs in adj.items()}
-
-    @cached_property
     def incident_totals(self) -> dict[int, Fraction]:
         """Full incident weight sum of each vertex (incoming sum in directed mode)."""
+        view = self.compiled
         return {
-            v: sum((w for _, w in self.in_adjacency[v]), start=Fraction(0))
-            for v in self.vertices
+            v: Fraction(sum(w for _, w in pairs), view.scale)
+            for v, pairs in zip(self.vertices, view.incoming)
         }
 
     @cached_property
@@ -181,9 +185,11 @@ class Violation:
 
 
 def validate(instance: Instance) -> Violation | None:
-    """Check every instance invariant; return the first violation or None."""
+    """Check every instance invariant in one pass; return the first violation or None."""
     if instance.mode not in (UNDIRECTED, DIRECTED):
         return Violation("bad-mode", f"unknown mode {instance.mode!r}")
+    directed = instance.mode == DIRECTED
+    tau = instance.tau
     seen_ids = set()
     for v in instance.vertices:
         if not isinstance(v, int) or v < 1:
@@ -191,11 +197,11 @@ def validate(instance: Instance) -> Violation | None:
         if v in seen_ids:
             return Violation("duplicate-vertex", f"vertex {v} listed twice")
         seen_ids.add(v)
-    for v in instance.tau:
+    for v in tau:
         if v not in seen_ids:
             return Violation("unknown-vertex", f"threshold given for unknown vertex {v}")
     for v in instance.vertices:
-        if v not in instance.tau:
+        if v not in tau:
             return Violation("missing-threshold", f"vertex {v} has no threshold")
     pairs = set()
     for u, v, w in instance.edges:
@@ -204,15 +210,15 @@ def validate(instance: Instance) -> Violation | None:
             return Violation("unknown-vertex", f"edge ({u}, {v}) references unknown vertex {missing}")
         if u == v:
             return Violation("self-loop", f"edge ({u}, {v}) is a self-loop")
-        key = (u, v) if instance.mode == DIRECTED else (min(u, v), max(u, v))
+        key = (u, v) if directed or u < v else (v, u)
         if key in pairs:
             return Violation("duplicate-edge", f"edge ({u}, {v}) appears more than once")
         pairs.add(key)
-        if w < 0:
+        if w.numerator < 0:
             return Violation("negative-weight", f"edge ({u}, {v}) has negative weight {w}")
     for v in instance.vertices:
-        if instance.tau[v] < 0:
-            return Violation("negative-threshold", f"vertex {v} has negative threshold {instance.tau[v]}")
+        if tau[v].numerator < 0:
+            return Violation("negative-threshold", f"vertex {v} has negative threshold {tau[v]}")
     return None
 
 
@@ -221,13 +227,12 @@ def incident_weight_sum(instance: Instance, v: int, within) -> Fraction:
 
     Directed mode counts arcs into v coming from `within`.
     """
-    if v not in instance.vertex_set:
+    view = instance.compiled
+    if v not in view.position:
         raise ValueError(f"unknown vertex {v}")
-    total = Fraction(0)
-    for u, w in instance.in_adjacency[v]:
-        if u in within:
-            total += w
-    return total
+    verts = instance.vertices
+    total = sum(w for j, w in view.incoming[view.position[v]] if verts[j] in within)
+    return Fraction(total, view.scale)
 
 
 def induced_subinstance(instance: Instance, keep) -> Instance:

@@ -17,6 +17,9 @@ from .instance import Instance, VertexSet
 
 TARGET_SET_LIMIT = 20
 TARGET_VECTOR_LIMIT = 9
+# The target-vector DP allocates two 2^n-entry tables before any work, at
+# 16-48 bytes per entry: 64-200 MB for n = 22. No `limit` argument lifts it.
+TARGET_VECTOR_CEILING = 22
 VERTEX_COVER_LIMIT = 20
 
 
@@ -63,6 +66,7 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
     activation rounds costs at least some order, so this is the optimum.
     """
     n = instance.n
+    limit = min(limit, TARGET_VECTOR_CEILING)
     if n > limit:
         raise OracleLimitError(f"{n} vertices exceeds the target-vector oracle limit of {limit}")
     if n == 0:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .degeneracy import DegeneracyOrdering, peel_ordering
 from .errors import PreconditionError
-from .instance import DIRECTED, UNDIRECTED, Instance, canonical_edges, validate
+from .instance import DIRECTED, UNDIRECTED, Instance, canonical_edges
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,6 @@ def _require_unit_weights(instance: Instance, what: str) -> None:
             raise PreconditionError(f"{what} needs unit edge weights, edge ({u}, {v}) has {w}")
 
 
-def _checked_image(source, image, correspondence, notes) -> ReductionReceipt:
-    violation = validate(image)
-    if violation is not None:
-        raise RuntimeError(f"reduction produced an invalid image: {violation.rule}: {violation.detail}")
-    return ReductionReceipt(source, image, correspondence, notes)
-
-
 def tss_to_complete(source: Instance) -> ReductionReceipt:
     """Embed a unit-weight instance into a weighted complete graph.
 
@@ -50,7 +43,7 @@ def tss_to_complete(source: Instance) -> ReductionReceipt:
     if n < 2:
         raise PreconditionError("the complete-graph embedding needs at least two vertices")
     _require_unit_weights(source, "the complete-graph embedding")
-    degrees = {v: len(source.in_adjacency[v]) for v in source.vertices}
+    degrees = {v: len(pairs) for v, pairs in zip(source.vertices, source.compiled.incoming)}
     for v in source.vertices:
         t = source.tau[v]
         if t.denominator != 1 or not 1 <= t <= degrees[v]:
@@ -72,7 +65,7 @@ def tss_to_complete(source: Instance) -> ReductionReceipt:
         "non_edge_weight": "1",
         "threshold_factor": str(n),
     }
-    return _checked_image(source, image, {v: v for v in source.vertices}, notes)
+    return ReductionReceipt(source, image, {v: v for v in source.vertices}, notes)
 
 
 def degenerate_to_complete(source: Instance) -> ReductionReceipt:
@@ -114,7 +107,7 @@ def degenerate_to_complete(source: Instance) -> ReductionReceipt:
         "hub_threshold": str(n * n),
         "image_degenerate": "true",
     }
-    return _checked_image(source, image, {v: v for v in source.vertices}, notes)
+    return ReductionReceipt(source, image, {v: v for v in source.vertices}, notes)
 
 
 def to_bidirected(source: Instance) -> ReductionReceipt:
@@ -128,6 +121,6 @@ def to_bidirected(source: Instance) -> ReductionReceipt:
     for u, v, w in canonical_edges(source):
         arcs.append((u, v, w))
         arcs.append((v, u, w))
-    image = Instance(DIRECTED, source.vertices, tuple(arcs), dict(source.tau))
+    image = Instance(DIRECTED, source.vertices, tuple(arcs), source.tau)
     notes = {"kind": "bidirected", "arc_count": str(len(arcs))}
-    return _checked_image(source, image, {v: v for v in source.vertices}, notes)
+    return ReductionReceipt(source, image, {v: v for v in source.vertices}, notes)

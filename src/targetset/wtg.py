@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ValidationError, WtgParseError
+from .errors import WtgParseError
 from .instance import (
     DIRECTED,
     UNDIRECTED,
@@ -28,7 +28,6 @@ from .instance import (
     canonical_edges,
     format_rational,
     parse_rational,
-    validate,
 )
 
 _TOKEN = re.compile(r"\S+")
@@ -143,11 +142,7 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     if len(tau) != declared_n:
         raise WtgParseError(f"declared n {declared_n} but found {len(tau)} vertex lines", last_line)
 
-    instance = Instance(mode, tuple(sorted(tau)), tuple(edges), tau)
-    violation = validate(instance)
-    if violation is not None:
-        raise ValidationError(violation)
-    return instance, (incentives if has_incentives else None)
+    return Instance(mode, tuple(sorted(tau)), tuple(edges), tau), (incentives if has_incentives else None)
 
 
 def serialize_wtg(instance: Instance, incentives: dict[int, Fraction] | None = None) -> str:

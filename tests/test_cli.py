@@ -99,6 +99,17 @@ def test_oracle_limit_exit_code(fixtures, capsys):
     assert "limit" in err
 
 
+def test_target_vector_ceiling_beats_limit_override(tmp_path, capsys):
+    # Rejected before the 2^64-entry tables are requested.
+    edgeless = tmp_path / "edgeless64.wtg"
+    edgeless.write_text(serialize_wtg(build_instance(UNDIRECTED, 64, [], 0)))
+    code, out, err = run(capsys, "oracle", "target-vector", str(edgeless),
+                         "--limit-n", "64")
+    assert code == 4
+    assert out == ""
+    assert "limit of 22" in err
+
+
 def test_oracle_reports_optimum(fixtures, capsys):
     code, out, _ = run(capsys, "oracle", "target-vector", str(fixtures / "p3.wtg"),
                        "--deterministic")

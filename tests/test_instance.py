@@ -1,6 +1,8 @@
 """Instance model: rational parsing, validation, sums, restriction."""
 
+import pickle
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,8 @@ from targetset import (
     DIRECTED,
     UNDIRECTED,
     GenSpec,
+    Instance,
+    ValidationError,
     build_instance,
     generate,
     incident_weight_sum,
@@ -37,47 +41,83 @@ def test_validate_minimal_instance_ok():
     assert validate(build_instance(UNDIRECTED, 1, [], 0)) is None
 
 
+def _violated_rule(build) -> str:
+    with pytest.raises(ValidationError) as caught:
+        build()
+    return caught.value.violation.rule
+
+
 def test_validate_self_loop():
-    bad = build_instance(UNDIRECTED, 2, [(1, 1)], 1)
-    violation = validate(bad)
-    assert violation is not None and violation.rule == "self-loop"
+    assert _violated_rule(lambda: build_instance(UNDIRECTED, 2, [(1, 1)], 1)) == "self-loop"
 
 
 def test_validate_negative_weight():
-    bad = build_instance(UNDIRECTED, 2, [(1, 2, "-1/2")], 1)
-    violation = validate(bad)
-    assert violation is not None and violation.rule == "negative-weight"
+    bad = lambda: build_instance(UNDIRECTED, 2, [(1, 2, "-1/2")], 1)
+    assert _violated_rule(bad) == "negative-weight"
 
 
 def test_validate_negative_threshold():
-    bad = build_instance(UNDIRECTED, 2, [(1, 2)], [1, "-1"])
-    violation = validate(bad)
-    assert violation is not None and violation.rule == "negative-threshold"
+    bad = lambda: build_instance(UNDIRECTED, 2, [(1, 2)], [1, "-1"])
+    assert _violated_rule(bad) == "negative-threshold"
 
 
 def test_validate_duplicate_edge():
-    bad = build_instance(UNDIRECTED, 3, [(1, 2), (2, 1, 2)], 1)
-    violation = validate(bad)
-    assert violation is not None and violation.rule == "duplicate-edge"
+    bad = lambda: build_instance(UNDIRECTED, 3, [(1, 2), (2, 1, 2)], 1)
+    assert _violated_rule(bad) == "duplicate-edge"
 
 
 def test_validate_unknown_vertex_in_edge():
-    bad = build_instance(UNDIRECTED, 2, [(1, 5)], 1)
-    violation = validate(bad)
-    assert violation is not None and violation.rule == "unknown-vertex"
+    bad = lambda: build_instance(UNDIRECTED, 2, [(1, 5)], 1)
+    assert _violated_rule(bad) == "unknown-vertex"
 
 
 def test_validate_missing_threshold():
-    bad = build_instance(UNDIRECTED, [1, 2], [], {1: 1})
-    violation = validate(bad)
-    assert violation is not None and violation.rule == "missing-threshold"
+    bad = lambda: build_instance(UNDIRECTED, [1, 2], [], {1: 1})
+    assert _violated_rule(bad) == "missing-threshold"
 
 
 def test_validate_directed_opposite_arcs_are_fine():
     inst = build_instance(DIRECTED, 2, [(1, 2, 1), (2, 1, "1/2")], 1)
     assert validate(inst) is None
-    same_dir = build_instance(DIRECTED, 2, [(1, 2, 1), (1, 2, 2)], 1)
-    assert validate(same_dir).rule == "duplicate-edge"
+    same_dir = lambda: build_instance(DIRECTED, 2, [(1, 2, 1), (1, 2, 2)], 1)
+    assert _violated_rule(same_dir) == "duplicate-edge"
+
+
+def test_constructor_rejects_negative_weight():
+    with pytest.raises(ValidationError) as caught:
+        Instance(UNDIRECTED, (1, 2), ((1, 2, Fraction(-1)),), {1: 1, 2: 1})
+    assert caught.value.violation.rule == "negative-weight"
+
+
+def test_equal_instances_hash_equal():
+    a = build_instance(UNDIRECTED, 3, [(1, 2, "1/2"), (2, 3)], [1, 2, "3/4"])
+    b = build_instance(UNDIRECTED, 3, [(1, 2, "1/2"), (2, 3)], [1, 2, "3/4"])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_thresholds_are_read_only():
+    inst = triangle()
+    with pytest.raises(TypeError):
+        inst.tau[1] = 0
+    assert inst.tau[1] == 1
+
+
+def test_instances_pickle():
+    inst = build_instance(UNDIRECTED, 3, [(1, 2, "1/2"), (2, 3)], [1, 2, "3/4"])
+    again = pickle.loads(pickle.dumps(inst))
+    assert again == inst and hash(again) == hash(inst)
+    assert isinstance(again.tau, MappingProxyType)
+
+
+def test_caller_dict_is_copied():
+    tau = {1: Fraction(1), 2: Fraction(1)}
+    inst = Instance(UNDIRECTED, (1, 2), ((1, 2, Fraction(1)),), tau)
+    assert inst.compiled.tau == (1, 1)
+    tau[1] = Fraction(5)
+    del tau[2]
+    assert dict(inst.tau) == {1: 1, 2: 1}
+    assert inst.incident_totals == {1: 1, 2: 1}
 
 
 def triangle(tau=1):
