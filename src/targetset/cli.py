@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage, 2 validation or parse failure (also a
 failing check sweep), 3 solver precondition unmet, 4 oracle size limit
-exceeded.
+exceeded, 5 a solver's, oracle's or reduction's result failed its own
+verification (a bug, never an input problem).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     PreconditionError,
     UsageError,
     ValidationError,
+    VerificationError,
     WtgParseError,
 )
 from .generators import GenSpec, generate
@@ -48,6 +50,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_PRECONDITION = 3
 EXIT_LIMIT = 4
+EXIT_VERIFY = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,6 +298,9 @@ def main(argv=None) -> int:
     except OracleLimitError as exc:
         print(f"oracle limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

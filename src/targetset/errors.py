@@ -9,6 +9,10 @@ class OracleLimitError(Exception):
     """An exhaustive oracle was asked to handle an instance above its size limit."""
 
 
+class VerificationError(RuntimeError):
+    """A solver, oracle or reduction produced a result that failed its own check."""
+
+
 class ValidationError(Exception):
     """An instance failed invariant validation."""
 

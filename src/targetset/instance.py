@@ -26,6 +26,7 @@ Edge = tuple[int, int, Fraction]
 VertexSet = frozenset[int]
 
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+_EXACT = (Fraction, int)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -63,8 +64,9 @@ class Instance:
     is an arc from u to v: its weight counts toward activating v only.
     Construction checks every invariant (see `validate`) and raises
     ValidationError on the first violation, so every Instance is valid.
-    `tau` is copied into a read-only mapping, so instances are immutable and
-    hashable, and can be shared freely across workers.
+    `vertices` and `edges` are stored as tuples and `tau` is copied into a
+    read-only mapping, so instances are immutable and hashable, and can be
+    shared freely across workers.
     """
 
     mode: str
@@ -73,6 +75,12 @@ class Instance:
     tau: Mapping[int, Fraction] = field(hash=False)
 
     def __post_init__(self) -> None:
+        # Tuples pass through untouched: copying them too measurably raised
+        # time and peak memory in sweeps over many small instances.
+        if type(self.vertices) is not tuple:
+            object.__setattr__(self, "vertices", tuple(self.vertices))
+        if type(self.edges) is not tuple:
+            object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         object.__setattr__(self, "tau", MappingProxyType(dict(self.tau)))
         violation = validate(self)
         if violation is not None:
@@ -94,10 +102,7 @@ class Instance:
     def incident_totals(self) -> dict[int, Fraction]:
         """Full incident weight sum of each vertex (incoming sum in directed mode)."""
         view = self.compiled
-        return {
-            v: Fraction(sum(w for _, w in pairs), view.scale)
-            for v, pairs in zip(self.vertices, view.incoming)
-        }
+        return {v: Fraction(t, view.scale) for v, t in zip(self.vertices, view.totals)}
 
     @cached_property
     def total_weight(self) -> Fraction:
@@ -144,6 +149,16 @@ class CompiledInstance:
     tau: tuple[int, ...]
     incoming: list[list[tuple[int, int]]]
     out: list[list[tuple[int, int]]]
+
+    @cached_property
+    def totals(self) -> tuple[int, ...]:
+        """Scaled incident weight sum of each position (incoming in directed mode)."""
+        return tuple(sum(w for _, w in pairs) for pairs in self.incoming)
+
+    @cached_property
+    def min_weight(self) -> int:
+        """Smallest scaled edge weight; raises ValueError when there are no edges."""
+        return min(w for pairs in self.out for _, w in pairs)
 
 
 def build_instance(mode: str, vertices, edges=(), tau=0) -> Instance:
@@ -214,9 +229,13 @@ def validate(instance: Instance) -> Violation | None:
         if key in pairs:
             return Violation("duplicate-edge", f"edge ({u}, {v}) appears more than once")
         pairs.add(key)
+        if not isinstance(w, _EXACT):
+            return Violation("bad-weight", f"edge ({u}, {v}) has weight {w!r}, expected an int or Fraction")
         if w.numerator < 0:
             return Violation("negative-weight", f"edge ({u}, {v}) has negative weight {w}")
     for v in instance.vertices:
+        if not isinstance(tau[v], _EXACT):
+            return Violation("bad-threshold", f"vertex {v} has threshold {tau[v]!r}, expected an int or Fraction")
         if tau[v].numerator < 0:
             return Violation("negative-threshold", f"vertex {v} has negative threshold {tau[v]}")
     return None
@@ -253,7 +272,8 @@ def min_edge_weight(instance: Instance) -> Fraction:
     """Exact minimum edge weight; undefined (raises) on edgeless instances."""
     if not instance.edges:
         raise ValueError("edgeless instance has no minimum edge weight")
-    return min(w for _, _, w in instance.edges)
+    view = instance.compiled
+    return Fraction(view.min_weight, view.scale)
 
 
 def canonical_edges(instance: Instance) -> list[Edge]:

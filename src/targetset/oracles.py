@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OracleLimitError
+from .errors import OracleLimitError, VerificationError
 from .engine import _activates_all, incentive_cost, is_target_set, is_target_vector
 from .instance import Instance, VertexSet
 
@@ -50,7 +50,7 @@ def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> O
             if _activates_all(view, combo, view.tau):
                 witness = frozenset(verts[i] for i in combo)
                 if not is_target_set(instance, witness):
-                    raise RuntimeError("oracle witness failed engine verification")
+                    raise VerificationError("oracle witness failed engine verification")
                 return OracleResult(k, witness, explored)
     raise RuntimeError("unreachable: the full vertex set always activates everything")
 
@@ -116,7 +116,7 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
         placed |= 1 << i
     optimum = Fraction(best[size - 1], scale)
     if incentive_cost(witness) != optimum or not is_target_vector(instance, witness):
-        raise RuntimeError("oracle witness failed engine verification")
+        raise VerificationError("oracle witness failed engine verification")
     return OracleResult(optimum, witness, explored)
 
 
@@ -151,7 +151,7 @@ def grid_min_target_vector(instance: Instance) -> OracleResult:
     assert best_cost is not None and best_vec is not None  # p = tau always works
     witness = {verts[i]: Fraction(best_vec[i]) for i in range(n)}
     if not is_target_vector(instance, witness):
-        raise RuntimeError("grid witness failed engine verification")
+        raise VerificationError("grid witness failed engine verification")
     return OracleResult(Fraction(best_cost), witness, explored)
 
 
@@ -189,5 +189,5 @@ def exact_min_vertex_cover(instance: Instance, limit: int = VERTEX_COVER_LIMIT) 
     visit(0, set())
     for u, v in pairs:
         if u not in best_set and v not in best_set:
-            raise RuntimeError("oracle witness is not a vertex cover")
+            raise VerificationError("oracle witness is not a vertex cover")
     return OracleResult(best_size, best_set, explored)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .degeneracy import DegeneracyOrdering, peel_ordering
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .instance import DIRECTED, UNDIRECTED, Instance, canonical_edges
 
 
@@ -99,7 +99,7 @@ def degenerate_to_complete(source: Instance) -> ReductionReceipt:
     tau[hub] = big * big
     image = Instance(UNDIRECTED, source.vertices + (hub,), tuple(edges), tau)
     if not isinstance(peel_ordering(image), DegeneracyOrdering):
-        raise RuntimeError("hub embedding lost degeneracy")
+        raise VerificationError("hub embedding lost degeneracy")
     notes = {
         "kind": "hub-embedding",
         "n": str(n),

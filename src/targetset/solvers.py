@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .degeneracy import DegeneracyOrdering, NotDegenerate, peel_ordering, slacks_along
 from .engine import incentive_cost, is_target_set, is_target_vector
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .instance import (
     UNDIRECTED,
     Instance,
@@ -69,7 +69,7 @@ def approx_target_set(instance: Instance, ordering: DegeneracyOrdering | None = 
     selected = [u for u in ordering.order if ordering.slacks[u] > 0]
     seed = frozenset(selected)
     if not is_target_set(instance, seed):
-        raise RuntimeError("degenerate seed selection failed engine verification")
+        raise VerificationError("degenerate seed selection failed engine verification")
     tau_max = max(instance.tau.values()) if instance.n else Fraction(0)
     if selected:
         c = min(ordering.slacks[u] for u in selected)
@@ -90,7 +90,7 @@ def solve_degenerate(instance: Instance, ordering: DegeneracyOrdering | None = N
     p = {v: ordering.slacks[v] for v in instance.vertices}
     cost = incentive_cost(p)
     if not is_target_vector(instance, p):
-        raise RuntimeError("degenerate incentive vector failed engine verification")
+        raise VerificationError("degenerate incentive vector failed engine verification")
     return SolveReport(p, cost, "degenerate", {"ordering": " ".join(map(str, ordering.order))})
 
 
@@ -102,19 +102,18 @@ def target_vector_lower_bound(instance: Instance) -> Fraction:
 
 def _two_level_split(instance: Instance) -> tuple[list[int], Fraction]:
     """Vertices at their full incident sum, for the two-level pattern."""
-    mu = min_edge_weight(instance)
-    totals = instance.incident_totals
+    view = instance.compiled
+    mu = view.min_weight
     saturated = []
-    for v in instance.vertices:
-        t = instance.tau[v]
-        if t == totals[v]:
+    for v, t, total in zip(instance.vertices, view.tau, view.totals):
+        if t == total:
             saturated.append(v)
-        elif t != totals[v] - mu:
+        elif t != total - mu:
             raise PreconditionError(
-                f"vertex {v} has threshold {t}, expected its incident sum "
-                f"{totals[v]} or that sum minus {mu}"
+                f"vertex {v} has threshold {instance.tau[v]}, expected its incident sum "
+                f"{Fraction(total, view.scale)} or that sum minus {Fraction(mu, view.scale)}"
             )
-    return saturated, mu
+    return saturated, Fraction(mu, view.scale)
 
 
 def _without_edge(instance: Instance, pair: tuple[int, int]) -> Instance:
@@ -161,7 +160,7 @@ def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = N
             raise ValueError(f"edge {chosen} is not a minimum-weight edge")
     base = solve_degenerate(_without_edge(instance, chosen))
     if not is_target_vector(instance, base.incentives):
-        raise RuntimeError("two-level incentive vector failed engine verification")
+        raise VerificationError("two-level incentive vector failed engine verification")
     cert = {
         "branch": "split",
         "removed_edge": f"{chosen[0]} {chosen[1]}",
@@ -243,16 +242,16 @@ def solve_min_or_full(instance: Instance) -> SolveReport:
         slack = slacks[k + 1 + i]
         if slack:
             if payback is None:
-                raise RuntimeError("unexpected incentive on a contracted-edge subdivision")
+                raise VerificationError("unexpected incentive on a contracted-edge subdivision")
             p[payback] += slack
     for v in high:
         p[v] += slacks[high_ids[v]]
 
     cost = incentive_cost(p)
     if cost != sum(slacks.values(), start=Fraction(0)):
-        raise RuntimeError("mapped-back cost does not match the contracted optimum")
+        raise VerificationError("mapped-back cost does not match the contracted optimum")
     if not is_target_vector(instance, p):
-        raise RuntimeError("min-or-full incentive vector failed engine verification")
+        raise VerificationError("min-or-full incentive vector failed engine verification")
     certificate = {
         "low_components": str(k),
         "subdivisions": str(s_count),
@@ -283,7 +282,7 @@ def vertex_cover_target_set(instance: Instance) -> VertexSet:
             cover.add(v)
     seed = frozenset(cover)
     if not is_target_set(instance, seed):
-        raise RuntimeError("greedy cover failed target-set verification")
+        raise VerificationError("greedy cover failed target-set verification")
     return seed
 
 
@@ -296,11 +295,9 @@ def _matches_two_level(instance: Instance) -> bool:
 
 
 def _matches_min_or_full(instance: Instance) -> bool:
-    mu = min_edge_weight(instance)
-    totals = instance.incident_totals
-    return all(
-        instance.tau[v] == mu or instance.tau[v] == totals[v] for v in instance.vertices
-    )
+    view = instance.compiled
+    mu = view.min_weight
+    return all(t == mu or t == total for t, total in zip(view.tau, view.totals))
 
 
 def classify_and_solve(instance: Instance) -> SolveReport | None:

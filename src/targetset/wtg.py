@@ -33,25 +33,36 @@ from .instance import (
 _TOKEN = re.compile(r"\S+")
 
 
-def _tokens(line: str):
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+def _column(line: str, k: int) -> int:
+    """1-based column of token k of `line`; only error paths need it."""
+    return [match.start() for match in _TOKEN.finditer(line)][k] + 1
 
 
-def _int_token(tok, col, line_no, what):
-    if not re.fullmatch(r"\d+", tok):
-        raise WtgParseError(f"{what} must be a positive integer, got {tok!r}", line_no, col)
+def _int_token(toks, k, line, line_no, what) -> int:
+    tok = toks[k]
+    if not tok.isdecimal():
+        raise WtgParseError(f"{what} must be a positive integer, got {tok!r}", line_no, _column(line, k))
     return int(tok)
 
 
-def _rational_token(tok, col, line_no, what) -> Fraction:
-    try:
-        return parse_rational(tok)
-    except ValueError as exc:
-        raise WtgParseError(f"bad {what}: {exc}", line_no, col) from None
+def _rational_token(toks, k, line, line_no, what, numbers) -> Fraction:
+    tok = toks[k]
+    value = numbers.get(tok)
+    if value is None:
+        try:
+            value = parse_rational(tok)
+        except ValueError as exc:
+            raise WtgParseError(f"bad {what}: {exc}", line_no, _column(line, k)) from None
+        numbers[tok] = value
+    return value
 
 
 def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
-    """Parse a WTG document into a validated instance plus optional incentives."""
+    """Parse a WTG document into a validated instance plus optional incentives.
+
+    Tokens are split on whitespace; a token's column is worked out only when
+    an error names it. Each distinct number is parsed once per document.
+    """
     mode = None
     declared_n = None
     version_seen = False
@@ -60,76 +71,78 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     seen_pairs: set[tuple[int, int]] = set()
     incentives: dict[int, Fraction] = {}
     has_incentives = False
+    numbers: dict[str, Fraction] = {}
     last_line = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         last_line = line_no
-        toks = _tokens(raw.split("#", 1)[0])
+        line = raw.split("#", 1)[0]
+        toks = line.split()
         if not toks:
             continue
-        key, key_col = toks[0]
-        args = toks[1:]
+        key = toks[0]
+        nargs = len(toks) - 1
 
         if not version_seen:
             if key != "wtg":
-                raise WtgParseError(f"expected 'wtg 1' header, got {key!r}", line_no, key_col)
-            if len(args) != 1 or args[0][0] != "1":
-                raise WtgParseError("unsupported format version", line_no, key_col)
+                raise WtgParseError(f"expected 'wtg 1' header, got {key!r}", line_no, _column(line, 0))
+            if nargs != 1 or toks[1] != "1":
+                raise WtgParseError("unsupported format version", line_no, _column(line, 0))
             version_seen = True
             continue
 
         if key == "mode":
-            if len(args) != 1 or args[0][0] not in (UNDIRECTED, DIRECTED):
-                raise WtgParseError("mode must be 'undirected' or 'directed'", line_no, key_col)
+            if nargs != 1 or toks[1] not in (UNDIRECTED, DIRECTED):
+                raise WtgParseError("mode must be 'undirected' or 'directed'", line_no, _column(line, 0))
             if mode is not None:
-                raise WtgParseError("duplicate mode line", line_no, key_col)
-            mode = args[0][0]
+                raise WtgParseError("duplicate mode line", line_no, _column(line, 0))
+            mode = toks[1]
         elif key == "n":
-            if len(args) != 1:
-                raise WtgParseError("n takes one argument", line_no, key_col)
+            if nargs != 1:
+                raise WtgParseError("n takes one argument", line_no, _column(line, 0))
             if declared_n is not None:
-                raise WtgParseError("duplicate n line", line_no, key_col)
-            declared_n = _int_token(args[0][0], args[0][1], line_no, "vertex count")
+                raise WtgParseError("duplicate n line", line_no, _column(line, 0))
+            declared_n = _int_token(toks, 1, line, line_no, "vertex count")
         elif key in ("v", "e", "p") and (mode is None or declared_n is None):
-            raise WtgParseError("mode and n must come before vertex/edge lines", line_no, key_col)
+            raise WtgParseError("mode and n must come before vertex/edge lines", line_no, _column(line, 0))
         elif key == "v":
-            if len(args) != 2:
-                raise WtgParseError("v takes an id and a threshold", line_no, key_col)
-            vid = _int_token(args[0][0], args[0][1], line_no, "vertex id")
+            if nargs != 2:
+                raise WtgParseError("v takes an id and a threshold", line_no, _column(line, 0))
+            vid = _int_token(toks, 1, line, line_no, "vertex id")
             if vid in tau:
-                raise WtgParseError(f"vertex {vid} declared twice", line_no, args[0][1])
-            tau[vid] = _rational_token(args[1][0], args[1][1], line_no, "threshold")
+                raise WtgParseError(f"vertex {vid} declared twice", line_no, _column(line, 1))
+            tau[vid] = _rational_token(toks, 2, line, line_no, "threshold", numbers)
         elif key == "e":
-            if len(args) != 3:
-                raise WtgParseError("e takes two endpoints and a weight", line_no, key_col)
-            u = _int_token(args[0][0], args[0][1], line_no, "endpoint")
-            v = _int_token(args[1][0], args[1][1], line_no, "endpoint")
-            w = _rational_token(args[2][0], args[2][1], line_no, "weight")
+            if nargs != 3:
+                raise WtgParseError("e takes two endpoints and a weight", line_no, _column(line, 0))
+            u = _int_token(toks, 1, line, line_no, "endpoint")
+            v = _int_token(toks, 2, line, line_no, "endpoint")
+            w = _rational_token(toks, 3, line, line_no, "weight", numbers)
             if u == v:
-                raise WtgParseError(f"self-loop at vertex {u}", line_no, args[1][1])
-            for x, col in ((u, args[0][1]), (v, args[1][1])):
+                raise WtgParseError(f"self-loop at vertex {u}", line_no, _column(line, 2))
+            for x, k in ((u, 1), (v, 2)):
                 if x not in tau:
-                    raise WtgParseError(f"edge references undeclared vertex {x}", line_no, col)
-            pair = (u, v) if mode == DIRECTED else (min(u, v), max(u, v))
+                    raise WtgParseError(f"edge references undeclared vertex {x}", line_no, _column(line, k))
+            pair = (u, v) if mode == DIRECTED or u < v else (v, u)
             if pair in seen_pairs:
-                raise WtgParseError(f"duplicate edge between {u} and {v}", line_no, key_col)
+                raise WtgParseError(f"duplicate edge between {u} and {v}", line_no, _column(line, 0))
             seen_pairs.add(pair)
             edges.append((u, v, w))
         elif key == "p":
-            if len(args) != 2:
-                raise WtgParseError("p takes an id and a value", line_no, key_col)
-            vid = _int_token(args[0][0], args[0][1], line_no, "vertex id")
+            if nargs != 2:
+                raise WtgParseError("p takes an id and a value", line_no, _column(line, 0))
+            vid = _int_token(toks, 1, line, line_no, "vertex id")
             if vid not in tau:
-                raise WtgParseError(f"incentive for undeclared vertex {vid}", line_no, args[0][1])
+                raise WtgParseError(f"incentive for undeclared vertex {vid}", line_no, _column(line, 1))
             if vid in incentives:
-                raise WtgParseError(f"duplicate incentive for vertex {vid}", line_no, args[0][1])
-            value = _rational_token(args[1][0], args[1][1], line_no, "incentive")
+                raise WtgParseError(f"duplicate incentive for vertex {vid}", line_no, _column(line, 1))
+            value = _rational_token(toks, 2, line, line_no, "incentive", numbers)
             if value < 0:
-                raise WtgParseError(f"negative incentive {value}", line_no, args[1][1])
+                raise WtgParseError(f"negative incentive {value}", line_no, _column(line, 2))
             incentives[vid] = value
             has_incentives = True
         else:
-            raise WtgParseError(f"unknown directive {key!r}", line_no, key_col)
+            raise WtgParseError(f"unknown directive {key!r}", line_no, _column(line, 0))
 
     if not version_seen:
         raise WtgParseError("empty document, expected 'wtg 1' header", max(last_line, 1))

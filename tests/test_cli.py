@@ -2,6 +2,7 @@
 
 import pytest
 
+from targetset import solvers
 from targetset.cli import main
 from targetset import parse_wtg, serialize_wtg, build_instance, UNDIRECTED
 
@@ -90,6 +91,14 @@ def test_solve_wrong_method_exits_3(fixtures, capsys):
                        str(fixtures / "k3_weighted.wtg"))
     assert code == 3
     assert "precondition" in err
+
+
+def test_failed_self_verification_exits_5(fixtures, capsys, monkeypatch):
+    monkeypatch.setattr(solvers, "is_target_vector", lambda instance, incentives: False)
+    code, out, err = run(capsys, "solve", str(fixtures / "p3.wtg"), "--deterministic")
+    assert code == 5
+    assert out == ""
+    assert err == "verification failed: degenerate incentive vector failed engine verification\n"
 
 
 def test_oracle_limit_exit_code(fixtures, capsys):

@@ -96,6 +96,21 @@ def test_equal_instances_hash_equal():
     assert len({a, b}) == 1
 
 
+def test_list_arguments_are_stored_as_tuples():
+    inst = Instance(UNDIRECTED, [1, 2], [[1, 2, Fraction(1)]], {1: 0, 2: 0})
+    same = Instance(UNDIRECTED, (1, 2), ((1, 2, Fraction(1)),), {1: 0, 2: 0})
+    assert inst.vertices == (1, 2) and inst.edges == ((1, 2, Fraction(1)),)
+    assert inst == same and hash(inst) == hash(same)
+
+
+@pytest.mark.parametrize("edges, tau, rule", [
+    (((1, 2, 0.5),), {1: 1, 2: 1}, "bad-weight"),
+    (((1, 2, Fraction(1)),), {1: 1, 2: 0.5}, "bad-threshold"),
+])
+def test_float_values_are_validation_errors(edges, tau, rule):
+    assert _violated_rule(lambda: Instance(UNDIRECTED, (1, 2), edges, tau)) == rule
+
+
 def test_thresholds_are_read_only():
     inst = triangle()
     with pytest.raises(TypeError):
