@@ -18,6 +18,7 @@ from .instance import (
     UNDIRECTED,
     Instance,
     VertexSet,
+    _subset_weights,
     induced_subinstance,
     min_edge_weight,
     is_connected,
@@ -112,34 +113,26 @@ def slacks_along(instance: Instance, order) -> dict[int, Fraction]:
 
 
 def brute_degeneracy_check(instance: Instance, limit: int = BRUTE_LIMIT) -> bool:
-    """Decide degeneracy by checking all 2^n - 1 induced subgraphs."""
+    """Decide degeneracy by checking all 2^n - 1 induced subgraphs.
+
+    A subgraph passes when some member's weight from the other members, two
+    table lookups, stays within its threshold: at most n lookups for each of
+    the 2^n - 1 subgraphs.
+    """
     _require_undirected(instance, "degeneracy")
     n = instance.n
     if n > limit:
         raise OracleLimitError(f"{n} vertices exceeds the exhaustive check limit of {limit}")
     view = instance.compiled
-    thresholds = view.tau
-    weights = [[0] * n for _ in range(n)]
-    for i, pairs in enumerate(view.incoming):
-        for j, w in pairs:
-            weights[i][j] = w
+    h, lo, hi = _subset_weights(view)
+    low_mask = (1 << h) - 1
+    positions = [(1 << i, lo[i], hi[i], view.tau[i]) for i in range(n)]
     for mask in range(1, 1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        found = False
-        for i in members:
-            row = weights[i]
-            cap = thresholds[i]
-            total = 0
-            ok = True
-            for j in members:
-                total += row[j]
-                if total > cap:
-                    ok = False
-                    break
-            if ok:
-                found = True
+        s, t = mask & low_mask, mask >> h
+        for bit, lo_i, hi_i, tau_i in positions:
+            if mask & bit and lo_i[s] + hi_i[t] <= tau_i:
                 break
-        if not found:
+        else:
             return False
     return True
 

@@ -161,6 +161,35 @@ class CompiledInstance:
         return min(w for pairs in self.out for _, w in pairs)
 
 
+def _subset_weights(view: CompiledInstance) -> tuple[int, list[list[int]], list[list[int]]]:
+    """The weight each position receives from every set of positions, in two halves.
+
+    Returns (h, lo, hi) with h = n // 2. Bit j of a low mask s stands for
+    position j < h, and bit k of a high mask t for position h + k; `lo[i][s]`
+    and `hi[i][t]` are the weights position i receives from those sets. So i
+    receives lo[i][mask & (2**h - 1)] + hi[i][mask >> h] from the positions
+    in a full bitmask `mask`. Each half table doubles once per position of
+    its half, the new entries adding that position's weight to the old ones:
+    n * (2**h + 2**(n - h)) entries in all. Not cached on the view, which
+    would keep them alive after the oracle that built them returns.
+    """
+    n = len(view.tau)
+    h = n // 2
+    lo, hi = [], []
+    for pairs in view.incoming:
+        weights = [0] * n
+        for j, w in pairs:
+            weights[j] = w
+        low, high = [0], [0]
+        for w in weights[:h]:
+            low = low + [x + w for x in low] if w else low * 2
+        for w in weights[h:]:
+            high = high + [x + w for x in high] if w else high * 2
+        lo.append(low)
+        hi.append(high)
+    return h, lo, hi
+
+
 def build_instance(mode: str, vertices, edges=(), tau=0) -> Instance:
     """Assemble an Instance, coercing weights and thresholds to Fraction.
 

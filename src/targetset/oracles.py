@@ -13,12 +13,14 @@ from fractions import Fraction
 
 from .errors import OracleLimitError, VerificationError
 from .engine import _activates_all, incentive_cost, is_target_set, is_target_vector
-from .instance import Instance, VertexSet
+from .instance import Instance, VertexSet, _subset_weights
 
 TARGET_SET_LIMIT = 20
 TARGET_VECTOR_LIMIT = 9
-# The target-vector DP allocates two 2^n-entry tables before any work, at
-# 16-48 bytes per entry: 64-200 MB for n = 22. No `limit` argument lifts it.
+# The target-vector DP allocates one 2^n-entry table of subset costs before
+# any work, at 8-40 bytes per entry: 34-170 MB for n = 22. Its subset weight
+# tables add n * (2^(n//2) + 2^(n - n//2)) entries, about 90k at n = 22.
+# No `limit` argument lifts it.
 TARGET_VECTOR_CEILING = 22
 VERTEX_COVER_LIMIT = 20
 
@@ -36,19 +38,37 @@ def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> O
     """Smallest seed set that activates everything, by ascending subset size.
 
     Seeds of each size are tried in lexicographic order, so the witness is
-    the lexicographically smallest optimal seed. Works in both modes.
+    the lexicographically smallest optimal seed. Works in both modes. Each
+    candidate's closure runs in rounds on bitmasks: a round adds every
+    inactive vertex whose weight from the active set, two table lookups,
+    reaches its threshold. That is at most n rounds of n lookups for each
+    of up to 2^n candidates.
     """
     n = instance.n
     if n > limit:
         raise OracleLimitError(f"{n} vertices exceeds the target-set oracle limit of {limit}")
     view = instance.compiled
-    verts = instance.vertices
+    h, lo, hi = _subset_weights(view)
+    low_mask = (1 << h) - 1
+    everyone = (1 << n) - 1
+    bits = [1 << i for i in range(n)]
+    positions = list(zip(bits, lo, hi, view.tau))
     explored = 0
     for k in range(n + 1):
-        for combo in itertools.combinations(range(n), k):
+        for combo in itertools.combinations(bits, k):
             explored += 1
-            if _activates_all(view, combo, view.tau):
-                witness = frozenset(verts[i] for i in combo)
+            active = sum(combo)
+            while True:
+                s, t = active & low_mask, active >> h
+                reached = 0
+                for bit, lo_i, hi_i, tau_i in positions:
+                    if not active & bit and lo_i[s] + hi_i[t] >= tau_i:
+                        reached |= bit
+                if not reached:
+                    break
+                active |= reached
+            if active == everyone:
+                witness = frozenset(instance.vertices[bit.bit_length() - 1] for bit in combo)
                 if not is_target_set(instance, witness):
                     raise VerificationError("oracle witness failed engine verification")
                 return OracleResult(k, witness, explored)
@@ -64,6 +84,13 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
     orders is computed as a dynamic program over vertex subsets; any order
     realizes its cost as a valid vector, and any target vector linearized by
     activation rounds costs at least some order, so this is the optimum.
+
+    The program examines each of the n * 2^(n-1) pairs of a set and its last
+    vertex once, at two table lookups each: O(n * 2^n) time and 2^n costs of
+    memory. It fills the sets row by row, a row being the 2^h sets that share
+    their high positions (h = n // 2). Candidates whose last vertex is high
+    come from earlier rows, a whole row at a time; those whose last vertex
+    is low come from earlier sets of the same row.
     """
     n = instance.n
     limit = min(limit, TARGET_VECTOR_CEILING)
@@ -72,52 +99,60 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
     if n == 0:
         return OracleResult(Fraction(0), {}, 0)
     view = instance.compiled
-    thresholds, incoming, scale = view.tau, view.incoming, view.scale
-    verts = instance.vertices
-    size = 1 << n
-    best: list[int | None] = [None] * size
-    best[0] = 0
-    added = [-1] * size
-    explored = 0
-    for mask in range(size):
-        base = best[mask]
-        if base is None:
-            continue
-        for i in range(n):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            explored += 1
-            got = 0
-            for j, w in incoming[i]:
-                if mask >> j & 1:
-                    got += w
-            deficit = thresholds[i] - got
-            if deficit < 0:
-                deficit = 0
-            candidate = base + deficit
-            nxt = mask | bit
-            if best[nxt] is None or candidate < best[nxt]:
-                best[nxt] = candidate
-                added[nxt] = i
-    order: list[int] = []
-    mask = size - 1
+    thresholds, scale = view.tau, view.scale
+    h, lo, hi = _subset_weights(view)
+    width = 1 << h
+    earlier = [[(s ^ 1 << j, j) for j in range(h) if s >> j & 1] for s in range(width)]
+    best = [0] * (1 << n)
+    for t in range(1 << (n - h)):
+        row = None
+        for k in range(n - h):
+            if t >> k & 1:
+                i, prev = h + k, t ^ 1 << k
+                need = thresholds[i] - hi[i][prev]
+                start = prev << h
+                cand = [b + d if (d := need - w) > 0 else b
+                        for b, w in zip(best[start:start + width], lo[i])]
+                row = cand if row is None else list(map(min, row, cand))
+        if row is None:
+            # The first row. Only the empty set has a cost yet; the others
+            # start above any cost, which sums at most every threshold.
+            row = [0] + [sum(thresholds) + 1] * (width - 1)
+        needs = [thresholds[j] - hi[j][t] for j in range(h)]
+        for s in range(1, width):
+            got = row[s]
+            for prev, j in earlier[s]:
+                d = needs[j] - lo[j][prev]
+                c = row[prev] + d if d > 0 else row[prev]
+                if c < got:
+                    got = c
+            row[s] = got
+        best[t << h:(t + 1) << h] = row
+
+    def deficit(i: int, before: int) -> int:
+        d = thresholds[i] - lo[i][before & (width - 1)] - hi[i][before >> h]
+        return d if d > 0 else 0
+
+    # Walk back from the full set. Of the last vertices that reach a set's
+    # optimum, take the largest position: that rule fixes which optimal
+    # order, and so which witness, the reports print.
+    steps: list[tuple[int, int]] = []
+    mask = (1 << n) - 1
     while mask:
-        i = added[mask]
-        order.append(i)
-        mask ^= 1 << i
-    order.reverse()
-    witness: dict[int, Fraction] = {}
-    placed = 0
-    for i in order:
-        got = sum(w for j, w in incoming[i] if placed >> j & 1)
-        deficit = max(0, thresholds[i] - got)
-        witness[verts[i]] = Fraction(deficit, scale)
-        placed |= 1 << i
-    optimum = Fraction(best[size - 1], scale)
+        for i in reversed(range(n)):
+            before = mask ^ 1 << i
+            if mask >> i & 1 and best[before] + deficit(i, before) == best[mask]:
+                break
+        else:
+            raise VerificationError("no last vertex reaches the subset optimum")
+        steps.append((i, deficit(i, before)))
+        mask = before
+    verts = instance.vertices
+    witness = {verts[i]: Fraction(d, scale) for i, d in reversed(steps)}
+    optimum = Fraction(best[-1], scale)
     if incentive_cost(witness) != optimum or not is_target_vector(instance, witness):
         raise VerificationError("oracle witness failed engine verification")
-    return OracleResult(optimum, witness, explored)
+    return OracleResult(optimum, witness, n << (n - 1))
 
 
 def grid_min_target_vector(instance: Instance) -> OracleResult:

@@ -147,6 +147,12 @@ def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = N
     if not is_connected(instance):
         raise PreconditionError("the two-level solver requires a connected instance")
     saturated, mu = _two_level_split(instance)
+    return _solve_two_level(instance, saturated, mu, removed_edge)
+
+
+def _solve_two_level(instance: Instance, saturated: list[int], mu: Fraction,
+                     removed_edge: tuple[int, int] | None = None) -> SolveReport:
+    """`solve_two_level` on a connected instance whose `_two_level_split` is given."""
     if saturated:
         base = solve_degenerate(instance)
         cert = {"branch": "degenerate", **base.certificate}
@@ -286,12 +292,11 @@ def vertex_cover_target_set(instance: Instance) -> VertexSet:
     return seed
 
 
-def _matches_two_level(instance: Instance) -> bool:
+def _match_two_level(instance: Instance) -> tuple[list[int], Fraction] | None:
     try:
-        _two_level_split(instance)
+        return _two_level_split(instance)
     except PreconditionError:
-        return False
-    return True
+        return None
 
 
 def _matches_min_or_full(instance: Instance) -> bool:
@@ -311,8 +316,10 @@ def classify_and_solve(instance: Instance) -> SolveReport | None:
     ordering = peel_ordering(instance)
     if isinstance(ordering, DegeneracyOrdering):
         return solve_degenerate(instance, ordering)
-    if instance.edges and is_connected(instance) and _matches_two_level(instance):
-        return solve_two_level(instance)
+    if instance.edges and is_connected(instance):
+        split = _match_two_level(instance)
+        if split is not None:
+            return _solve_two_level(instance, *split)
     if instance.edges and _matches_min_or_full(instance):
         return solve_min_or_full(instance)
     return None

@@ -9,7 +9,9 @@ from targetset import (
     DIRECTED,
     GenSpec,
     OracleLimitError,
+    OracleResult,
     UNDIRECTED,
+    brute_degeneracy_check,
     build_instance,
     exact_min_target_set,
     exact_min_target_vector,
@@ -61,6 +63,48 @@ def test_min_target_vector_examples():
     assert exact_min_target_vector(tri).optimum == 1
     skewed = build_instance(UNDIRECTED, 3, [(1, 2), (1, 3), (2, 3)], [1, 2, 2])
     assert exact_min_target_vector(skewed).optimum == 2
+
+
+def test_oracles_on_one_vertex():
+    # n = 1 leaves the low half of the subset tables empty (h = 0).
+    single = build_instance(UNDIRECTED, [4], [], 3)
+    assert exact_min_target_vector(single) == OracleResult(3, {4: 3}, 1)
+    assert exact_min_target_set(single) == OracleResult(1, {4}, 2)
+    assert brute_degeneracy_check(single)
+    free = build_instance(UNDIRECTED, [4], [], 0)
+    assert exact_min_target_vector(free) == OracleResult(0, {4: 0}, 1)
+    assert exact_min_target_set(free) == OracleResult(0, frozenset(), 1)
+    assert brute_degeneracy_check(free)
+
+
+def test_oracles_on_directed_two_cycle():
+    # n = 2 puts one position in each half; the arcs differ in weight.
+    cycle = build_instance(DIRECTED, 2, [(1, 2, 2), (2, 1, 1)], [1, 3])
+    vec = exact_min_target_vector(cycle)
+    assert vec == OracleResult(2, {1: 1, 2: 1}, 4)
+    assert list(vec.witness) == [1, 2]
+    assert exact_min_target_set(cycle) == OracleResult(1, {2}, 3)
+
+
+def test_target_vector_tie_ends_at_largest_position():
+    # Both orders cost 1; the witness ends at the last position (vertex 3).
+    pair = build_instance(UNDIRECTED, [5, 3], [(5, 3)], 1)
+    assert list(exact_min_target_vector(pair).witness.items()) == [(5, 1), (3, 0)]
+
+
+def test_oracles_on_zero_thresholds():
+    path = build_instance(UNDIRECTED, [7, 2, 9], [(7, 2), (2, 9)], 0)
+    assert exact_min_target_vector(path) == OracleResult(0, {7: 0, 2: 0, 9: 0}, 12)
+    assert exact_min_target_set(path) == OracleResult(0, frozenset(), 1)
+    # In the subgraph {7, 2} each member receives weight 1 > 0 from the other.
+    assert not brute_degeneracy_check(path)
+
+
+def test_target_vector_explores_every_transition():
+    rng = random.Random(21)
+    for n in range(1, 9):
+        inst = generate(GenSpec(n=n, seed=rng.randrange(2**32), weights="halves"))
+        assert exact_min_target_vector(inst).explored == n * 2 ** (n - 1)
 
 
 def test_min_vertex_cover_examples():

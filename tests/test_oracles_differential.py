@@ -1,0 +1,166 @@
+"""Subset-table oracles against the implementations they replaced.
+
+`_exact_min_target_set`, `_exact_min_target_vector` and
+`_brute_degeneracy_check` below are the former implementations, kept as the
+reference: a `_spread` closure per candidate seed, a forward dynamic program
+that sums each vertex's in-neighbour weights per transition, and a scan of
+every member pair per induced subgraph. Only their size-limit checks are
+left out. The new oracles must return the same optimum, the same witness in
+the same order, the same `explored` count and the same verdict.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from targetset import (
+    DIRECTED,
+    UNDIRECTED,
+    Instance,
+    OracleResult,
+    brute_degeneracy_check,
+    exact_min_target_set,
+    exact_min_target_vector,
+)
+from targetset.engine import _activates_all, incentive_cost, is_target_set, is_target_vector
+from targetset.errors import VerificationError
+
+
+def _exact_min_target_set(instance: Instance) -> OracleResult:
+    n = instance.n
+    view = instance.compiled
+    verts = instance.vertices
+    explored = 0
+    for k in range(n + 1):
+        for combo in itertools.combinations(range(n), k):
+            explored += 1
+            if _activates_all(view, combo, view.tau):
+                witness = frozenset(verts[i] for i in combo)
+                if not is_target_set(instance, witness):
+                    raise VerificationError("oracle witness failed engine verification")
+                return OracleResult(k, witness, explored)
+    raise RuntimeError("unreachable: the full vertex set always activates everything")
+
+
+def _exact_min_target_vector(instance: Instance) -> OracleResult:
+    n = instance.n
+    if n == 0:
+        return OracleResult(Fraction(0), {}, 0)
+    view = instance.compiled
+    thresholds, incoming, scale = view.tau, view.incoming, view.scale
+    verts = instance.vertices
+    size = 1 << n
+    best: list[int | None] = [None] * size
+    best[0] = 0
+    added = [-1] * size
+    explored = 0
+    for mask in range(size):
+        base = best[mask]
+        if base is None:
+            continue
+        for i in range(n):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            explored += 1
+            got = 0
+            for j, w in incoming[i]:
+                if mask >> j & 1:
+                    got += w
+            deficit = thresholds[i] - got
+            if deficit < 0:
+                deficit = 0
+            candidate = base + deficit
+            nxt = mask | bit
+            if best[nxt] is None or candidate < best[nxt]:
+                best[nxt] = candidate
+                added[nxt] = i
+    order: list[int] = []
+    mask = size - 1
+    while mask:
+        i = added[mask]
+        order.append(i)
+        mask ^= 1 << i
+    order.reverse()
+    witness: dict[int, Fraction] = {}
+    placed = 0
+    for i in order:
+        got = sum(w for j, w in incoming[i] if placed >> j & 1)
+        deficit = max(0, thresholds[i] - got)
+        witness[verts[i]] = Fraction(deficit, scale)
+        placed |= 1 << i
+    optimum = Fraction(best[size - 1], scale)
+    if incentive_cost(witness) != optimum or not is_target_vector(instance, witness):
+        raise VerificationError("oracle witness failed engine verification")
+    return OracleResult(optimum, witness, explored)
+
+
+def _brute_degeneracy_check(instance: Instance) -> bool:
+    n = instance.n
+    view = instance.compiled
+    thresholds = view.tau
+    weights = [[0] * n for _ in range(n)]
+    for i, pairs in enumerate(view.incoming):
+        for j, w in pairs:
+            weights[i][j] = w
+    for mask in range(1, 1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        found = False
+        for i in members:
+            row = weights[i]
+            cap = thresholds[i]
+            total = 0
+            ok = True
+            for j in members:
+                total += row[j]
+                if total > cap:
+                    ok = False
+                    break
+            if ok:
+                found = True
+                break
+        if not found:
+            return False
+    return True
+
+
+# Denominators 7, 9 and 11 make the scale a product of coprime factors.
+# Weights and thresholds include 0; thresholds reach past a typical incident
+# sum, so seeds of every size, zero deficits and both verdicts occur.
+_weights = st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 7, 9, 11]))
+_thresholds = st.builds(Fraction, st.integers(0, 30), st.sampled_from([1, 7, 9, 11]))
+
+
+@st.composite
+def _instances(draw, modes=(UNDIRECTED, DIRECTED)):
+    mode = draw(st.sampled_from(modes))
+    # Unsorted, non-contiguous ids, from the empty instance up to n = 9.
+    ids = draw(st.lists(st.integers(1, 60), max_size=9, unique=True))
+    pairs = [(u, v) for u in ids for v in ids if u != v]
+    key = tuple if mode == DIRECTED else frozenset
+    chosen = draw(st.lists(st.sampled_from(pairs), unique_by=key)) if pairs else []
+    edges = tuple((u, v, draw(_weights)) for u, v in chosen)
+    tau = {v: draw(_thresholds) for v in ids}
+    return Instance(mode, tuple(ids), edges, tau)
+
+
+@given(_instances())
+@settings(max_examples=300, deadline=None)
+def test_target_vector_matches_reference(inst):
+    got = exact_min_target_vector(inst, limit=9)
+    reference = _exact_min_target_vector(inst)
+    assert got == reference
+    assert list(got.witness.items()) == list(reference.witness.items())
+
+
+@given(_instances())
+@settings(max_examples=300, deadline=None)
+def test_target_set_matches_reference(inst):
+    assert exact_min_target_set(inst) == _exact_min_target_set(inst)
+
+
+@given(_instances(modes=(UNDIRECTED,)))
+@settings(max_examples=300, deadline=None)
+def test_degeneracy_check_matches_reference(inst):
+    assert brute_degeneracy_check(inst) == _brute_degeneracy_check(inst)
