@@ -208,6 +208,17 @@ def _cmd_check(args) -> int:
     return EXIT_OK if result.passed else EXIT_VALIDATION
 
 
+def _at_least(low: int):
+    """An argparse type: an int no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parsing never modifies it."""
@@ -241,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("oracle", _cmd_oracle, help="exhaustive exact solvers for small instances")
     p.add_argument("problem", choices=["target-set", "target-vector", "vertex-cover"])
     p.add_argument("file")
-    p.add_argument("--limit-n", type=int, help="override the size limit")
+    p.add_argument("--limit-n", type=_at_least(0), help="override the size limit")
 
     p = add("reduce", _cmd_reduce, help="apply an instance transformation")
     p.add_argument("kind", choices=["prop1", "prop3", "bidirect"])
@@ -265,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("check", _cmd_check, help="run a named property sweep")
     p.add_argument("name", help=f"one of: {', '.join(sorted(checks.CHECKS))}")
-    p.add_argument("--instances", type=int)
-    p.add_argument("--limit-n", type=int)
+    p.add_argument("--instances", type=_at_least(1))
+    p.add_argument("--limit-n", type=_at_least(2))
     p.add_argument("--seed", type=int)
 
     return parser

@@ -22,7 +22,10 @@ TARGET_VECTOR_LIMIT = 9
 # tables add n * (2^(n//2) + 2^(n - n//2)) entries, about 90k at n = 22.
 # No `limit` argument lifts it.
 TARGET_VECTOR_CEILING = 22
-VERTEX_COVER_LIMIT = 20
+# The largest multiple of 10 at which the slowest of five seeds each of
+# G(n, p), p in {0.1, 0.2, 0.3, 0.5, 0.8}, and the cubic family stays under
+# 50 ms (Python 3.11, one Xeon core): 30-41 ms at n = 60, 61-78 ms at n = 70.
+VERTEX_COVER_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -190,39 +193,138 @@ def grid_min_target_vector(instance: Instance) -> OracleResult:
     return OracleResult(Fraction(best_cost), witness, explored)
 
 
-def exact_min_vertex_cover(instance: Instance, limit: int = VERTEX_COVER_LIMIT) -> OracleResult:
-    """Exact minimum vertex cover by branch and bound on uncovered edges.
+def _matching(adj: list[int], alive: int) -> int:
+    """Size of a greedy maximal matching in the graph induced on `alive`.
 
-    Directed instances are covered on the underlying undirected graph.
+    Every edge of a matching needs its own cover vertex, so this is a lower
+    bound on the size of any vertex cover.
+    """
+    matched = 0
+    free = alive
+    while free:
+        low = free & -free
+        free ^= low
+        nbrs = adj[low.bit_length() - 1] & free
+        if nbrs:
+            free ^= nbrs & -nbrs
+            matched += 1
+    return matched
+
+
+def _min_cover(adj: list[int], alive: int, best: int, enough: int) -> tuple[int | None, int]:
+    """A minimum vertex cover of the graph induced on `alive`, if it has fewer than `best` vertices.
+
+    `adj[i]` is the neighbour bitmask of position i. Returns (cover, nodes):
+    cover is the bitmask of the smallest cover found with fewer than `best`
+    vertices, or None if there is none, and nodes counts the search nodes
+    visited. The search stops as soon as it finds a cover of at most
+    `enough` vertices.
+    """
+    found = None
+    stack = [(alive, 0, 0)]
+    nodes = 0
+    while stack:
+        alive, cover, size = stack.pop()
+        nodes += 1
+        # Delete isolated vertices and take the neighbour of each degree-1
+        # vertex until neither applies; note a vertex of maximum degree.
+        while True:
+            reduced = False
+            top = top_degree = 0
+            rest = alive
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not alive & low:
+                    continue
+                nbrs = adj[low.bit_length() - 1] & alive
+                degree = nbrs.bit_count()
+                if degree == 0:
+                    alive ^= low
+                elif degree == 1:
+                    alive &= ~(low | nbrs)
+                    cover |= nbrs
+                    size += 1
+                    reduced = True
+                elif degree > top_degree:
+                    top, top_degree = low, degree
+            if not reduced:
+                break
+        if size >= best:
+            continue
+        if not alive:
+            best, found = size, cover
+            if best <= enough:
+                break
+            continue
+        if size + _matching(adj, alive) >= best:
+            continue
+        nbrs = adj[top.bit_length() - 1] & alive
+        stack.append((alive & ~(top | nbrs), cover | nbrs, size + top_degree))
+        stack.append((alive ^ top, cover | top, size + 1))
+    return found, nodes
+
+
+def exact_min_vertex_cover(instance: Instance, limit: int = VERTEX_COVER_LIMIT) -> OracleResult:
+    """Lexicographically smallest minimum vertex cover, by a bounded search tree.
+
+    Directed instances are covered on the underlying undirected graph. The
+    search runs on an explicit stack over bitmasks of the vertices. Each
+    node first deletes isolated vertices and takes the neighbour of every
+    degree-1 vertex, until neither applies. It prunes when the vertices
+    taken plus a greedy maximal matching on the remaining edges reach the
+    best cover found so far. Otherwise it branches on a vertex v of maximum
+    degree: take v, or take all of N(v).
+
+    Once the optimum is known, the witness is built over ascending vertex
+    ids. A vertex with edges left is taken if the rest of the graph has a
+    cover one smaller than what is left to spend, and otherwise left out,
+    which puts all its remaining neighbours in the cover. That gives the
+    lexicographically smallest minimum cover. Two cases need no search:
+    the last minimum cover found holds the vertex, or a matching in the
+    rest already has as many edges as there is left to spend. `explored` is
+    the number of search nodes, summed over the search for the optimum and
+    every search of the witness construction.
     """
     n = instance.n
     if n > limit:
         raise OracleLimitError(f"{n} vertices exceeds the vertex-cover oracle limit of {limit}")
-    pairs = sorted({(min(u, v), max(u, v)) for u, v, _ in instance.edges})
-    best_size = n
-    best_set: VertexSet = frozenset(instance.vertices)
-    explored = 0
-
-    def visit(i: int, chosen: set[int]) -> None:
-        nonlocal best_size, best_set, explored
-        explored += 1
-        while i < len(pairs) and (pairs[i][0] in chosen or pairs[i][1] in chosen):
-            i += 1
-        if i == len(pairs):
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_set = frozenset(chosen)
-            return
-        if len(chosen) + 1 >= best_size:
-            return
-        u, v = pairs[i]
-        for pick in (u, v):
-            chosen.add(pick)
-            visit(i + 1, chosen)
-            chosen.remove(pick)
-
-    visit(0, set())
-    for u, v in pairs:
-        if u not in best_set and v not in best_set:
-            raise VerificationError("oracle witness is not a vertex cover")
-    return OracleResult(best_size, best_set, explored)
+    ids = sorted(instance.vertices)
+    position = {v: i for i, v in enumerate(ids)}
+    adj = [0] * n
+    for u, v, _ in instance.edges:
+        i, j = position[u], position[v]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    alive = (1 << n) - 1
+    # All n vertices always cover, so a cover below n + 1 is always found;
+    # one as small as the matching bound is a minimum one.
+    cover, explored = _min_cover(adj, alive, n + 1, _matching(adj, alive))
+    optimum = left = cover.bit_count()
+    chosen = 0
+    for i in range(n):
+        if not left:
+            break
+        bit = 1 << i
+        nbrs = adj[i] & alive
+        if not alive & bit or not nbrs:
+            continue
+        # `cover` restricted to `alive` is a minimum cover of what is left.
+        alive ^= bit
+        if not cover & bit and _matching(adj, alive) < left:
+            found, nodes = _min_cover(adj, alive, left, left - 1)
+            explored += nodes
+            if found is not None:
+                cover = found | bit
+        if cover & bit:
+            chosen |= bit
+            left -= 1
+        else:
+            chosen |= nbrs
+            left -= nbrs.bit_count()
+            alive &= ~nbrs
+    witness: VertexSet = frozenset(v for i, v in enumerate(ids) if chosen >> i & 1)
+    if len(witness) != optimum or any(u not in witness and v not in witness
+                                      for u, v, _ in instance.edges):
+        raise VerificationError("oracle witness is not a vertex cover")
+    return OracleResult(optimum, witness, explored)

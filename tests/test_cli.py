@@ -119,6 +119,38 @@ def test_target_vector_ceiling_beats_limit_override(tmp_path, capsys):
     assert "limit of 22" in err
 
 
+def test_vertex_cover_oracle_on_a_long_path(tmp_path, capsys):
+    # Deeper than Python's recursion limit; the search keeps its own stack.
+    n = 3000
+    path = tmp_path / "path3000.wtg"
+    path.write_text(serialize_wtg(build_instance(UNDIRECTED, n, [(i, i + 1) for i in range(1, n)], 1)))
+    code, out, err = run(capsys, "oracle", "vertex-cover", str(path),
+                         "--limit-n", str(n), "--deterministic")
+    assert code == 0, err
+    assert "optimum 1500" in out
+
+
+@pytest.mark.parametrize("argv, flag, low", [
+    (("check", "kappa", "--instances", "-2"), "--instances", 1),
+    (("check", "kappa", "--instances", "0"), "--instances", 1),
+    (("check", "kappa", "--limit-n", "1"), "--limit-n", 2),
+    (("oracle", "vertex-cover", "FILE", "--limit-n", "-1"), "--limit-n", 0),
+])
+def test_bad_counts_are_usage_errors(fixtures, capsys, argv, flag, low):
+    argv = [str(fixtures / "p3.wtg") if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}: must be at least {low}" in err
+
+
+def test_oracle_limit_zero_is_a_limit_not_a_usage_error(fixtures, capsys):
+    code, _, err = run(capsys, "oracle", "vertex-cover", str(fixtures / "p3.wtg"),
+                       "--limit-n", "0")
+    assert code == 4
+    assert "limit of 0" in err
+
+
 def test_oracle_reports_optimum(fixtures, capsys):
     code, out, _ = run(capsys, "oracle", "target-vector", str(fixtures / "p3.wtg"),
                        "--deterministic")

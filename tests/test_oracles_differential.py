@@ -1,12 +1,15 @@
-"""Subset-table oracles against the implementations they replaced.
+"""Exhaustive oracles against the implementations they replaced.
 
-`_exact_min_target_set`, `_exact_min_target_vector` and
-`_brute_degeneracy_check` below are the former implementations, kept as the
-reference: a `_spread` closure per candidate seed, a forward dynamic program
-that sums each vertex's in-neighbour weights per transition, and a scan of
-every member pair per induced subgraph. Only their size-limit checks are
-left out. The new oracles must return the same optimum, the same witness in
-the same order, the same `explored` count and the same verdict.
+`_exact_min_target_set`, `_exact_min_target_vector`,
+`_brute_degeneracy_check` and `_exact_min_vertex_cover` below are the former
+implementations, kept as the reference: a `_spread` closure per candidate
+seed, a forward dynamic program that sums each vertex's in-neighbour weights
+per transition, a scan of every member pair per induced subgraph, and a
+recursive branch and bound over the uncovered edges. Only their size-limit
+checks are left out. The subset-table oracles must return the same optimum,
+the same witness in the same order, the same `explored` count and the same
+verdict. The vertex-cover search counts its nodes differently, so there only
+the optimum and the witness must agree.
 """
 
 import itertools
@@ -19,9 +22,11 @@ from targetset import (
     UNDIRECTED,
     Instance,
     OracleResult,
+    VertexSet,
     brute_degeneracy_check,
     exact_min_target_set,
     exact_min_target_vector,
+    exact_min_vertex_cover,
 )
 from targetset.engine import _activates_all, incentive_cost, is_target_set, is_target_vector
 from targetset.errors import VerificationError
@@ -125,6 +130,38 @@ def _brute_degeneracy_check(instance: Instance) -> bool:
     return True
 
 
+def _exact_min_vertex_cover(instance: Instance) -> OracleResult:
+    n = instance.n
+    pairs = sorted({(min(u, v), max(u, v)) for u, v, _ in instance.edges})
+    best_size = n
+    best_set: VertexSet = frozenset(instance.vertices)
+    explored = 0
+
+    def visit(i: int, chosen: set[int]) -> None:
+        nonlocal best_size, best_set, explored
+        explored += 1
+        while i < len(pairs) and (pairs[i][0] in chosen or pairs[i][1] in chosen):
+            i += 1
+        if i == len(pairs):
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_set = frozenset(chosen)
+            return
+        if len(chosen) + 1 >= best_size:
+            return
+        u, v = pairs[i]
+        for pick in (u, v):
+            chosen.add(pick)
+            visit(i + 1, chosen)
+            chosen.remove(pick)
+
+    visit(0, set())
+    for u, v in pairs:
+        if u not in best_set and v not in best_set:
+            raise VerificationError("oracle witness is not a vertex cover")
+    return OracleResult(best_size, best_set, explored)
+
+
 # Denominators 7, 9 and 11 make the scale a product of coprime factors.
 # Weights and thresholds include 0; thresholds reach past a typical incident
 # sum, so seeds of every size, zero deficits and both verdicts occur.
@@ -164,3 +201,43 @@ def test_target_set_matches_reference(inst):
 @settings(max_examples=300, deadline=None)
 def test_degeneracy_check_matches_reference(inst):
     assert brute_degeneracy_check(inst) == _brute_degeneracy_check(inst)
+
+
+@st.composite
+def _cover_instances(draw):
+    mode = draw(st.sampled_from((UNDIRECTED, DIRECTED)))
+    # Unsorted, non-contiguous ids, from the empty instance up to n = 14.
+    ids = draw(st.lists(st.integers(1, 60), max_size=14, unique=True))
+    # The last `isolated` ids get no edge at all.
+    isolated = draw(st.integers(0, len(ids)))
+    linked = ids[:len(ids) - isolated]
+    tenths = draw(st.integers(0, 10))
+    edges = []
+    for a, u in enumerate(linked):
+        for v in linked[a + 1:]:
+            if draw(st.integers(0, 9)) < tenths:
+                tail, head = (v, u) if draw(st.booleans()) else (u, v)
+                edges.append((tail, head, Fraction(1)))
+                # Both arcs of a directed 2-cycle cover as one edge.
+                if mode == DIRECTED and draw(st.booleans()):
+                    edges.append((head, tail, Fraction(1)))
+    return Instance(mode, tuple(ids), tuple(edges), {v: Fraction(1) for v in ids})
+
+
+def _lexicographically_smallest_cover(instance: Instance) -> VertexSet:
+    ids = sorted(instance.vertices)
+    for k in range(len(ids) + 1):
+        for combo in itertools.combinations(ids, k):
+            if all(u in combo or v in combo for u, v, _ in instance.edges):
+                return frozenset(combo)
+    raise RuntimeError("unreachable: every vertex together covers every edge")
+
+
+@given(_cover_instances())
+@settings(max_examples=300, deadline=None)
+def test_vertex_cover_matches_reference(inst):
+    got = exact_min_vertex_cover(inst, limit=14)
+    reference = _exact_min_vertex_cover(inst)
+    assert (got.optimum, got.witness) == (reference.optimum, reference.witness)
+    if inst.n <= 10:
+        assert got.witness == _lexicographically_smallest_cover(inst)
