@@ -16,11 +16,10 @@ from heapq import heapify, heappop, heappush
 from .errors import OracleLimitError, PreconditionError
 from .instance import (
     UNDIRECTED,
+    CompiledInstance,
     Instance,
     VertexSet,
     _subset_weights,
-    induced_subinstance,
-    min_edge_weight,
     is_connected,
 )
 
@@ -51,43 +50,52 @@ def _require_undirected(instance: Instance, what: str) -> None:
         raise PreconditionError(f"{what} is defined for undirected instances only")
 
 
-def peel_ordering(instance: Instance) -> DegeneracyOrdering | NotDegenerate:
-    """Greedy reverse peeling; returns an ordering or the stuck subgraph.
+def _peel(view: CompiledInstance, verts, tau, residual, alive, masked=(-1, -1)) -> dict[int, int]:
+    """Greedy reverse peeling of the `alive` positions, smallest vertex id first.
 
-    Repeatedly deletes a vertex whose threshold covers its remaining incident
-    weight (smallest id first, for determinism); the reversed deletion order
-    is the certifying ordering. Deleting a qualifying vertex only lowers the
-    other residual sums, so the greedy choice never loses: if peeling sticks,
-    the remaining set itself violates the degeneracy condition. For the same
-    reason a vertex stays eligible once it is, so a min-heap of eligible
-    vertices enters each one once. Runs on the integer view in
-    O((n + m) log n), including ordering construction.
+    `residual[i]` is the weight position i receives from live positions; the
+    edge between the two `masked` positions, if any, counts as deleted. Both
+    lists are updated in place, so the positions left alive are the stuck
+    set. Returns each peeled position's slack, keyed in deletion order.
+    A deletion only lowers other residuals, so the greedy choice never loses
+    and a position stays eligible once it is: a min-heap enters each one
+    once, O((n + m) log n).
     """
-    _require_undirected(instance, "degeneracy")
-    view = instance.compiled
-    verts, tau, incoming, position = instance.vertices, view.tau, view.incoming, view.position
-    residual = list(view.totals)
-    queued = [t >= r for t, r in zip(tau, residual)]
-    alive = [True] * instance.n
+    incoming, position = view.incoming, view.position
+    queued = [live and t >= r for live, t, r in zip(alive, tau, residual)]
     eligible = [v for v, q in zip(verts, queued) if q]
     heapify(eligible)
+    a, b = masked
     slacks: dict[int, int] = {}
     while eligible:
-        v = heappop(eligible)
-        pick = position[v]
-        slacks[v] = tau[pick] - residual[pick]
+        pick = position[heappop(eligible)]
+        slacks[pick] = tau[pick] - residual[pick]
         alive[pick] = False
+        skip = b if pick == a else a if pick == b else -1
         for j, w in incoming[pick]:
-            if alive[j]:
+            if alive[j] and j != skip:
                 residual[j] -= w
                 if not queued[j] and tau[j] >= residual[j]:
                     queued[j] = True
                     heappush(eligible, verts[j])
+    return slacks
+
+
+def peel_ordering(instance: Instance) -> DegeneracyOrdering | NotDegenerate:
+    """Greedy reverse peeling; returns an ordering or the stuck subgraph.
+
+    Repeatedly deletes a vertex whose threshold covers its remaining incident
+    weight (smallest id first); the reversed deletion order is the certifying
+    ordering. If peeling sticks, the remaining set violates the condition.
+    """
+    _require_undirected(instance, "degeneracy")
+    view, verts = instance.compiled, instance.vertices
+    alive = [True] * instance.n
+    slacks = _peel(view, verts, view.tau, list(view.totals), alive)
     if len(slacks) < instance.n:
         return NotDegenerate(frozenset(v for v, live in zip(verts, alive) if live))
-    # Slacks are keyed in deletion order; the ordering is that order reversed.
-    scaled = {v: Fraction(s, view.scale) for v, s in slacks.items()}
-    return DegeneracyOrdering(tuple(reversed(slacks)), scaled)
+    scaled = {verts[i]: Fraction(s, view.scale) for i, s in slacks.items()}
+    return DegeneracyOrdering(tuple(verts[i] for i in reversed(slacks)), scaled)
 
 
 def slacks_along(instance: Instance, order) -> dict[int, Fraction]:
@@ -149,11 +157,10 @@ def near_saturation_check(instance: Instance) -> bool:
         raise PreconditionError("the near-saturation check needs at least one edge")
     if not is_connected(instance):
         raise PreconditionError("the near-saturation check requires a connected instance")
-    mu = min_edge_weight(instance)
-    totals = instance.incident_totals
-    if any(instance.tau[v] < totals[v] - mu for v in instance.vertices):
+    view = instance.compiled
+    if any(t < total - view.min_weight for t, total in zip(view.tau, view.totals)):
         return False
-    return any(instance.tau[v] >= totals[v] for v in instance.vertices)
+    return any(t >= total for t, total in zip(view.tau, view.totals))
 
 
 def kappa_complement_check(instance: Instance, target) -> bool:
@@ -162,16 +169,16 @@ def kappa_complement_check(instance: Instance, target) -> bool:
     For unit weights and integer thresholds 1 <= tau(v) <= d(v), a set D is a
     target set exactly when the complement can be ordered so each vertex has
     at most d(v) - tau(v) neighbors among its predecessors. That is the same
-    peeling problem with thresholds d(v) - tau(v), so peel_ordering decides it.
+    peeling problem with thresholds d(v) - tau(v), so peeling decides it.
     """
     _require_undirected(instance, "the complement-ordering check")
-    degrees = {v: len(pairs) for v, pairs in zip(instance.vertices, instance.compiled.incoming)}
     for _, _, w in instance.edges:
         if w != 1:
             raise PreconditionError(f"unit edge weights required, found {w}")
-    for v in instance.vertices:
+    view = instance.compiled
+    for v, pairs in zip(instance.vertices, view.incoming):
         t = instance.tau[v]
-        if t.denominator != 1 or not 1 <= t <= degrees[v]:
+        if t.denominator != 1 or not 1 <= t <= len(pairs):
             raise PreconditionError(
                 f"vertex {v} needs an integer threshold between 1 and its degree, got {t}"
             )
@@ -179,10 +186,9 @@ def kappa_complement_check(instance: Instance, target) -> bool:
     stray = target - instance.vertex_set
     if stray:
         raise ValueError(f"unknown vertices in target set: {sorted(stray)}")
-    complement = instance.vertex_set - target
-    if not complement:
-        return True
-    sub = induced_subinstance(instance, complement)
-    kappa = {v: Fraction(degrees[v]) - instance.tau[v] for v in sub.vertices}
-    relaxed = Instance(sub.mode, sub.vertices, sub.edges, kappa)
-    return isinstance(peel_ordering(relaxed), DegeneracyOrdering)
+    # Peel the complement on the instance's own view, thresholds d(v) - tau(v).
+    alive = [v not in target for v in instance.vertices]
+    kappa = [len(pairs) * view.scale - t for pairs, t in zip(view.incoming, view.tau)]
+    residual = [sum(w for j, w in pairs if alive[j]) for pairs in view.incoming]
+    _peel(view, instance.vertices, kappa, residual, alive)
+    return not any(alive)

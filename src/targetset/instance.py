@@ -314,29 +314,34 @@ def canonical_edges(instance: Instance) -> list[Edge]:
     return sorted(normalized)
 
 
-def connected_components(instance: Instance) -> list[VertexSet]:
-    """Components of the underlying undirected graph, sorted by smallest member."""
-    neighbors: dict[int, set[int]] = {v: set() for v in instance.vertices}
-    for u, v, _ in instance.edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    seen: set[int] = set()
-    comps = []
-    for start in instance.vertices:
-        if start in seen:
+def _label_components(view: CompiledInstance, starts, inside) -> list[int]:
+    """The first of `starts` to reach each position through `inside` positions, or -1.
+
+    Arcs count both ways, so the labels are components of the underlying graph.
+    """
+    lists = (view.out,) if view.incoming is view.out else (view.out, view.incoming)
+    label = [-1] * len(inside)
+    for s in starts:
+        if label[s] >= 0:
             continue
-        stack = [start]
-        comp = {start}
-        seen.add(start)
+        label[s], stack = s, [s]
         while stack:
             x = stack.pop()
-            for y in neighbors[x]:
-                if y not in comp:
-                    comp.add(y)
-                    seen.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+            for adjacency in lists:
+                for y, _ in adjacency[x]:
+                    if label[y] < 0 and inside[y]:
+                        label[y] = s
+                        stack.append(y)
+    return label
+
+
+def connected_components(instance: Instance) -> list[VertexSet]:
+    """Components of the underlying undirected graph, sorted by smallest member."""
+    label = _label_components(instance.compiled, range(instance.n), [True] * instance.n)
+    members: dict[int, list[int]] = {}
+    for v, s in zip(instance.vertices, label):
+        members.setdefault(s, []).append(v)
+    return sorted(map(frozenset, members.values()), key=min)
 
 
 def is_connected(instance: Instance) -> bool:

@@ -1,7 +1,9 @@
 """Constructive solvers for the tractable threshold classes.
 
-Every solver verifies its own output through the activation engine before
-returning, so a report in hand is always a certified solution.
+The incentive solvers work on the integer view (`Instance.compiled`) and
+make Fractions only for the report they return. Every solver verifies its
+own output through the activation engine before returning, so a report in
+hand is always a certified solution.
 """
 
 from __future__ import annotations
@@ -10,17 +12,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .degeneracy import DegeneracyOrdering, NotDegenerate, peel_ordering, slacks_along
-from .engine import incentive_cost, is_target_set, is_target_vector
+from .degeneracy import _peel, _require_undirected
+from .engine import _activates_all, is_target_set
 from .errors import PreconditionError, VerificationError
 from .instance import (
     UNDIRECTED,
+    CompiledInstance,
     Instance,
     VertexSet,
+    _label_components,
     canonical_edges,
-    connected_components,
-    induced_subinstance,
     is_connected,
-    min_edge_weight,
 )
 
 
@@ -80,18 +82,46 @@ def approx_target_set(instance: Instance, ordering: DegeneracyOrdering | None = 
     return ApproxTargetSetResult(seed, tau_max, c, ratio)
 
 
+def _certified_report(instance: Instance, paid: list[int], method: str, cert: dict[str, str]) -> SolveReport:
+    """Certify the scaled incentives `paid` with the engine, then make the report's Fractions."""
+    view = instance.compiled
+    for v, x in zip(instance.vertices, paid):
+        if x < 0:
+            raise ValueError(f"negative incentive {Fraction(x, view.scale)} at vertex {v}")
+    # Each payment is a whole number of 1/scale units, so the need is exact.
+    if not _activates_all(view, (), [t - x for t, x in zip(view.tau, paid)]):
+        raise VerificationError(f"{method} incentive vector failed engine verification")
+    value = {x: Fraction(x, view.scale) for x in set(paid)}  # one Fraction per distinct payment
+    p = {v: value[x] for v, x in zip(instance.vertices, paid)}
+    return SolveReport(p, Fraction(sum(paid), view.scale), method, cert)
+
+
+def _peel_or_fail(instance: Instance, residual: list[int], masked=(-1, -1)) -> tuple[list[int], str]:
+    """Peel the whole instance; return the slacks by position and the ordering certificate."""
+    view, verts = instance.compiled, instance.vertices
+    alive = [True] * instance.n
+    slacks = _peel(view, verts, view.tau, residual, alive, masked)
+    if len(slacks) < instance.n:
+        stuck = sorted(v for v, live in zip(verts, alive) if live)
+        raise PreconditionError(f"thresholds are not degenerate; peeling sticks on {stuck}")
+    return [slacks[i] for i in range(instance.n)], " ".join(str(verts[i]) for i in reversed(slacks))
+
+
 def solve_degenerate(instance: Instance, ordering: DegeneracyOrdering | None = None) -> SolveReport:
     """Optimal incentives for degenerate thresholds: pay each vertex its slack.
 
     The cost telescopes to (sum of thresholds) - (sum of edge weights), which
-    matches the universal lower bound, so the vector is optimal.
+    matches the universal lower bound, so the vector is optimal. The slacks
+    paid along a given `ordering` are taken on this instance.
     """
-    ordering = _ordering_or_fail(instance, ordering)
-    p = {v: ordering.slacks[v] for v in instance.vertices}
-    cost = incentive_cost(p)
-    if not is_target_vector(instance, p):
-        raise VerificationError("degenerate incentive vector failed engine verification")
-    return SolveReport(p, cost, "degenerate", {"ordering": " ".join(map(str, ordering.order))})
+    if ordering is None:
+        _require_undirected(instance, "degeneracy")
+        paid, order = _peel_or_fail(instance, list(instance.compiled.totals))
+    else:
+        order = " ".join(map(str, _ordering_or_fail(instance, ordering).order))
+        slacks, scale = slacks_along(instance, ordering.order), instance.compiled.scale
+        paid = [int(slacks[v] * scale) for v in instance.vertices]
+    return _certified_report(instance, paid, "degenerate", {"ordering": order})
 
 
 def target_vector_lower_bound(instance: Instance) -> Fraction:
@@ -116,20 +146,6 @@ def _two_level_split(instance: Instance) -> tuple[list[int], Fraction]:
     return saturated, Fraction(mu, view.scale)
 
 
-def _without_edge(instance: Instance, pair: tuple[int, int]) -> Instance:
-    u, v = pair
-    kept = []
-    removed = False
-    for a, b, w in instance.edges:
-        if not removed and {a, b} == {u, v}:
-            removed = True
-            continue
-        kept.append((a, b, w))
-    if not removed:
-        raise ValueError(f"no edge between {u} and {v}")
-    return Instance(instance.mode, instance.vertices, tuple(kept), instance.tau)
-
-
 def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = None) -> SolveReport:
     """Optimal incentives when every threshold is the vertex's incident sum or that sum minus the minimum edge weight.
 
@@ -139,6 +155,9 @@ def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = N
     for the original, since extra edges only add influence. The cost is the
     same for every choice of removed edge. `removed_edge` overrides the
     default (smallest endpoint pair), mainly so tests can sweep all choices.
+
+    The deletion is a mask on the integer view: both endpoints start peeling
+    from their incident sums minus the minimum weight, and skip each other.
     """
     if instance.mode != UNDIRECTED:
         raise PreconditionError("the two-level solver handles undirected instances only")
@@ -146,33 +165,36 @@ def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = N
         raise PreconditionError("the two-level solver needs at least one edge")
     if not is_connected(instance):
         raise PreconditionError("the two-level solver requires a connected instance")
-    saturated, mu = _two_level_split(instance)
-    return _solve_two_level(instance, saturated, mu, removed_edge)
+    return _solve_two_level(instance, _two_level_split(instance)[0], removed_edge)
 
 
-def _solve_two_level(instance: Instance, saturated: list[int], mu: Fraction,
+def _solve_two_level(instance: Instance, saturated: list[int],
                      removed_edge: tuple[int, int] | None = None) -> SolveReport:
-    """`solve_two_level` on a connected instance whose `_two_level_split` is given."""
+    """`solve_two_level` on a connected instance with the given saturated vertices."""
     if saturated:
         base = solve_degenerate(instance)
         cert = {"branch": "degenerate", **base.certificate}
         return SolveReport(base.incentives, base.cost, "two-level", cert)
-    candidates = [(u, v) for u, v, w in canonical_edges(instance) if w == mu]
+    view, verts = instance.compiled, instance.vertices
+    m, out, position = view.min_weight, view.out, view.position
     if removed_edge is None:
-        chosen = candidates[0]
+        chosen = min((u, verts[j]) for u, pairs in zip(verts, out)
+                     for j, w in pairs if w == m and u < verts[j])
     else:
         chosen = (min(removed_edge), max(removed_edge))
-        if chosen not in candidates:
+        if chosen[0] not in position or (position.get(chosen[1]), m) not in out[position[chosen[0]]]:
             raise ValueError(f"edge {chosen} is not a minimum-weight edge")
-    base = solve_degenerate(_without_edge(instance, chosen))
-    if not is_target_vector(instance, base.incentives):
-        raise VerificationError("two-level incentive vector failed engine verification")
-    cert = {
-        "branch": "split",
-        "removed_edge": f"{chosen[0]} {chosen[1]}",
-        "ordering": base.certificate["ordering"],
-    }
-    return SolveReport(base.incentives, base.cost, "two-level", cert)
+    a, b = position[chosen[0]], position[chosen[1]]
+    residual = [r - m if i in (a, b) else r for i, r in enumerate(view.totals)]
+    paid, ordering = _peel_or_fail(instance, residual, (a, b))
+    reduced = list(out)
+    reduced[a] = [(j, w) for j, w in out[a] if j != b]
+    reduced[b] = [(j, w) for j, w in out[b] if j != a]
+    need = [t - x for t, x in zip(view.tau, paid)]
+    if not _activates_all(CompiledInstance(view.scale, position, view.tau, reduced, reduced), (), need):
+        raise VerificationError("degenerate incentive vector failed engine verification")
+    cert = {"branch": "split", "removed_edge": f"{chosen[0]} {chosen[1]}", "ordering": ordering}
+    return _certified_report(instance, paid, "two-level", cert)
 
 
 def solve_min_or_full(instance: Instance) -> SolveReport:
@@ -184,86 +206,52 @@ def solve_min_or_full(instance: Instance) -> SolveReport:
     full-threshold vertices), which is degenerate by construction. Incentives
     map back to one representative per low component and, for edges between
     two full-threshold vertices, to the smaller-id endpoint.
+
+    The contracted graph is never built; its slacks come off the integer view.
+    A component's is the minimum weight, a subdivision's its weight less that
+    from a component endpoint, a full-threshold vertex's its threshold less
+    the weights from its subdivisions. Components are found in ascending id
+    order, so each starts at its smallest member.
     """
     if instance.mode != UNDIRECTED:
         raise PreconditionError("the min-or-full solver handles undirected instances only")
     if not instance.edges:
         raise PreconditionError("the min-or-full solver needs at least one edge")
-    mu = min_edge_weight(instance)
-    totals = instance.incident_totals
-    low = [v for v in instance.vertices if instance.tau[v] == mu]
-    low_set = set(low)
-    high = []
-    for v in instance.vertices:
-        if v in low_set:
-            continue
-        if instance.tau[v] != totals[v]:
+    view, verts, n = instance.compiled, instance.vertices, instance.n
+    scale, mu, tau, totals, out = view.scale, view.min_weight, view.tau, view.totals, view.out
+    low = [t == mu for t in tau]
+    for v, t, total, is_low in zip(verts, tau, totals, low):
+        if not is_low and t != total:
             raise PreconditionError(
                 f"vertex {v} has threshold {instance.tau[v]}, expected the minimum "
-                f"edge weight {mu} or its incident sum {totals[v]}"
+                f"edge weight {Fraction(mu, scale)} or its incident sum {Fraction(total, scale)}"
             )
-        high.append(v)
+    by_id = sorted(range(n), key=verts.__getitem__)
+    label = _label_components(view, [i for i in by_id if low[i]], low)
+    # Low-low edges lie inside a component; every other edge is subdivided.
+    crossing = [(u, v, w) for u, pairs in enumerate(out) for v, w in pairs
+                if u < v and not (low[u] and low[v])]
+    high = [h for h in by_id if not low[h]]
+    k, s = sum(label[i] == i for i in range(n)), len(crossing)
+    slacks = [mu] * k
+    slacks += [w - (w if low[u] or low[v] else 0) for u, v, w in crossing]
+    slacks += [tau[h] - totals[h] for h in high]
+    for f, slack in enumerate(slacks, 1):
+        if slack < 0:
+            raise ValueError(f"not a degeneracy ordering: vertex {f} has slack {Fraction(slack, scale)}")
 
-    comps = connected_components(induced_subinstance(instance, low)) if low else []
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-
-    # Crossing and high-high edges survive into the contracted multigraph;
-    # low-low edges are internal to a component and disappear.
-    crossing: list[tuple[int, int, Fraction, int | None]] = []  # (fx, fy, w, payback)
-    k = len(comps)
-    raw = []
-    for u, v, w in canonical_edges(instance):
-        cu = comp_of.get(u)
-        cv = comp_of.get(v)
-        if cu is not None and cv is not None:
-            continue
-        raw.append((u, v, w, cu, cv))
-    s_count = len(raw)
-    high_ids = {v: k + s_count + 1 + j for j, v in enumerate(sorted(high))}
-    for u, v, w, cu, cv in raw:
-        if cu is not None:
-            crossing.append((cu + 1, high_ids[v], w, None))
-        elif cv is not None:
-            crossing.append((cv + 1, high_ids[u], w, None))
-        else:
-            crossing.append((high_ids[u], high_ids[v], w, min(u, v)))
-
-    f_vertices = tuple(range(1, k + s_count + len(high) + 1))
-    f_edges = []
-    f_tau: dict[int, Fraction] = {ci + 1: mu for ci in range(k)}
-    for i, (fx, fy, w, _) in enumerate(crossing):
-        s = k + 1 + i
-        f_tau[s] = w
-        f_edges.append((fx, s, w))
-        f_edges.append((s, fy, w))
-    for v in high:
-        f_tau[high_ids[v]] = instance.tau[v]
-    contracted = Instance(UNDIRECTED, f_vertices, tuple(f_edges), f_tau)
-    slacks = slacks_along(contracted, f_vertices)
-
-    p = {v: Fraction(0) for v in instance.vertices}
-    for ci, comp in enumerate(comps):
-        p[min(comp)] += slacks[ci + 1]
-    for i, (_, _, w, payback) in enumerate(crossing):
-        slack = slacks[k + 1 + i]
+    paid = [mu if label[i] == i else 0 for i in range(n)]  # a component's slack, at its smallest member
+    for (u, v, _), slack in zip(crossing, slacks[k:k + s]):
         if slack:
-            if payback is None:
+            if low[u] or low[v]:
                 raise VerificationError("unexpected incentive on a contracted-edge subdivision")
-            p[payback] += slack
-    for v in high:
-        p[v] += slacks[high_ids[v]]
-
-    cost = incentive_cost(p)
-    if cost != sum(slacks.values(), start=Fraction(0)):
+            paid[u if verts[u] < verts[v] else v] += slack
+    for h, slack in zip(high, slacks[k + s:]):
+        paid[h] += slack
+    if sum(paid) != sum(slacks):
         raise VerificationError("mapped-back cost does not match the contracted optimum")
-    if not is_target_vector(instance, p):
-        raise VerificationError("min-or-full incentive vector failed engine verification")
-    certificate = {
-        "low_components": str(k),
-        "subdivisions": str(s_count),
-        "high_vertices": str(len(high)),
-    }
-    return SolveReport(p, cost, "min-or-full", certificate)
+    cert = {"low_components": str(k), "subdivisions": str(s), "high_vertices": str(len(high))}
+    return _certified_report(instance, paid, "min-or-full", cert)
 
 
 def vertex_cover_target_set(instance: Instance) -> VertexSet:
@@ -292,13 +280,6 @@ def vertex_cover_target_set(instance: Instance) -> VertexSet:
     return seed
 
 
-def _match_two_level(instance: Instance) -> tuple[list[int], Fraction] | None:
-    try:
-        return _two_level_split(instance)
-    except PreconditionError:
-        return None
-
-
 def _matches_min_or_full(instance: Instance) -> bool:
     view = instance.compiled
     mu = view.min_weight
@@ -313,13 +294,19 @@ def classify_and_solve(instance: Instance) -> SolveReport | None:
     """
     if instance.mode != UNDIRECTED:
         return None
-    ordering = peel_ordering(instance)
-    if isinstance(ordering, DegeneracyOrdering):
-        return solve_degenerate(instance, ordering)
+    try:
+        paid, ordering = _peel_or_fail(instance, list(instance.compiled.totals))
+    except PreconditionError:
+        pass  # not degenerate
+    else:
+        return _certified_report(instance, paid, "degenerate", {"ordering": ordering})
     if instance.edges and is_connected(instance):
-        split = _match_two_level(instance)
-        if split is not None:
-            return _solve_two_level(instance, *split)
+        try:
+            saturated = _two_level_split(instance)[0]
+        except PreconditionError:
+            pass  # not two-level
+        else:
+            return _solve_two_level(instance, saturated)
     if instance.edges and _matches_min_or_full(instance):
         return solve_min_or_full(instance)
     return None

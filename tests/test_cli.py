@@ -1,5 +1,7 @@
 """Command line interface: reports, exit codes, determinism."""
 
+import itertools
+
 import pytest
 
 from targetset import solvers
@@ -93,12 +95,22 @@ def test_solve_wrong_method_exits_3(fixtures, capsys):
     assert "precondition" in err
 
 
-def test_failed_self_verification_exits_5(fixtures, capsys, monkeypatch):
-    monkeypatch.setattr(solvers, "is_target_vector", lambda instance, incentives: False)
-    code, out, err = run(capsys, "solve", str(fixtures / "p3.wtg"), "--deterministic")
+@pytest.mark.parametrize("path, passing, message", [
+    ("fixtures/p3.wtg", 0, "degenerate incentive vector failed engine verification"),
+    # The split branch checks the reduced graph first, then the input graph.
+    ("golden/inputs/twolevel_low.wtg", 0, "degenerate incentive vector failed engine verification"),
+    ("golden/inputs/twolevel_low.wtg", 1, "two-level incentive vector failed engine verification"),
+    ("golden/inputs/minfull_comps.wtg", 0, "min-or-full incentive vector failed engine verification"),
+], ids=["degenerate", "split-reduced", "split-input", "min-or-full"])
+def test_failed_self_verification_exits_5(fixtures, capsys, monkeypatch, path, passing, message):
+    # The first `passing` engine runs of the solver go through; the next one fails.
+    real, calls = solvers._activates_all, itertools.count()
+    monkeypatch.setattr(solvers, "_activates_all",
+                        lambda view, seed, need: next(calls) < passing and real(view, seed, need))
+    code, out, err = run(capsys, "solve", str(fixtures.parent / path), "--deterministic")
     assert code == 5
     assert out == ""
-    assert err == "verification failed: degenerate incentive vector failed engine verification\n"
+    assert err == f"verification failed: {message}\n"
 
 
 def test_oracle_limit_exit_code(fixtures, capsys):

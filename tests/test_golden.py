@@ -48,12 +48,16 @@ CASES = {
     "solve-auto-minfull9": ["solve", _input("minfull9.wtg")],
     "solve-auto-triangle": ["solve", _fixture("triangle_t2.wtg")],
     "solve-auto-tour7": ["solve", _input("tour7.wtg")],
+    "solve-auto-minfull-comps": ["solve", _input("minfull_comps.wtg")],
+    "solve-auto-twolevel-low": ["solve", _input("twolevel_low.wtg")],
     "solve-degenerate-deg9": ["solve", _input("deg9.wtg"), "--method", "degenerate"],
     "solve-degenerate-halves": ["solve", _fixture("halves.wtg"), "--method", "degenerate"],
     "solve-algorithm-one-deg9": ["solve", _input("deg9.wtg"), "--method", "algorithm-one"],
     "solve-two-level-twolevel8": ["solve", _input("twolevel8.wtg"), "--method", "two-level"],
     "solve-two-level-triangle": ["solve", _input("triangle_t1.wtg"), "--method", "two-level"],
     "solve-min-or-full-minfull9": ["solve", _input("minfull9.wtg"), "--method", "min-or-full"],
+    "solve-min-or-full-minfull-comps": ["solve", _input("minfull_comps.wtg"),
+                                        "--method", "min-or-full"],
     "solve-vc-bound-cubic10": ["solve", _input("cubic10.wtg"), "--method", "vc-bound"],
     "oracle-target-set-deg9": ["oracle", "target-set", _input("deg9.wtg")],
     "oracle-target-set-tour7": ["oracle", "target-set", _input("tour7.wtg")],
