@@ -45,6 +45,8 @@ def _draw_weight(rng: random.Random, grid: str) -> Fraction:
 
 
 def _random_edges(rng: random.Random, spec: GenSpec) -> list[tuple[int, int, Fraction]]:
+    if not 0 <= spec.edge_prob <= 1:
+        raise ValueError(f"edge probability {spec.edge_prob} outside [0, 1]")
     n = spec.n
     ids = list(range(1, n + 1))
     chosen: set[tuple[int, int]] = set()
@@ -84,6 +86,8 @@ def _thresholds(rng: random.Random, spec: GenSpec, instance_edges, n) -> dict[in
             if mu is None:
                 raise ValueError("two-level thresholds need at least one edge")
             tau[v] = totals[v] if rng.random() < 0.5 else totals[v] - mu
+            if tau[v] < 0:  # checked after the draw, so the stream stays the same
+                raise ValueError(f"two-level threshold of isolated vertex {v} would be negative")
         elif policy == "min-or-full":
             if mu is None:
                 raise ValueError("min-or-full thresholds need at least one edge")
@@ -99,8 +103,6 @@ def gen_random_weighted(spec: GenSpec) -> Instance:
     """Edge-probability random graph with weights and thresholds per spec."""
     if spec.n < 1:
         raise ValueError("need at least one vertex")
-    if not 0 <= spec.edge_prob <= 1:
-        raise ValueError(f"edge probability {spec.edge_prob} outside [0, 1]")
     rng = random.Random(spec.seed)
     edges = _random_edges(rng, spec)
     tau = _thresholds(rng, spec, edges, spec.n)

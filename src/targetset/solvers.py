@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .degeneracy import DegeneracyOrdering, NotDegenerate, peel_ordering, slacks_along
 from .degeneracy import _peel, _require_undirected
 from .engine import _activates_all, is_target_set
 from .errors import PreconditionError, VerificationError
@@ -50,31 +49,20 @@ class SolveReport:
     certificate: dict[str, str]
 
 
-def _ordering_or_fail(instance: Instance, ordering) -> DegeneracyOrdering:
-    if ordering is None:
-        ordering = peel_ordering(instance)
-    if isinstance(ordering, NotDegenerate):
-        raise PreconditionError(
-            f"thresholds are not degenerate; peeling sticks on {sorted(ordering.stuck)}"
-        )
-    return ordering
-
-
-def approx_target_set(instance: Instance, ordering: DegeneracyOrdering | None = None) -> ApproxTargetSetResult:
+def approx_target_set(instance: Instance) -> ApproxTargetSetResult:
     """Target set for degenerate thresholds: the positive-slack vertices.
 
-    Vertices with zero slack activate for free along the ordering, so seeding
-    the rest always works; the seed size is within tau_max / c of optimal,
-    where c is the smallest positive slack.
+    Vertices with zero slack activate for free along the peeling ordering, so
+    seeding the rest always works; the seed size is within tau_max / c of
+    optimal, where c is the smallest positive slack.
     """
-    ordering = _ordering_or_fail(instance, ordering)
-    selected = [u for u in ordering.order if ordering.slacks[u] > 0]
-    seed = frozenset(selected)
+    slacks, _ = _peel_or_fail(instance, list(instance.compiled.totals))
+    seed = frozenset(v for v, slack in zip(instance.vertices, slacks) if slack > 0)
     if not is_target_set(instance, seed):
         raise VerificationError("degenerate seed selection failed engine verification")
     tau_max = max(instance.tau.values()) if instance.n else Fraction(0)
-    if selected:
-        c = min(ordering.slacks[u] for u in selected)
+    if seed:
+        c = Fraction(min(slack for slack in slacks if slack > 0), instance.compiled.scale)
         ratio = tau_max / c
     else:
         c = None
@@ -98,6 +86,7 @@ def _certified_report(instance: Instance, paid: list[int], method: str, cert: di
 
 def _peel_or_fail(instance: Instance, residual: list[int], masked=(-1, -1)) -> tuple[list[int], str]:
     """Peel the whole instance; return the slacks by position and the ordering certificate."""
+    _require_undirected(instance, "degeneracy")
     view, verts = instance.compiled, instance.vertices
     alive = [True] * instance.n
     slacks = _peel(view, verts, view.tau, residual, alive, masked)
@@ -107,20 +96,13 @@ def _peel_or_fail(instance: Instance, residual: list[int], masked=(-1, -1)) -> t
     return [slacks[i] for i in range(instance.n)], " ".join(str(verts[i]) for i in reversed(slacks))
 
 
-def solve_degenerate(instance: Instance, ordering: DegeneracyOrdering | None = None) -> SolveReport:
+def solve_degenerate(instance: Instance) -> SolveReport:
     """Optimal incentives for degenerate thresholds: pay each vertex its slack.
 
     The cost telescopes to (sum of thresholds) - (sum of edge weights), which
-    matches the universal lower bound, so the vector is optimal. The slacks
-    paid along a given `ordering` are taken on this instance.
+    matches the universal lower bound, so the vector is optimal.
     """
-    if ordering is None:
-        _require_undirected(instance, "degeneracy")
-        paid, order = _peel_or_fail(instance, list(instance.compiled.totals))
-    else:
-        order = " ".join(map(str, _ordering_or_fail(instance, ordering).order))
-        slacks, scale = slacks_along(instance, ordering.order), instance.compiled.scale
-        paid = [int(slacks[v] * scale) for v in instance.vertices]
+    paid, order = _peel_or_fail(instance, list(instance.compiled.totals))
     return _certified_report(instance, paid, "degenerate", {"ordering": order})
 
 
@@ -130,7 +112,7 @@ def target_vector_lower_bound(instance: Instance) -> Fraction:
     return gap if gap > 0 else Fraction(0)
 
 
-def _two_level_split(instance: Instance) -> tuple[list[int], Fraction]:
+def _two_level_split(instance: Instance) -> list[int]:
     """Vertices at their full incident sum, for the two-level pattern."""
     view = instance.compiled
     mu = view.min_weight
@@ -143,7 +125,7 @@ def _two_level_split(instance: Instance) -> tuple[list[int], Fraction]:
                 f"vertex {v} has threshold {instance.tau[v]}, expected its incident sum "
                 f"{Fraction(total, view.scale)} or that sum minus {Fraction(mu, view.scale)}"
             )
-    return saturated, Fraction(mu, view.scale)
+    return saturated
 
 
 def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = None) -> SolveReport:
@@ -165,13 +147,7 @@ def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = N
         raise PreconditionError("the two-level solver needs at least one edge")
     if not is_connected(instance):
         raise PreconditionError("the two-level solver requires a connected instance")
-    return _solve_two_level(instance, _two_level_split(instance)[0], removed_edge)
-
-
-def _solve_two_level(instance: Instance, saturated: list[int],
-                     removed_edge: tuple[int, int] | None = None) -> SolveReport:
-    """`solve_two_level` on a connected instance with the given saturated vertices."""
-    if saturated:
+    if _two_level_split(instance):
         base = solve_degenerate(instance)
         cert = {"branch": "degenerate", **base.certificate}
         return SolveReport(base.incentives, base.cost, "two-level", cert)
@@ -280,33 +256,16 @@ def vertex_cover_target_set(instance: Instance) -> VertexSet:
     return seed
 
 
-def _matches_min_or_full(instance: Instance) -> bool:
-    view = instance.compiled
-    mu = view.min_weight
-    return all(t == mu or t == total for t, total in zip(view.tau, view.totals))
-
-
 def classify_and_solve(instance: Instance) -> SolveReport | None:
-    """Dispatch to the known tractable classes, cheapest certificate first.
+    """The class solvers tried in order: degenerate, two-level, min-or-full.
 
-    Returns None when no supported pattern applies (callers may fall back to
-    the exhaustive oracle).
+    Returns the first report; a solver that raises PreconditionError is
+    skipped, while ValueError and VerificationError propagate. Returns None
+    when no class applies (callers may fall back to the exhaustive oracle).
     """
-    if instance.mode != UNDIRECTED:
-        return None
-    try:
-        paid, ordering = _peel_or_fail(instance, list(instance.compiled.totals))
-    except PreconditionError:
-        pass  # not degenerate
-    else:
-        return _certified_report(instance, paid, "degenerate", {"ordering": ordering})
-    if instance.edges and is_connected(instance):
+    for solve in (solve_degenerate, solve_two_level, solve_min_or_full):
         try:
-            saturated = _two_level_split(instance)[0]
+            return solve(instance)
         except PreconditionError:
-            pass  # not two-level
-        else:
-            return _solve_two_level(instance, saturated)
-    if instance.edges and _matches_min_or_full(instance):
-        return solve_min_or_full(instance)
+            pass  # not this class
     return None

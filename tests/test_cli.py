@@ -204,9 +204,14 @@ def test_gen_is_deterministic(capsys):
     assert instance.n == 7
 
 
-def test_gen_infeasible_spec_is_usage_error(capsys):
-    code, _, err = run(capsys, "gen", "--family", "cubic", "--n", "5")
+@pytest.mark.parametrize("spec", [
+    ("--family", "cubic", "--n", "5"),
+    ("--tau-policy", "two-level", "--n", "8", "--p", "0.1", "--seed", "1"),  # vertex 1 is isolated
+])
+def test_gen_infeasible_spec_is_usage_error(capsys, spec):
+    code, _, err = run(capsys, "gen", *spec)
     assert code == 1
+    assert err.startswith("usage error:")
 
 
 def test_unknown_subcommand_exits_1(capsys):

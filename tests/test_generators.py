@@ -1,5 +1,6 @@
 """Generators: reproducibility, validity, and family shapes."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from targetset import (
     DegeneracyOrdering,
     GenSpec,
+    Instance,
     approx_target_set,
     generate,
     peel_ordering,
@@ -95,4 +97,20 @@ def test_bad_specs_rejected():
     with pytest.raises(ValueError):
         generate(GenSpec(n=3, edge_prob=1.5))
     with pytest.raises(ValueError):
+        generate(GenSpec(family="degenerate", n=3, edge_prob=1.5))
+    with pytest.raises(ValueError):
         generate(GenSpec(n=3, tau_policy="nope"))
+
+
+def test_every_draw_builds_or_is_a_bad_spec():
+    # A spec the generator cannot honour raises ValueError (a usage error on
+    # the CLI); an invalid instance would raise ValidationError out of here.
+    families = ("random", "degenerate", "cubic", "tournament")
+    policies = ("uniform", "capped", "fixed", "two-level", "min-or-full", "degree-range")
+    for family, policy, seed, p in itertools.product(families, policies, range(20), (0.1, 0.5)):
+        spec = GenSpec(family=family, n=6, seed=seed, edge_prob=p, tau_policy=policy)
+        try:
+            instance = generate(spec)
+        except ValueError:
+            continue
+        assert isinstance(instance, Instance)

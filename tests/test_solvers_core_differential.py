@@ -354,9 +354,6 @@ def test_solvers_match_reference(instance):
     assert _outcome(solvers.solve_degenerate, instance) == _outcome(solve_degenerate, instance)
     assert _outcome(solvers.solve_two_level, instance) == _outcome(solve_two_level, instance)
     assert _outcome(solvers.solve_min_or_full, instance) == _outcome(solve_min_or_full, instance)
-    ordering = peel_ordering(instance)
-    assert (_outcome(solvers.solve_degenerate, instance, ordering)
-            == _outcome(solve_degenerate, instance, ordering))
 
 
 @given(_instances(), st.data())

@@ -1,9 +1,11 @@
 """Integer class tests against the Fraction implementations they replaced.
 
-`_min_edge_weight`, `_two_level_split` and `_matches_min_or_full` below are
-the former Fraction implementations, kept as the reference. The only edit:
-the incident totals they read are built here by `_incident_totals`, in
-Fractions, because the library now derives them from the integer view.
+`_min_edge_weight`, `_reference_two_level_split` and
+`_reference_matches_min_or_full` below are the former Fraction
+implementations, kept as the reference. The only edit: the incident totals
+they read are built here by `_incident_totals`, in Fractions, because the
+library now derives them from the integer view. The library's min-or-full
+test is the precondition loop of `solve_min_or_full`.
 """
 
 from fractions import Fraction
@@ -11,7 +13,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from targetset import DIRECTED, UNDIRECTED, Instance, PreconditionError, min_edge_weight
-from targetset.solvers import _matches_min_or_full, _two_level_split
+from targetset.solvers import _two_level_split, solve_min_or_full
 
 
 def _incident_totals(instance):
@@ -95,8 +97,11 @@ def _outcome(call, instance):
 def test_class_tests_match_reference(instance):
     mu = min_edge_weight(instance)
     assert type(mu) is Fraction and mu == _min_edge_weight(instance)
-    got = _outcome(_two_level_split, instance)
-    assert got == _outcome(_reference_two_level_split, instance)
-    if isinstance(got, tuple):
-        assert type(got[1]) is Fraction
-    assert _matches_min_or_full(instance) == _reference_matches_min_or_full(instance)
+    expected = _outcome(_reference_two_level_split, instance)
+    if isinstance(expected, tuple):
+        expected = expected[0]  # the saturated vertices
+    assert _outcome(_two_level_split, instance) == expected
+    if instance.mode == UNDIRECTED:
+        got = _outcome(solve_min_or_full, instance)
+        off_pattern = isinstance(got, str) and "expected the minimum edge weight" in got
+        assert off_pattern == (not _reference_matches_min_or_full(instance))
