@@ -237,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", _cmd_simulate, help="run the activation process")
     p.add_argument("file")
-    p.add_argument("--seed-set", help="comma-separated vertex ids; empty string for no seed")
-    p.add_argument("--incentives", help="WTG file whose p lines drive the run")
+    drive = p.add_mutually_exclusive_group()
+    drive.add_argument("--seed-set", help="comma-separated vertex ids; empty string for no seed")
+    drive.add_argument("--incentives", help="WTG file whose p lines drive the run")
 
     p = add("degeneracy", _cmd_degeneracy, help="peel an ordering or report the stuck set")
     p.add_argument("file")

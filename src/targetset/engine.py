@@ -56,7 +56,7 @@ def _check_incentives(instance: Instance, p: Mapping[int, Fraction]) -> None:
     for v, x in p.items():
         if v not in instance.vertex_set:
             raise ValueError(f"incentive given for unknown vertex {v}")
-        if x < 0:
+        if x.numerator < 0:
             raise ValueError(f"negative incentive {x} at vertex {v}")
 
 

@@ -86,6 +86,24 @@ class Instance:
         if violation is not None:
             raise ValidationError(violation)
 
+    @classmethod
+    def _from_checked(cls, mode, vertices, edges, tau, weights, tau_ints, scale) -> Instance:
+        """The WTG parser's instance: only the three rules below are left, failing as in `validate`.
+
+        `vertices` ascend; `weights` (in edge order) and `tau_ints` are scaled by `scale`."""
+        if vertices[0] < 1:
+            raise ValidationError(Violation("bad-vertex-id", f"vertex id {vertices[0]!r} is not a positive integer"))
+        if weights and min(weights) < 0:
+            u, v, w = next(e for e, x in zip(edges, weights) if x < 0)
+            raise ValidationError(Violation("negative-weight", f"edge ({u}, {v}) has negative weight {w}"))
+        if min(tau_ints) < 0:
+            v = next(v for v, t in zip(vertices, tau_ints) if t < 0)
+            raise ValidationError(Violation("negative-threshold", f"vertex {v} has negative threshold {tau[v]}"))
+        self = object.__new__(cls)
+        self.__dict__.update(mode=mode, vertices=vertices, edges=edges, tau=MappingProxyType(tau),
+                             compiled=_compile(mode, vertices, edges, weights, tau_ints, scale))
+        return self
+
     def __reduce__(self):
         # A mappingproxy cannot be pickled; rebuild through the constructor.
         return Instance, (self.mode, self.vertices, self.edges, dict(self.tau))
@@ -117,20 +135,9 @@ class Instance:
         """The integer view every activation run and oracle works on."""
         scale = math.lcm(*(t.denominator for t in self.tau.values()),
                          *(w.denominator for _, _, w in self.edges))
-        position = {v: i for i, v in enumerate(self.vertices)}
-        out: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        # An undirected edge influences both ways, so in and out lists coincide.
-        incoming = out if self.mode == UNDIRECTED else [[] for _ in self.vertices]
-        for u, v, w in self.edges:
-            iu, iv = position[u], position[v]
-            wi = w.numerator * (scale // w.denominator)
-            out[iu].append((iv, wi))
-            incoming[iv].append((iu, wi))
-        tau = tuple(
-            t.numerator * (scale // t.denominator)
-            for t in (self.tau[v] for v in self.vertices)
-        )
-        return CompiledInstance(scale, position, tau, incoming, out)
+        weights = [w.numerator * (scale // w.denominator) for _, _, w in self.edges]
+        tau = [t.numerator * (scale // t.denominator) for t in map(self.tau.__getitem__, self.vertices)]
+        return _compile(self.mode, self.vertices, self.edges, weights, tau, scale)
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,19 @@ class CompiledInstance:
     def min_weight(self) -> int:
         """Smallest scaled edge weight; raises ValueError when there are no edges."""
         return min(w for pairs in self.out for _, w in pairs)
+
+
+def _compile(mode, vertices, edges, weights, tau, scale) -> CompiledInstance:
+    """The integer view from scaled edge weights (in edge order) and thresholds (in vertex order)."""
+    position = {v: i for i, v in enumerate(vertices)}
+    out: list[list[tuple[int, int]]] = [[] for _ in vertices]
+    # An undirected edge influences both ways, so in and out lists coincide.
+    incoming = out if mode == UNDIRECTED else [[] for _ in vertices]
+    for (u, v, _), wi in zip(edges, weights):
+        iu, iv = position[u], position[v]
+        out[iu].append((iv, wi))
+        incoming[iv].append((iu, wi))
+    return CompiledInstance(scale, position, tuple(tau), incoming, out)
 
 
 def _subset_weights(view: CompiledInstance) -> tuple[int, list[list[int]], list[list[int]]]:

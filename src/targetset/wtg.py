@@ -17,6 +17,7 @@ ascending.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -61,27 +62,53 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     """Parse a WTG document into a validated instance plus optional incentives.
 
     Tokens are split on whitespace; a token's column is worked out only when
-    an error names it. Each distinct number is parsed once per document.
+    an error names it. Each distinct number is parsed once per document. The
+    same pass builds the checked integer view, scaling each distinct threshold
+    and weight token once (incentives stay Fractions and leave the scale alone),
+    so the instance is neither validated nor compiled a second time.
     """
     mode = None
     declared_n = None
     version_seen = False
+    ready = False  # header, mode and n seen; edge lines, most of a file, then take the first branch
     tau: dict[int, Fraction] = {}
+    tau_tokens: dict[int, str] = {}
     edges: list[tuple[int, int, Fraction]] = []
+    weight_tokens: list[str] = []
     seen_pairs: set[tuple[int, int]] = set()
     incentives: dict[int, Fraction] = {}
     has_incentives = False
     numbers: dict[str, Fraction] = {}
-    last_line = 0
+    lines = text.splitlines()
+    last_line = len(lines)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.split("#", 1)[0]
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0] if "#" in raw else raw
         toks = line.split()
         if not toks:
             continue
         key = toks[0]
         nargs = len(toks) - 1
+
+        if key == "e" and ready:
+            if nargs != 3:
+                raise WtgParseError("e takes two endpoints and a weight", line_no, _column(line, 0))
+            _, a, b, wt = toks
+            u = int(a) if a.isdecimal() else _int_token(toks, 1, line, line_no, "endpoint")
+            v = int(b) if b.isdecimal() else _int_token(toks, 2, line, line_no, "endpoint")
+            if (w := numbers.get(wt)) is None:
+                w = _rational_token(toks, 3, line, line_no, "weight", numbers)
+            if u == v:
+                raise WtgParseError(f"self-loop at vertex {u}", line_no, _column(line, 2))
+            if u not in tau or v not in tau:
+                x, k = (u, 1) if u not in tau else (v, 2)
+                raise WtgParseError(f"edge references undeclared vertex {x}", line_no, _column(line, k))
+            seen_pairs.add((u, v) if mode == DIRECTED or u < v else (v, u))
+            if len(seen_pairs) == len(edges):  # the pair was there already
+                raise WtgParseError(f"duplicate edge between {u} and {v}", line_no, _column(line, 0))
+            edges.append((u, v, w))
+            weight_tokens.append(wt)
+            continue
 
         if not version_seen:
             if key != "wtg":
@@ -103,7 +130,7 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
             if declared_n is not None:
                 raise WtgParseError("duplicate n line", line_no, _column(line, 0))
             declared_n = _int_token(toks, 1, line, line_no, "vertex count")
-        elif key in ("v", "e", "p") and (mode is None or declared_n is None):
+        elif key in ("v", "e", "p") and not ready:
             raise WtgParseError("mode and n must come before vertex/edge lines", line_no, _column(line, 0))
         elif key == "v":
             if nargs != 2:
@@ -112,22 +139,7 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
             if vid in tau:
                 raise WtgParseError(f"vertex {vid} declared twice", line_no, _column(line, 1))
             tau[vid] = _rational_token(toks, 2, line, line_no, "threshold", numbers)
-        elif key == "e":
-            if nargs != 3:
-                raise WtgParseError("e takes two endpoints and a weight", line_no, _column(line, 0))
-            u = _int_token(toks, 1, line, line_no, "endpoint")
-            v = _int_token(toks, 2, line, line_no, "endpoint")
-            w = _rational_token(toks, 3, line, line_no, "weight", numbers)
-            if u == v:
-                raise WtgParseError(f"self-loop at vertex {u}", line_no, _column(line, 2))
-            for x, k in ((u, 1), (v, 2)):
-                if x not in tau:
-                    raise WtgParseError(f"edge references undeclared vertex {x}", line_no, _column(line, k))
-            pair = (u, v) if mode == DIRECTED or u < v else (v, u)
-            if pair in seen_pairs:
-                raise WtgParseError(f"duplicate edge between {u} and {v}", line_no, _column(line, 0))
-            seen_pairs.add(pair)
-            edges.append((u, v, w))
+            tau_tokens[vid] = toks[2]
         elif key == "p":
             if nargs != 2:
                 raise WtgParseError("p takes an id and a value", line_no, _column(line, 0))
@@ -137,12 +149,13 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
             if vid in incentives:
                 raise WtgParseError(f"duplicate incentive for vertex {vid}", line_no, _column(line, 1))
             value = _rational_token(toks, 2, line, line_no, "incentive", numbers)
-            if value < 0:
+            if value.numerator < 0:
                 raise WtgParseError(f"negative incentive {value}", line_no, _column(line, 2))
             incentives[vid] = value
             has_incentives = True
         else:
             raise WtgParseError(f"unknown directive {key!r}", line_no, _column(line, 0))
+        ready = mode is not None and declared_n is not None
 
     if not version_seen:
         raise WtgParseError("empty document, expected 'wtg 1' header", max(last_line, 1))
@@ -155,7 +168,13 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     if len(tau) != declared_n:
         raise WtgParseError(f"declared n {declared_n} but found {len(tau)} vertex lines", last_line)
 
-    return Instance(mode, tuple(sorted(tau)), tuple(edges), tau), (incentives if has_incentives else None)
+    scaled = set(weight_tokens).union(tau_tokens.values())
+    scale = math.lcm(*(numbers[t].denominator for t in scaled))
+    ints = {t: (x := numbers[t]).numerator * (scale // x.denominator) for t in scaled}
+    vertices = tuple(sorted(tau))
+    return Instance._from_checked(
+        mode, vertices, tuple(edges), tau, list(map(ints.__getitem__, weight_tokens)),
+        [ints[tau_tokens[v]] for v in vertices], scale), (incentives if has_incentives else None)
 
 
 def serialize_wtg(instance: Instance, incentives: dict[int, Fraction] | None = None) -> str:

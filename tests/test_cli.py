@@ -52,6 +52,16 @@ def test_simulate_with_incentive_file(fixtures, capsys):
     assert "activated_all true" in out
 
 
+@pytest.mark.parametrize("order", [("--seed-set", "--incentives"), ("--incentives", "--seed-set")])
+def test_simulate_seed_set_and_incentives_are_exclusive(fixtures, capsys, order):
+    values = {"--seed-set": "3", "--incentives": str(fixtures / "p3_incentives.wtg")}
+    argv = [x for flag in order for x in (flag, values[flag])]
+    code, out, err = run(capsys, "simulate", str(fixtures / "p3.wtg"), *argv, "--deterministic")
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: argument {order[1]}: not allowed with argument {order[0]}\n"
+
+
 def test_simulate_uses_own_incentive_lines(fixtures, capsys):
     code, out, _ = run(capsys, "simulate", str(fixtures / "p3_incentives.wtg"),
                        "--deterministic")

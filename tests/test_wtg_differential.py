@@ -7,6 +7,7 @@ line, and every document must give the same instance and incentives, or
 the same error with the same message, line and column.
 """
 
+import pickle
 import re
 from fractions import Fraction
 
@@ -225,10 +226,11 @@ def test_parser_matches_reference(text):
 
 
 _BASE = "wtg 1\nmode undirected\nn 2\nv 1 1\nv 2 1/2\n"
+_INTEGER_WEIGHTS = "wtg 1\nmode undirected\nn 2\nv 1 1\nv 2 2\ne 1 2 3\n"
 
 
 # Each case is one the mutations above reach only rarely.
-@pytest.mark.parametrize("text", [
+_RARE_CASES = [
     _BASE + "e 1 2 1/0\n",
     _BASE + "e 1 2 +3\n",
     _BASE + "e 1\t3 1\n",
@@ -242,9 +244,52 @@ _BASE = "wtg 1\nmode undirected\nn 2\nv 1 1\nv 2 1/2\n"
     _BASE + "p 1 1\np　1　2\n",
     "wtg 1\nmode undirected\nn 3\nv 1 1\nv 2 1/2\n",
     "wtg 1\nmode directed\nn ２\nv 1 0\nv 2 0\ne 1 2 1\ne 2 1 1\n",
-])
+    "wtg 1\nmode undirected\nn 2\nv 0 1\nv 1 1\ne 0 1 1\n",
+    "wtg 1\nmode undirected\nn 1\nv 1 -1\n",
+    "wtg 1\nmode directed\nn 2\nv 1 -1\nv 2 1\ne 2 1 3\ne 1 2 -1/2\n",
+    _BASE + "e 1 2 2/4\n",
+    _INTEGER_WEIGHTS + "p 1 1/3\n",
+]
+
+
+@pytest.mark.parametrize("text", _RARE_CASES)
 def test_rare_cases_match_reference(text):
     assert _outcome(parse_wtg, text) == _outcome(_parse_wtg, text)
+
+
+def _fields(view):
+    return view.scale, view.position, view.tau, view.incoming, view.out
+
+
+def _assert_view_matches_constructor(text):
+    """The integer view the parser builds equals the one the constructor builds."""
+    try:
+        inst, _ = parse_wtg(text)
+    except (WtgParseError, ValidationError):
+        return
+    rebuilt = Instance(inst.mode, inst.vertices, inst.edges, dict(inst.tau))
+    view = inst.compiled
+    assert _fields(view) == _fields(rebuilt.compiled)
+    assert (view.incoming is view.out) == (inst.mode == UNDIRECTED)
+    assert hash(inst) == hash(rebuilt)
+    assert _fields(pickle.loads(pickle.dumps(inst)).compiled) == _fields(view)
+
+
+@given(_mutated())
+@settings(max_examples=300, deadline=None)
+def test_parser_view_matches_constructor_view(text):
+    _assert_view_matches_constructor(text)
+
+
+@pytest.mark.parametrize("text", _RARE_CASES)
+def test_rare_cases_view_matches_constructor_view(text):
+    _assert_view_matches_constructor(text)
+
+
+def test_incentives_do_not_enter_the_scale():
+    inst, incentives = parse_wtg(_INTEGER_WEIGHTS + "p 1 1/3\n")
+    assert incentives == {1: Fraction(1, 3)}
+    assert inst.compiled.scale == 1
 
 
 def test_split_and_isdecimal_match_the_regex_classes_on_every_code_point():
