@@ -1,9 +1,12 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage, 2 validation or parse failure (also a
-failing check sweep), 3 solver precondition unmet, 4 oracle size limit
-exceeded, 5 a solver's, oracle's or reduction's result failed its own
-verification (a bug, never an input problem).
+Each command returns its text and exit code; `main` appends the wall time
+to report commands, writes the text and maps exceptions to exit codes.
+
+Exit codes: 0 success, 1 usage, 2 validation or parse failure or an
+unreadable path (also a failing check sweep), 3 solver precondition unmet,
+4 oracle size limit exceeded, 5 a solver's, oracle's or reduction's result
+failed its own verification (a bug, never an input problem).
 """
 
 from __future__ import annotations
@@ -26,14 +29,7 @@ from .errors import (
     WtgParseError,
 )
 from .generators import GenSpec, generate
-from .oracles import (
-    TARGET_SET_LIMIT,
-    TARGET_VECTOR_LIMIT,
-    VERTEX_COVER_LIMIT,
-    exact_min_target_set,
-    exact_min_target_vector,
-    exact_min_vertex_cover,
-)
+from .oracles import exact_min_target_set, exact_min_target_vector, exact_min_vertex_cover
 from .reductions import degenerate_to_complete, to_bidirected, tss_to_complete
 from .solvers import (
     approx_target_set,
@@ -51,6 +47,16 @@ EXIT_VALIDATION = 2
 EXIT_PRECONDITION = 3
 EXIT_LIMIT = 4
 EXIT_VERIFY = 5
+
+# First match wins; each row is (exception types, exit code, stderr prefix).
+_EXITS = (
+    ((UsageError,), EXIT_USAGE, "usage error"),
+    ((WtgParseError, ValidationError, OSError, ValueError), EXIT_VALIDATION, "error"),
+    ((PreconditionError,), EXIT_PRECONDITION, "precondition not met"),
+    ((OracleLimitError,), EXIT_LIMIT, "oracle limit"),
+    ((VerificationError,), EXIT_VERIFY, "verification failed"),
+)
+_HANDLED = tuple(kind for kinds, _, _ in _EXITS for kind in kinds)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,38 +78,15 @@ def _seed_set(text: str) -> frozenset[int]:
         raise UsageError(f"bad seed set {text!r}; expected comma-separated vertex ids") from None
 
 
-class _Timer:
-    def __init__(self, deterministic: bool):
-        self.deterministic = deterministic
-        self.start = time.perf_counter()
-
-    @property
-    def wall_ms(self):
-        if self.deterministic:
-            return None
-        return (time.perf_counter() - self.start) * 1000.0
-
-
-def _emit(text: str, out_path: str | None = None) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_validate(args) -> int:
-    timer = _Timer(args.deterministic)
+def _cmd_validate(args) -> tuple[str, int]:
     try:
         _load(args.file)
     except ValidationError as exc:
-        _emit(reports.validate_report_text(exc.violation, timer.wall_ms))
-        return EXIT_VALIDATION
-    _emit(reports.validate_report_text(None, timer.wall_ms))
-    return EXIT_OK
+        return reports.validate_report_text(exc.violation), EXIT_VALIDATION
+    return reports.validate_report_text(None), EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    timer = _Timer(args.deterministic)
+def _cmd_simulate(args) -> tuple[str, int]:
     instance, own_p = _load(args.file)
     if args.incentives is not None:
         _, p = _load(args.incentives)
@@ -116,57 +99,44 @@ def _cmd_simulate(args) -> int:
         trace = run_with_incentives(instance, own_p)
     else:
         raise UsageError("need --seed-set, --incentives, or p lines in the instance file")
-    _emit(reports.trace_report(trace, instance.n, timer.wall_ms))
-    return EXIT_OK
+    return reports.trace_report(trace, instance.n), EXIT_OK
 
 
-def _cmd_degeneracy(args) -> int:
-    timer = _Timer(args.deterministic)
+def _cmd_degeneracy(args) -> tuple[str, int]:
     instance, _ = _load(args.file)
-    result = peel_ordering(instance)
-    _emit(reports.degeneracy_report_text(result, timer.wall_ms))
-    return EXIT_OK
+    return reports.degeneracy_report_text(peel_ordering(instance)), EXIT_OK
 
 
-def _cmd_solve(args) -> int:
-    timer = _Timer(args.deterministic)
+def _cmd_solve(args) -> tuple[str, int]:
     instance, _ = _load(args.file)
-    method = args.method
-    if method == "auto":
-        report = classify_and_solve(instance)
-        if report is None:
-            raise PreconditionError("no supported solver pattern applies; try the oracle")
-        _emit(reports.solve_report_text(report, timer.wall_ms))
-    elif method == "degenerate":
-        _emit(reports.solve_report_text(solve_degenerate(instance), timer.wall_ms))
-    elif method == "two-level":
-        _emit(reports.solve_report_text(solve_two_level(instance), timer.wall_ms))
-    elif method == "min-or-full":
-        _emit(reports.solve_report_text(solve_min_or_full(instance), timer.wall_ms))
-    elif method == "algorithm-one":
-        _emit(reports.approx_report_text(approx_target_set(instance), timer.wall_ms))
-    else:  # vc-bound
-        _emit(reports.cover_report_text(vertex_cover_target_set(instance), timer.wall_ms))
-    return EXIT_OK
+    if args.method == "algorithm-one":
+        return reports.approx_report_text(approx_target_set(instance)), EXIT_OK
+    if args.method == "vc-bound":
+        return reports.cover_report_text(vertex_cover_target_set(instance)), EXIT_OK
+    # Built per call: the tracer in tsbench patches these module attributes.
+    report = {
+        "auto": classify_and_solve,
+        "degenerate": solve_degenerate,
+        "two-level": solve_two_level,
+        "min-or-full": solve_min_or_full,
+    }[args.method](instance)
+    if report is None:
+        raise PreconditionError("no supported solver pattern applies; try the oracle")
+    return reports.solve_report_text(report), EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    timer = _Timer(args.deterministic)
+def _cmd_oracle(args) -> tuple[str, int]:
     instance, _ = _load(args.file)
-    if args.problem == "target-set":
-        limit = args.limit_n if args.limit_n is not None else TARGET_SET_LIMIT
-        result = exact_min_target_set(instance, limit)
-    elif args.problem == "target-vector":
-        limit = args.limit_n if args.limit_n is not None else TARGET_VECTOR_LIMIT
-        result = exact_min_target_vector(instance, limit)
-    else:
-        limit = args.limit_n if args.limit_n is not None else VERTEX_COVER_LIMIT
-        result = exact_min_vertex_cover(instance, limit)
-    _emit(reports.oracle_report_text(args.problem, result, timer.wall_ms))
-    return EXIT_OK
+    oracle = {
+        "target-set": exact_min_target_set,
+        "target-vector": exact_min_target_vector,
+        "vertex-cover": exact_min_vertex_cover,
+    }[args.problem]
+    result = oracle(instance) if args.limit_n is None else oracle(instance, args.limit_n)
+    return reports.oracle_report_text(args.problem, result), EXIT_OK
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> tuple[str, int]:
     instance, _ = _load(args.file)
     receipt = {
         "prop1": tss_to_complete,
@@ -174,11 +144,10 @@ def _cmd_reduce(args) -> int:
         "bidirect": to_bidirected,
     }[args.kind](instance)
     header = "".join(f"# {key}: {value}\n" for key, value in sorted(receipt.notes.items()))
-    _emit(header + serialize_wtg(receipt.image), args.output)
-    return EXIT_OK
+    return header + serialize_wtg(receipt.image), EXIT_OK
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[str, int]:
     spec = GenSpec(
         family=args.family,
         n=args.n,
@@ -194,18 +163,12 @@ def _cmd_gen(args) -> int:
         instance = generate(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _emit(serialize_wtg(instance), args.output)
-    return EXIT_OK
+    return serialize_wtg(instance), EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    timer = _Timer(args.deterministic)
-    try:
-        result = checks.run_check(args.name, args.instances, args.limit_n, args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    _emit(reports.check_report_text(result, timer.wall_ms))
-    return EXIT_OK if result.passed else EXIT_VALIDATION
+def _cmd_check(args) -> tuple[str, int]:
+    result = checks.run_check(args.name, args.instances, args.limit_n, args.seed)
+    return reports.check_report_text(result), EXIT_OK if result.passed else EXIT_VALIDATION
 
 
 def _at_least(low: int):
@@ -227,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, output=None)
         p.add_argument("--deterministic", action="store_true",
                        help="omit wall time so identical runs are byte-identical")
         return p
@@ -259,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["prop1", "prop3", "bidirect"])
     p.add_argument("file")
     p.add_argument("-o", "--output", help="write the image here instead of stdout")
+    p.set_defaults(deterministic=True)  # WTG text, never a wall time
 
     p = add("gen", _cmd_gen, help="generate a seeded random instance")
     p.add_argument("--family", default="random",
@@ -272,11 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "min-or-full", "degree-range"])
     p.add_argument("--fixed-tau", default="1", help="threshold for the fixed policy")
     p.add_argument("--connected", action="store_true")
-    p.add_argument("--max-slack", type=int, default=3)
+    p.add_argument("--max-slack", type=_at_least(0), default=3)
     p.add_argument("-o", "--output")
+    p.set_defaults(deterministic=True)
 
     p = add("check", _cmd_check, help="run a named property sweep")
-    p.add_argument("name", help=f"one of: {', '.join(sorted(checks.CHECKS))}")
+    p.add_argument("name", choices=sorted(checks.CHECKS))
     p.add_argument("--instances", type=_at_least(1))
     p.add_argument("--limit-n", type=_at_least(2))
     p.add_argument("--seed", type=int)
@@ -287,32 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (WtgParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except PreconditionError as exc:
-        print(f"precondition not met: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OracleLimitError as exc:
-        print(f"oracle limit: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        start = time.perf_counter()
+        text, code = args.func(args)
+        if not args.deterministic:
+            text += f"wall_ms {(time.perf_counter() - start) * 1000.0:.3f}\n"
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except _HANDLED as exc:
+        for kinds, code, prefix in _EXITS:
+            if isinstance(exc, kinds):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

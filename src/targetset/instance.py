@@ -25,7 +25,7 @@ Rational = Fraction
 Edge = tuple[int, int, Fraction]
 VertexSet = frozenset[int]
 
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 _EXACT = (Fraction, int)
 
 
@@ -35,11 +35,13 @@ def parse_rational(text: str) -> Fraction:
     Decimal notation is rejected on purpose: values written as "3/2" must
     survive a round trip without ever becoming "1.5".
     """
-    if not _RATIONAL.fullmatch(text):
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
         raise ValueError(f"not an integer or integer/integer rational: {text!r}")
-    if "/" in text and int(text.split("/", 1)[1]) == 0:
+    num, den = match.groups()
+    if den is not None and int(den) == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(text)
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(value: Fraction) -> str:

@@ -2,9 +2,8 @@
 
 Reports are flat `key value...` lines. The first line names the report
 kind; list values are space-separated with vertex ids ascending. Rationals
-are printed exactly ("3/2", never "1.5"). A trailing `wall_ms` line is
-appended only when a wall time is supplied, so deterministic runs stay
-byte-identical.
+are printed exactly ("3/2", never "1.5"). Renderers never print a wall
+time: the CLI appends one to report commands run without `--deterministic`.
 """
 
 from __future__ import annotations
@@ -22,26 +21,24 @@ def _ids(vertices) -> str:
     return " ".join(str(v) for v in sorted(vertices))
 
 
-def _finish(lines: list[str], wall_ms: float | None) -> str:
-    if wall_ms is not None:
-        lines.append(f"wall_ms {wall_ms:.3f}")
+def _finish(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_report(trace: ActivationTrace, total_vertices: int | None = None,
-                 wall_ms: float | None = None) -> str:
-    lines = ["report simulate"]
-    if total_vertices is not None:
-        done = len(trace.final_active) == total_vertices
-        lines.append(f"activated_all {'true' if done else 'false'}")
-    lines.append(f"rounds {trace.num_rounds}")
+def trace_report(trace: ActivationTrace, total_vertices: int) -> str:
+    done = len(trace.final_active) == total_vertices
+    lines = [
+        "report simulate",
+        f"activated_all {'true' if done else 'false'}",
+        f"rounds {trace.num_rounds}",
+    ]
     for t, members in enumerate(trace.rounds):
         lines.append(f"round {t} {_ids(members)}".rstrip())
     lines.append(f"final {_ids(trace.final_active)}".rstrip())
-    return _finish(lines, wall_ms)
+    return _finish(lines)
 
 
-def solve_report_text(report: SolveReport, wall_ms: float | None = None) -> str:
+def solve_report_text(report: SolveReport) -> str:
     lines = [
         "report solve",
         f"method {report.method}",
@@ -51,10 +48,10 @@ def solve_report_text(report: SolveReport, wall_ms: float | None = None) -> str:
         lines.append(f"p {v} {format_rational(report.incentives[v])}")
     for key in sorted(report.certificate):
         lines.append(f"certificate {key} {report.certificate[key]}")
-    return _finish(lines, wall_ms)
+    return _finish(lines)
 
 
-def approx_report_text(result: ApproxTargetSetResult, wall_ms: float | None = None) -> str:
+def approx_report_text(result: ApproxTargetSetResult) -> str:
     lines = [
         "report solve",
         "method algorithm-one",
@@ -66,20 +63,20 @@ def approx_report_text(result: ApproxTargetSetResult, wall_ms: float | None = No
         lines.append(f"min_positive_slack {format_rational(result.min_positive_slack)}")
     if result.claimed_ratio is not None:
         lines.append(f"claimed_ratio {format_rational(result.claimed_ratio)}")
-    return _finish(lines, wall_ms)
+    return _finish(lines)
 
 
-def cover_report_text(cover, wall_ms: float | None = None) -> str:
+def cover_report_text(cover) -> str:
     lines = [
         "report solve",
         "method vc-bound",
         f"size {len(cover)}",
         f"set {_ids(cover)}".rstrip(),
     ]
-    return _finish(lines, wall_ms)
+    return _finish(lines)
 
 
-def oracle_report_text(problem: str, result: OracleResult, wall_ms: float | None = None) -> str:
+def oracle_report_text(problem: str, result: OracleResult) -> str:
     lines = [
         "report oracle",
         f"problem {problem}",
@@ -91,10 +88,10 @@ def oracle_report_text(problem: str, result: OracleResult, wall_ms: float | None
     else:
         lines.append(f"witness {_ids(result.witness)}".rstrip())
     lines.append(f"explored {result.explored}")
-    return _finish(lines, wall_ms)
+    return _finish(lines)
 
 
-def degeneracy_report_text(result: DegeneracyOrdering | NotDegenerate, wall_ms: float | None = None) -> str:
+def degeneracy_report_text(result: DegeneracyOrdering | NotDegenerate) -> str:
     if isinstance(result, NotDegenerate):
         lines = [
             "report degeneracy",
@@ -109,10 +106,10 @@ def degeneracy_report_text(result: DegeneracyOrdering | NotDegenerate, wall_ms: 
         ]
         for v in result.order:
             lines.append(f"slack {v} {format_rational(result.slacks[v])}")
-    return _finish(lines, wall_ms)
+    return _finish(lines)
 
 
-def validate_report_text(violation: Violation | None, wall_ms: float | None = None) -> str:
+def validate_report_text(violation: Violation | None) -> str:
     if violation is None:
         lines = ["report validate", "ok true"]
     else:
@@ -122,10 +119,10 @@ def validate_report_text(violation: Violation | None, wall_ms: float | None = No
             f"rule {violation.rule}",
             f"detail {violation.detail}",
         ]
-    return _finish(lines, wall_ms)
+    return _finish(lines)
 
 
-def check_report_text(result, wall_ms: float | None = None) -> str:
+def check_report_text(result) -> str:
     lines = [
         "report check",
         f"name {result.name}",
@@ -135,19 +132,4 @@ def check_report_text(result, wall_ms: float | None = None) -> str:
     ]
     for message in result.failures[:5]:
         lines.append(f"failure {message}")
-    return _finish(lines, wall_ms)
-
-
-def emit_report(obj, wall_ms: float | None = None, problem: str = "target-set") -> str:
-    """Render any result object; OracleResult needs `problem` for its tag."""
-    if isinstance(obj, ActivationTrace):
-        return trace_report(obj, None, wall_ms)
-    if isinstance(obj, SolveReport):
-        return solve_report_text(obj, wall_ms)
-    if isinstance(obj, OracleResult):
-        return oracle_report_text(problem, obj, wall_ms)
-    if isinstance(obj, ApproxTargetSetResult):
-        return approx_report_text(obj, wall_ms)
-    if isinstance(obj, (DegeneracyOrdering, NotDegenerate)):
-        return degeneracy_report_text(obj, wall_ms)
-    raise TypeError(f"no report format for {type(obj).__name__}")
+    return _finish(lines)

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from targetset import solvers
+from targetset import checks, solvers
 from targetset.cli import main
 from targetset import parse_wtg, serialize_wtg, build_instance, UNDIRECTED
 
@@ -123,6 +123,33 @@ def test_failed_self_verification_exits_5(fixtures, capsys, monkeypatch, path, p
     assert err == f"verification failed: {message}\n"
 
 
+@pytest.mark.parametrize("argv, broken_verification, code, prefix", [
+    (("frobnicate",), False, 1, "usage error: "),
+    (("validate", "GARBAGE"), False, 2, "error: line 1"),
+    (("solve", "golden/inputs/broken.wtg"), False, 2, "error: negative-weight"),
+    (("validate", "no-such-file.wtg"), False, 2, "error: [Errno 2]"),
+    (("validate", "DIR"), False, 2, "error: [Errno 21]"),
+    (("gen", "-o", "DIR"), False, 2, "error: [Errno 21]"),
+    (("simulate", "fixtures/p3.wtg", "--seed-set", "9"), False, 2, "error: "),
+    (("solve", "--method", "two-level", "fixtures/k3_weighted.wtg"), False, 3, "precondition not met: "),
+    (("oracle", "target-set", "fixtures/p3.wtg", "--limit-n", "2"), False, 4, "oracle limit: "),
+    (("solve", "fixtures/p3.wtg"), True, 5, "verification failed: "),
+], ids=["usage", "parse", "validation", "missing-file", "directory", "output-directory",
+        "unknown-seed-vertex", "precondition", "limit", "verification"])
+def test_each_exit_table_row(fixtures, tmp_path, capsys, monkeypatch,
+                             argv, broken_verification, code, prefix):
+    (tmp_path / "garbage.wtg").write_text("garbage\n")
+    paths = {"GARBAGE": str(tmp_path / "garbage.wtg"), "DIR": str(tmp_path)}
+    argv = [paths.get(a) or (str(fixtures.parent / a) if a.endswith(".wtg") else a)
+            for a in argv]
+    if broken_verification:
+        monkeypatch.setattr(solvers, "_activates_all", lambda view, seed, need: False)
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_oracle_limit_exit_code(fixtures, capsys):
     code, _, err = run(capsys, "oracle", "target-set", str(fixtures / "p3.wtg"),
                        "--limit-n", "2")
@@ -157,6 +184,7 @@ def test_vertex_cover_oracle_on_a_long_path(tmp_path, capsys):
     (("check", "kappa", "--instances", "0"), "--instances", 1),
     (("check", "kappa", "--limit-n", "1"), "--limit-n", 2),
     (("oracle", "vertex-cover", "FILE", "--limit-n", "-1"), "--limit-n", 0),
+    (("gen", "--family", "degenerate", "--max-slack", "-1"), "--max-slack", 0),
 ])
 def test_bad_counts_are_usage_errors(fixtures, capsys, argv, flag, low):
     argv = [str(fixtures / "p3.wtg") if a == "FILE" else a for a in argv]
@@ -232,6 +260,15 @@ def test_unknown_subcommand_exits_1(capsys):
 def test_unknown_check_exits_1(capsys):
     code, _, err = run(capsys, "check", "no-such-sweep")
     assert code == 1
+
+
+def test_value_error_inside_a_sweep_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(**kwargs):
+        raise ValueError("sweep bug")
+    monkeypatch.setitem(checks.CHECKS, "kappa", broken)
+    code, _, err = run(capsys, "check", "kappa")
+    assert code == 2
+    assert err == "error: sweep bug\n"
 
 
 def test_check_subcommand_runs_a_sweep(capsys):

@@ -74,6 +74,11 @@ CASES = {
     "check-bidirected": ["check", "bidirected", "--instances", "8"],
     "check-prop1-preservation": ["check", "prop1-preservation", "--instances", "8"],
     "check-two-level": ["check", "two-level", "--instances", "8"],
+    "reduce-prop1-p3": ["reduce", "prop1", _fixture("p3.wtg")],
+    "reduce-prop3-triangle": ["reduce", "prop3", _fixture("triangle_t2.wtg")],
+    "reduce-bidirect-halves": ["reduce", "bidirect", _fixture("halves.wtg")],
+    "gen-degenerate-n8": ["gen", "--family", "degenerate", "--n", "8", "--seed", "7"],
+    "gen-tournament-n6": ["gen", "--family", "tournament", "--n", "6", "--seed", "3"],
 }
 
 

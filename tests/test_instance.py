@@ -1,6 +1,7 @@
 """Instance model: rational parsing, validation, sums, restriction."""
 
 import pickle
+import re
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -35,6 +36,30 @@ def test_parse_rational_accepts_int_and_fraction_forms():
 def test_parse_rational_rejects_non_rationals(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+def _reference_parse_rational(text: str) -> Fraction:
+    """The former `parse_rational`, which re-parsed the whole token with `Fraction(text)`."""
+    if not re.fullmatch(r"[+-]?\d+(?:/\d+)?", text):
+        raise ValueError(f"not an integer or integer/integer rational: {text!r}")
+    if "/" in text and int(text.split("/", 1)[1]) == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(text)
+
+
+def _rational_outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", type(value), value)
+
+
+# `Fraction` alone accepts "1_0" and rejects "1/0" with ZeroDivisionError.
+@pytest.mark.parametrize("text", ["1_0", "٣/٤", "-0/5", "+3", "1/0", "١/٠", "-6/4",
+                                  "0", "+0/7", "1.5", "", "3/", "/3", "+-1", " 1"])
+def test_parse_rational_matches_fraction_reference(text):
+    assert _rational_outcome(parse_rational, text) == _rational_outcome(_reference_parse_rational, text)
 
 
 def test_validate_minimal_instance_ok():

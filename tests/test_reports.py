@@ -1,23 +1,13 @@
 """Report rendering: exact rational strings and stable layouts."""
 
-from fractions import Fraction
-
-import pytest
-
 from targetset import (
     UNDIRECTED,
     build_instance,
     exact_min_target_set,
-    peel_ordering,
     run_activation,
     solve_degenerate,
 )
-from targetset.reports import (
-    emit_report,
-    oracle_report_text,
-    solve_report_text,
-    trace_report,
-)
+from targetset.reports import oracle_report_text, solve_report_text, trace_report
 
 
 def path3():
@@ -46,22 +36,6 @@ def test_trace_report_lists_rounds_in_order():
     assert text.index("round 0 1") < text.index("round 1 2") < text.index("round 2 3")
     assert "activated_all true" in text
     assert "final 1 2 3" in text
-
-
-def test_wall_time_only_when_requested():
-    trace = run_activation(path3(), {1})
-    assert "wall_ms" not in trace_report(trace, 3)
-    assert "wall_ms 1.500" in trace_report(trace, 3, wall_ms=1.5)
-
-
-def test_emit_report_dispatches_by_type():
-    assert emit_report(run_activation(path3(), {1})).startswith("report simulate")
-    assert emit_report(solve_degenerate(path3())).startswith("report solve")
-    assert emit_report(peel_ordering(path3())).startswith("report degeneracy")
-    oracle = exact_min_target_set(path3())
-    assert "problem target-set" in emit_report(oracle)
-    with pytest.raises(TypeError):
-        emit_report(42)
 
 
 def test_oracle_report_for_empty_witness():

@@ -249,6 +249,9 @@ _RARE_CASES = [
     "wtg 1\nmode directed\nn 2\nv 1 -1\nv 2 1\ne 2 1 3\ne 1 2 -1/2\n",
     _BASE + "e 1 2 2/4\n",
     _INTEGER_WEIGHTS + "p 1 1/3\n",
+    _BASE + "e 1 2 1_0\n",
+    _BASE + "e 1 2 ٣/٤\n",
+    _BASE + "p 1 -0/5\n",
 ]
 
 
