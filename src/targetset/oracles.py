@@ -7,13 +7,14 @@ where every rational is scaled by the common denominator, so they stay exact.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OracleLimitError, VerificationError
 from .engine import _activates_all, incentive_cost, is_target_set, is_target_vector
-from .instance import Instance, VertexSet, _subset_weights
+from .instance import CompiledInstance, Instance, VertexSet, _subset_weights
 
 TARGET_SET_LIMIT = 20
 TARGET_VECTOR_LIMIT = 9
@@ -22,6 +23,14 @@ TARGET_VECTOR_LIMIT = 9
 # tables add n * (2^(n//2) + 2^(n - n//2)) entries, about 90k at n = 22.
 # No `limit` argument lifts it.
 TARGET_VECTOR_CEILING = 22
+# The closed-set search gives up for the DP once it stores more than this
+# share of the 2^n sets. On saturated thresholds (tau = incident weight),
+# where nearly every set is closed, search plus DP then take a median
+# 1.1-1.3 times the DP alone at n = 12-16, and 1.7 times at n = 22 (Python
+# 3.11). Of 200 instances at n = 14 (the degenerate family and uniform
+# thresholds, edge probability 0.3, halves weights), 7 fall back; at half
+# this share, 24 would.
+_SEARCH_BUDGET = 1 / 16
 # The largest multiple of 10 at which the slowest of five seeds each of
 # G(n, p), p in {0.1, 0.2, 0.3, 0.5, 0.8}, and the cubic family stays under
 # 50 ms (Python 3.11, one Xeon core): 30-41 ms at n = 60, 61-78 ms at n = 70.
@@ -83,17 +92,26 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
 
     Minimizes, over all activation orders, the summed per-vertex deficit
     (threshold minus weight from earlier neighbors, clamped at zero). The
-    deficit depends only on the set of earlier vertices, so the minimum over
-    orders is computed as a dynamic program over vertex subsets; any order
+    deficit depends only on the set of earlier vertices, so any order
     realizes its cost as a valid vector, and any target vector linearized by
-    activation rounds costs at least some order, so this is the optimum.
+    activation rounds costs at least some order: the cheapest order is the
+    optimum.
 
-    The program examines each of the n * 2^(n-1) pairs of a set and its last
-    vertex once, at two table lookups each: O(n * 2^n) time and 2^n costs of
-    memory. It fills the sets row by row, a row being the 2^h sets that share
-    their high positions (h = n // 2). Candidates whose last vertex is high
-    come from earlier rows, a whole row at a time; those whose last vertex
-    is low come from earlier sets of the same row.
+    Up to `TARGET_VECTOR_LIMIT` vertices a dynamic program over all vertex
+    subsets finds it (`_subset_dp`). Of the optimal orders, the witness
+    follows the one whose every last vertex has the largest position, and
+    `explored` is n * 2^(n-1), the number of (set, last vertex) pairs.
+
+    Above that limit a best-first search over the sets closed under free
+    activation runs first (`_closed_set_search`). Its witness is some
+    optimal vector, in general not the dynamic program's: it pays each
+    vertex on the cheapest path its deficit and gives 0 to every vertex
+    that then activates for free, and `explored` counts the closed sets
+    expanded. If the search stores more than `_SEARCH_BUDGET` of the 2^n
+    sets, it gives up and the dynamic program answers with its own witness;
+    `explored` is then the sets the search expanded plus n * 2^(n-1).
+    Either way the witness lists every vertex, in activation order, and is
+    checked against the engine.
     """
     n = instance.n
     limit = min(limit, TARGET_VECTOR_CEILING)
@@ -102,8 +120,34 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
     if n == 0:
         return OracleResult(Fraction(0), {}, 0)
     view = instance.compiled
-    thresholds, scale = view.tau, view.scale
-    h, lo, hi = _subset_weights(view)
+    tables = _subset_weights(view)
+    found, explored = _closed_set_search(view, *tables) if n > TARGET_VECTOR_LIMIT else (None, 0)
+    if found is None:
+        found = _subset_dp(view, *tables)
+        explored += n << (n - 1)
+    order, cost = found
+    verts = instance.vertices
+    witness = {verts[i]: Fraction(d, view.scale) for i, d in order}
+    optimum = Fraction(cost, view.scale)
+    if incentive_cost(witness) != optimum or not is_target_vector(instance, witness):
+        raise VerificationError("oracle witness failed engine verification")
+    return OracleResult(optimum, witness, explored)
+
+
+def _subset_dp(view: CompiledInstance, h: int, lo: list[list[int]],
+               hi: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
+    """The cheapest order by a dynamic program over every vertex subset.
+
+    Returns the (position, scaled payment) pairs in activation order and
+    their scaled sum. The program examines each of the n * 2^(n-1) pairs of
+    a set and its last vertex once, at two table lookups each: O(n * 2^n)
+    time and 2^n costs of memory. It fills the sets row by row, a row being
+    the 2^h sets that share their high positions. Candidates whose last
+    vertex is high come from earlier rows, a whole row at a time; those
+    whose last vertex is low come from earlier sets of the same row.
+    """
+    thresholds = view.tau
+    n = len(thresholds)
     width = 1 << h
     earlier = [[(s ^ 1 << j, j) for j in range(h) if s >> j & 1] for s in range(width)]
     best = [0] * (1 << n)
@@ -150,12 +194,97 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
             raise VerificationError("no last vertex reaches the subset optimum")
         steps.append((i, deficit(i, before)))
         mask = before
-    verts = instance.vertices
-    witness = {verts[i]: Fraction(d, scale) for i, d in reversed(steps)}
-    optimum = Fraction(best[-1], scale)
-    if incentive_cost(witness) != optimum or not is_target_vector(instance, witness):
-        raise VerificationError("oracle witness failed engine verification")
-    return OracleResult(optimum, witness, n << (n - 1))
+    return steps[::-1], best[-1]
+
+
+def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
+                       hi: list[list[int]]) -> tuple[tuple[list[tuple[int, int]], int] | None, int]:
+    """The cheapest order by best-first search over sets closed under free activation.
+
+    A deficit never grows as the set of earlier vertices grows, so moving a
+    vertex of deficit 0 earlier never raises an order's cost: some optimal
+    order passes only through closed sets, those with no vertex outside
+    that the set alone activates. The search starts from the closure of the
+    empty set; from a closed set S, paying a vertex i outside S its deficit
+    leads to the closure of S + {i}. The sum of max(0, tau(i) - total(i))
+    over the vertices outside S, which nothing but payment covers, is a
+    consistent estimate of the cost still to come (A*). A stored set keeps
+    only its cost, its parent and the vertex paid; when it is expanded, the
+    weight each vertex receives from it is two lookups in the subset weight
+    tables.
+
+    Returns ((order, cost), expanded) like `_subset_dp`, with every free
+    vertex paid 0 right after the payment that activates it. Once it stores
+    more than `_SEARCH_BUDGET` of the 2^n sets it returns (None, expanded),
+    and its sets are freed before the caller runs the program.
+    """
+    thresholds = view.tau
+    n = len(thresholds)
+    low_mask = (1 << h) - 1
+    everyone = (1 << n) - 1
+    budget = int((1 << n) * _SEARCH_BUDGET)
+    excess = [t - s if t > s else 0 for t, s in zip(thresholds, view.totals)]
+    # Positions whose received weight a position's activation raises.
+    raises = [sum(1 << j for j, w in pairs if w) for pairs in view.out]
+
+    def close(active: int, todo: int) -> int:
+        # Activation only raises weights, so one pass over a worklist of
+        # positions whose weight went up reaches the closure in any order.
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            j = bit.bit_length() - 1
+            if lo[j][active & low_mask] + hi[j][active >> h] >= thresholds[j]:
+                active |= bit
+                todo |= raises[j] & ~active
+        return active
+
+    start = close(0, everyone)
+    rest = sum(excess)
+    stored = {start: (0, None, -1)}
+    # (cost + estimate, estimate, set): of equal totals, the set with the
+    # smaller estimate, so the one nearer the full set, comes first.
+    heap = [(rest, rest, start)]
+    expanded = 0
+    while heap:
+        if len(stored) > budget:
+            return None, expanded
+        f, rest, mask = heapq.heappop(heap)
+        cost = f - rest
+        if mask == everyone:
+            break
+        if cost > stored[mask][0]:
+            continue
+        expanded += 1
+        s, t = mask & low_mask, mask >> h
+        outside = everyone ^ mask
+        while outside:
+            bit = outside & -outside
+            outside ^= bit
+            i = bit.bit_length() - 1
+            # i's deficit, positive because S is closed and i is outside it.
+            step = cost + thresholds[i] - lo[i][s] - hi[i][t]
+            nxt = close(mask | bit, raises[i] & ~mask)
+            old = stored.get(nxt)
+            if old is not None and step >= old[0]:
+                continue
+            stored[nxt] = (step, mask, i)
+            left = rest - excess[i]
+            heapq.heappush(heap, (step + left, left, nxt))
+    path = [mask]
+    while mask != start:
+        mask = stored[mask][1]
+        path.append(mask)
+    order: list[tuple[int, int]] = []
+    done = 0
+    for mask in reversed(path):
+        cost, parent, i = stored[mask]
+        if parent is not None:
+            order.append((i, cost - stored[parent][0]))
+            done |= 1 << i
+        order.extend((j, 0) for j in range(n) if (mask ^ done) >> j & 1)
+        done = mask
+    return (order, cost), expanded
 
 
 def grid_min_target_vector(instance: Instance) -> OracleResult:

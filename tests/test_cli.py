@@ -1,6 +1,7 @@
 """Command line interface: reports, exit codes, determinism."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -166,6 +167,20 @@ def test_target_vector_ceiling_beats_limit_override(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert "limit of 22" in err
+
+
+def test_target_vector_oracle_past_its_default_limit(tmp_path, capsys):
+    # n = 14 is above the dynamic program's default limit of 9, so the
+    # closed-set search answers; every vertex gets a `p` line.
+    path = str(tmp_path / "big.wtg")
+    assert run(capsys, "gen", "--family", "degenerate", "--n", "14", "--seed", "7", "-o", path)[0] == 0
+    code, out, err = run(capsys, "oracle", "target-vector", path, "--limit-n", "14", "--deterministic")
+    assert code == 0, err
+    lines = out.splitlines()
+    payments = [Fraction(line.split()[2]) for line in lines if line.startswith("p ")]
+    optimum = next(Fraction(line.split()[1]) for line in lines if line.startswith("optimum "))
+    assert len(payments) == 14
+    assert sum(payments) == optimum
 
 
 def test_vertex_cover_oracle_on_a_long_path(tmp_path, capsys):

@@ -10,16 +10,24 @@ checks are left out. The subset-table oracles must return the same optimum,
 the same witness in the same order, the same `explored` count and the same
 verdict. The vertex-cover search counts its nodes differently, so there only
 the optimum and the witness must agree.
+
+Above the target-vector oracle's default limit, its closed-set search is
+checked against the subset dynamic program it runs in front of: the same
+optimum, and a witness that pays every vertex, sums to the optimum and
+passes the engine. When the search gives up, the program's answer comes
+back unchanged.
 """
 
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from targetset import (
     DIRECTED,
     UNDIRECTED,
+    GenSpec,
     Instance,
     OracleResult,
     VertexSet,
@@ -27,9 +35,13 @@ from targetset import (
     exact_min_target_set,
     exact_min_target_vector,
     exact_min_vertex_cover,
+    generate,
 )
+from targetset import oracles
 from targetset.engine import _activates_all, incentive_cost, is_target_set, is_target_vector
 from targetset.errors import VerificationError
+from targetset.instance import _subset_weights
+from targetset.oracles import _closed_set_search, _subset_dp
 
 
 def _exact_min_target_set(instance: Instance) -> OracleResult:
@@ -241,3 +253,97 @@ def test_vertex_cover_matches_reference(inst):
     assert (got.optimum, got.witness) == (reference.optimum, reference.witness)
     if inst.n <= 10:
         assert got.witness == _lexicographically_smallest_cover(inst)
+
+
+def _dp_result(instance: Instance) -> OracleResult:
+    """What the subset dynamic program alone answers, called directly."""
+    view = instance.compiled
+    order, cost = _subset_dp(view, *_subset_weights(view))
+    witness = {instance.vertices[i]: Fraction(d, view.scale) for i, d in order}
+    return OracleResult(Fraction(cost, view.scale), witness, instance.n << (instance.n - 1))
+
+
+def _check_closed_set_path(instance: Instance) -> None:
+    n = instance.n
+    with pytest.MonkeyPatch.context() as patch:
+        # A budget of every set never runs out, so no fallback can hide a wrong answer.
+        patch.setattr(oracles, "_SEARCH_BUDGET", 1)
+        got = exact_min_target_vector(instance, limit=n)
+    # Closed sets expanded, fewer than the program's n * 2^(n-1) pairs.
+    assert got.explored < n << (n - 1)
+    assert got.optimum == _dp_result(instance).optimum
+    assert sorted(got.witness) == sorted(instance.vertices)
+    assert sum(got.witness.values()) == got.optimum
+    assert is_target_vector(instance, got.witness)
+
+
+def _saturated(spec: GenSpec) -> Instance:
+    base = generate(spec)
+    return Instance(base.mode, base.vertices, base.edges, base.incident_totals)
+
+
+_KINDS = ("uniform", "capped", "min-or-full", "two-level", "saturated", "degenerate", "tournament")
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("n", [10, 13, 16])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_closed_set_search_matches_dp(kind, n, seed):
+    weights = "halves" if seed == 1 else "int"
+    if kind in ("degenerate", "tournament"):
+        instance = generate(GenSpec(family=kind, n=n, seed=seed, edge_prob=0.3, weights=weights))
+    elif kind == "saturated":
+        instance = _saturated(GenSpec(n=n, seed=seed, edge_prob=0.4, weights=weights))
+    else:
+        # Connected, so that no two-level threshold drops below zero.
+        instance = generate(GenSpec(n=n, seed=seed, edge_prob=0.3, weights=weights,
+                                    tau_policy=kind, connected=True))
+    _check_closed_set_path(instance)
+
+
+@st.composite
+def _larger_instances(draw):
+    # The weights and thresholds of `_instances`: zero weights, zero
+    # thresholds, thresholds past the incident sum, denominators 7/9/11.
+    mode = draw(st.sampled_from((UNDIRECTED, DIRECTED)))
+    ids = draw(st.lists(st.integers(1, 60), min_size=10, max_size=12, unique=True))
+    pairs = [(u, v) for u in ids for v in ids if u != v and (mode == DIRECTED or u < v)]
+    edges = tuple((u, v, draw(_weights)) for u, v in pairs if draw(st.integers(0, 9)) < 3)
+    return Instance(mode, tuple(ids), edges, {v: draw(_thresholds) for v in ids})
+
+
+@given(_larger_instances())
+@settings(max_examples=40, deadline=None)
+def test_closed_set_search_matches_dp_on_rationals(inst):
+    _check_closed_set_path(inst)
+
+
+def test_exhausted_budget_returns_the_dp_answer(monkeypatch):
+    inst = generate(GenSpec(family="degenerate", n=12, seed=3, edge_prob=0.3, weights="halves"))
+    monkeypatch.setattr(oracles, "_SEARCH_BUDGET", 0)
+    got = exact_min_target_vector(inst, limit=12)
+    expected = _dp_result(inst)
+    # The search stores the closure of the empty set and gives up before
+    # expanding it, so `explored` is the program's count alone.
+    assert got == expected and got.explored == 12 * 2**11
+    assert list(got.witness.items()) == list(expected.witness.items())
+
+
+def test_saturated_instance_falls_back_to_the_dp():
+    inst = _saturated(GenSpec(n=12, seed=1, edge_prob=0.4, weights="halves"))
+    view = inst.compiled
+    found, expanded = _closed_set_search(view, *_subset_weights(view))
+    assert found is None and expanded > 0
+    got = exact_min_target_vector(inst, limit=12)
+    expected = _dp_result(inst)
+    assert got.optimum == expected.optimum
+    assert list(got.witness.items()) == list(expected.witness.items())
+    assert got.explored == expanded + 12 * 2**11
+
+
+@pytest.mark.parametrize("n", [9, 10])  # the program's path, then the search's
+def test_failed_engine_check_raises_on_both_paths(monkeypatch, n):
+    inst = generate(GenSpec(family="degenerate", n=n, seed=4, edge_prob=0.3))
+    monkeypatch.setattr(oracles, "is_target_vector", lambda instance, vector: False)
+    with pytest.raises(VerificationError):
+        exact_min_target_vector(inst, limit=n)
