@@ -1,14 +1,18 @@
 """Named property sweeps: seeded random instances checked against oracles.
 
-Each sweep returns a CheckResult whose default parameters match the
-acceptance thresholds, so `targetset check <name>` and the test suite run
-the same code.
+A sweep is a generator `(rng, i, max_n)`: it draws instance `i` from the
+shared seeded `rng`, at most `max_n` vertices, and yields one message per
+way that instance breaks the property. `run_check` owns the rng, the loop
+and the `CheckResult`. `CHECKS` holds each sweep's default instance count
+and size, which the acceptance suite uses, so `targetset check <name>` and
+the tests run the same code.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
 
@@ -95,250 +99,203 @@ def random_degenerate_tss_instance(rng: random.Random, n: int) -> Instance:
     return inst
 
 
-def check_degeneracy_oracle(instances: int = 500, max_n: int = 12, seed: int = 0) -> CheckResult:
+def _degeneracy_oracle(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     """Peeling agrees with the exhaustive subgraph check; slacks stay nonnegative."""
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for _ in range(instances):
-        spec = _mixed_spec(rng, rng.randint(1, max_n))
-        inst = generate(spec)
-        verdict = brute_degeneracy_check(inst, limit=max_n)
-        got = peel_ordering(inst)
-        if isinstance(got, DegeneracyOrdering):
-            if not verdict:
-                failures.append(f"seed {spec.seed}: peel succeeded on a non-degenerate instance")
-            if any(s < 0 for s in got.slacks.values()):
-                failures.append(f"seed {spec.seed}: negative slack in returned ordering")
-            covered = sum((inst.tau[v] - got.slacks[v] for v in inst.vertices), start=Fraction(0))
-            if covered != inst.total_weight:
-                failures.append(f"seed {spec.seed}: slack identity broken")
-        elif verdict:
-            failures.append(f"seed {spec.seed}: peel stuck on a degenerate instance")
-    return CheckResult("degeneracy-oracle", instances, failures)
+    spec = _mixed_spec(rng, rng.randint(1, max_n))
+    inst = generate(spec)
+    verdict = brute_degeneracy_check(inst, limit=max_n)
+    got = peel_ordering(inst)
+    if isinstance(got, DegeneracyOrdering):
+        if not verdict:
+            yield f"seed {spec.seed}: peel succeeded on a non-degenerate instance"
+        if any(s < 0 for s in got.slacks.values()):
+            yield f"seed {spec.seed}: negative slack in returned ordering"
+        covered = sum((inst.tau[v] - got.slacks[v] for v in inst.vertices), start=Fraction(0))
+        if covered != inst.total_weight:
+            yield f"seed {spec.seed}: slack identity broken"
+    elif verdict:
+        yield f"seed {spec.seed}: peel stuck on a degenerate instance"
 
 
-def check_algorithm_one(instances: int = 300, max_n: int = 10, seed: int = 0) -> CheckResult:
+def _algorithm_one(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     """The positive-slack seed is a target set within tau_max/c of optimal."""
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for _ in range(instances):
-        spec = _mixed_spec(rng, rng.randint(1, max_n), family="degenerate")
-        spec = dc_replace(spec, max_slack=rng.randint(0, 3))
-        inst = generate(spec)
-        result = approx_target_set(inst)
-        if not is_target_set(inst, result.seed):
-            failures.append(f"seed {spec.seed}: selection is not a target set")
-            continue
-        opt = exact_min_target_set(inst).optimum
-        if not result.seed:
-            if not is_target_set(inst, frozenset()):
-                failures.append(f"seed {spec.seed}: empty selection but empty seed does not activate")
-        elif Fraction(len(result.seed)) > result.claimed_ratio * opt:
-            failures.append(
-                f"seed {spec.seed}: size {len(result.seed)} exceeds ratio bound "
-                f"{result.claimed_ratio} * {opt}"
-            )
-    return CheckResult("algorithm-one", instances, failures)
+    spec = _mixed_spec(rng, rng.randint(1, max_n), family="degenerate")
+    spec = dc_replace(spec, max_slack=rng.randint(0, 3))
+    inst = generate(spec)
+    result = approx_target_set(inst)
+    if not is_target_set(inst, result.seed):
+        yield f"seed {spec.seed}: selection is not a target set"
+        return
+    opt = exact_min_target_set(inst).optimum
+    if not result.seed:
+        if not is_target_set(inst, frozenset()):
+            yield f"seed {spec.seed}: empty selection but empty seed does not activate"
+    elif Fraction(len(result.seed)) > result.claimed_ratio * opt:
+        yield (f"seed {spec.seed}: size {len(result.seed)} exceeds ratio bound "
+               f"{result.claimed_ratio} * {opt}")
 
 
-def check_otvw_degenerate(instances: int = 300, max_n: int = 9, seed: int = 0) -> CheckResult:
+def _otvw_degenerate(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     """Slack incentives are optimal and cost exactly tau total minus weight total."""
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for _ in range(instances):
-        spec = _mixed_spec(rng, rng.randint(1, max_n), family="degenerate")
-        spec = dc_replace(spec, max_slack=rng.randint(0, 3))
-        inst = generate(spec)
-        report = solve_degenerate(inst)
-        formula = inst.tau_total - inst.total_weight
-        oracle = exact_min_target_vector(inst, limit=max_n).optimum
-        if report.cost != formula:
-            failures.append(f"seed {spec.seed}: cost {report.cost} != formula {formula}")
-        if report.cost != oracle:
-            failures.append(f"seed {spec.seed}: cost {report.cost} != oracle {oracle}")
-    return CheckResult("otvw-degenerate", instances, failures)
+    spec = _mixed_spec(rng, rng.randint(1, max_n), family="degenerate")
+    spec = dc_replace(spec, max_slack=rng.randint(0, 3))
+    inst = generate(spec)
+    report = solve_degenerate(inst)
+    formula = inst.tau_total - inst.total_weight
+    oracle = exact_min_target_vector(inst, limit=max_n).optimum
+    if report.cost != formula:
+        yield f"seed {spec.seed}: cost {report.cost} != formula {formula}"
+    if report.cost != oracle:
+        yield f"seed {spec.seed}: cost {report.cost} != oracle {oracle}"
 
 
-def check_two_level(instances: int = 200, max_n: int = 9, seed: int = 0) -> CheckResult:
+def _two_level(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     """Two-level solver is exact and indifferent to the removed minimum edge."""
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for i in range(instances):
-        spec = _mixed_spec(rng, rng.randint(2, max_n), tau_policy="two-level", connected=True)
-        inst = generate(spec)
-        mu = min_edge_weight(inst)
-        if i % 3 == 0:
-            # force the all-low branch
-            totals = inst.incident_totals
-            inst = Instance(inst.mode, inst.vertices, inst.edges,
-                            {v: totals[v] - mu for v in inst.vertices})
-        report = solve_two_level(inst)
-        all_low = all(inst.tau[v] != inst.incident_totals[v] for v in inst.vertices)
-        expected = inst.tau_total - inst.total_weight + (mu if all_low else 0)
-        oracle = exact_min_target_vector(inst, limit=max_n).optimum
-        if report.cost != expected:
-            failures.append(f"seed {spec.seed}: cost {report.cost} != formula {expected}")
-        if report.cost != oracle:
-            failures.append(f"seed {spec.seed}: cost {report.cost} != oracle {oracle}")
-        if all_low:
-            pairs = {(min(u, v), max(u, v)) for u, v, w in inst.edges if w == mu}
-            for pair in sorted(pairs):
-                other = solve_two_level(inst, removed_edge=pair)
-                if other.cost != expected:
-                    failures.append(f"seed {spec.seed}: removing {pair} changed the cost")
-    return CheckResult("two-level", instances, failures)
-
-
-def check_min_or_full(instances: int = 200, max_n: int = 9, seed: int = 0) -> CheckResult:
-    """Min-or-full solver returns engine-valid vectors matching the oracle."""
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for i in range(instances):
-        connected = i % 2 == 0
-        spec = _mixed_spec(rng, rng.randint(2, max_n), tau_policy="min-or-full",
-                           connected=connected)
-        while True:
-            try:
-                inst = generate(spec)
-                break
-            except ValueError:  # edgeless draw cannot carry this threshold pattern
-                spec = dc_replace(spec, seed=_child_seed(rng))
-        if i % 4 == 0:
-            mu = min_edge_weight(inst)
-            inst = Instance(inst.mode, inst.vertices, inst.edges,
-                            {v: mu for v in inst.vertices})
-        elif i % 4 == 1:
-            inst = Instance(inst.mode, inst.vertices, inst.edges, inst.incident_totals)
-        report = solve_min_or_full(inst)
-        if not is_target_vector(inst, report.incentives):
-            failures.append(f"seed {spec.seed}: vector failed engine verification")
-        oracle = exact_min_target_vector(inst, limit=max_n).optimum
-        if report.cost != oracle:
-            failures.append(f"seed {spec.seed}: cost {report.cost} != oracle {oracle}")
-    return CheckResult("min-or-full", instances, failures)
-
-
-def check_tss_preservation(instances: int = 100, max_n: int = 7, seed: int = 0) -> CheckResult:
-    """Complete-graph embedding preserves target sets subset by subset."""
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for i in range(instances):
-        if i % 5 == 0:
-            spec = GenSpec(family="cubic", n=rng.choice((4, 6)), seed=_child_seed(rng))
-            inst = generate(spec)
-            label = f"cubic seed {spec.seed}"
-        else:
-            inst = random_tss_instance(rng, rng.randint(2, max_n))
-            label = f"instance {i}"
-        image = tss_to_complete(inst).image
-        mismatch = False
-        for size in range(inst.n + 1):
-            for combo in itertools.combinations(inst.vertices, size):
-                seed_set = frozenset(combo)
-                if is_target_set(inst, seed_set) != is_target_set(image, seed_set):
-                    failures.append(f"{label}: subset {sorted(seed_set)} disagrees")
-                    mismatch = True
-                    break
-            if mismatch:
-                break
-        if not mismatch:
-            if exact_min_target_set(inst).optimum != exact_min_target_set(image).optimum:
-                failures.append(f"{label}: minimum sizes differ")
-    return CheckResult("prop1-preservation", instances, failures)
-
-
-def check_degenerate_preservation(instances: int = 100, max_n: int = 6, seed: int = 0) -> CheckResult:
-    """Hub embedding raises the minimum target set size by exactly one."""
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for i in range(instances):
-        inst = random_degenerate_tss_instance(rng, rng.randint(2, max_n))
-        image = degenerate_to_complete(inst).image
-        dyn_source = exact_min_target_set(inst).optimum
-        dyn_image = exact_min_target_set(image).optimum
-        if dyn_image != dyn_source + 1:
-            failures.append(f"instance {i}: {dyn_source} maps to {dyn_image}")
-    return CheckResult("prop3-preservation", instances, failures)
-
-
-def check_bounds(instances: int = 150, max_n: int = 8, seed: int = 0) -> CheckResult:
-    """Lower bound <= vector optimum <= tau total; minimum seed <= cover size."""
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for i in range(instances):
-        policy = "capped" if i % 2 == 0 else "uniform"
-        spec = _mixed_spec(rng, rng.randint(1, max_n), tau_policy=policy)
-        inst = generate(spec)
-        lb = target_vector_lower_bound(inst)
-        opt = exact_min_target_vector(inst, limit=max_n).optimum
-        if not lb <= opt <= inst.tau_total:
-            failures.append(f"seed {spec.seed}: {lb} <= {opt} <= {inst.tau_total} fails")
+    spec = _mixed_spec(rng, rng.randint(2, max_n), tau_policy="two-level", connected=True)
+    inst = generate(spec)
+    mu = min_edge_weight(inst)
+    if i % 3 == 0:
+        # force the all-low branch
         totals = inst.incident_totals
-        if all(inst.tau[v] <= totals[v] for v in inst.vertices):
-            cover = vertex_cover_target_set(inst)
-            if not is_target_set(inst, cover):
-                failures.append(f"seed {spec.seed}: cover is not a target set")
-            dyn = exact_min_target_set(inst).optimum
-            beta = exact_min_vertex_cover(inst).optimum
-            if dyn > beta:
-                failures.append(f"seed {spec.seed}: minimum seed {dyn} exceeds cover bound {beta}")
-    return CheckResult("bounds", instances, failures)
+        inst = Instance(inst.mode, inst.vertices, inst.edges,
+                        {v: totals[v] - mu for v in inst.vertices})
+    report = solve_two_level(inst)
+    all_low = all(inst.tau[v] != inst.incident_totals[v] for v in inst.vertices)
+    expected = inst.tau_total - inst.total_weight + (mu if all_low else 0)
+    oracle = exact_min_target_vector(inst, limit=max_n).optimum
+    if report.cost != expected:
+        yield f"seed {spec.seed}: cost {report.cost} != formula {expected}"
+    if report.cost != oracle:
+        yield f"seed {spec.seed}: cost {report.cost} != oracle {oracle}"
+    if all_low:
+        pairs = {(min(u, v), max(u, v)) for u, v, w in inst.edges if w == mu}
+        for pair in sorted(pairs):
+            other = solve_two_level(inst, removed_edge=pair)
+            if other.cost != expected:
+                yield f"seed {spec.seed}: removing {pair} changed the cost"
 
 
-def check_bidirected(instances: int = 100, max_n: int = 8, seed: int = 0) -> CheckResult:
-    """Doubling each edge into opposite arcs changes nothing observable."""
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for _ in range(instances):
-        spec = _mixed_spec(rng, rng.randint(1, max_n))
+def _min_or_full(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
+    """Min-or-full solver returns engine-valid vectors matching the oracle."""
+    spec = _mixed_spec(rng, rng.randint(2, max_n), tau_policy="min-or-full",
+                       connected=i % 2 == 0)
+    while True:
+        try:
+            inst = generate(spec)
+            break
+        except ValueError:  # edgeless draw cannot carry this threshold pattern
+            spec = dc_replace(spec, seed=_child_seed(rng))
+    if i % 4 == 0:
+        mu = min_edge_weight(inst)
+        inst = Instance(inst.mode, inst.vertices, inst.edges,
+                        {v: mu for v in inst.vertices})
+    elif i % 4 == 1:
+        inst = Instance(inst.mode, inst.vertices, inst.edges, inst.incident_totals)
+    report = solve_min_or_full(inst)
+    if not is_target_vector(inst, report.incentives):
+        yield f"seed {spec.seed}: vector failed engine verification"
+    oracle = exact_min_target_vector(inst, limit=max_n).optimum
+    if report.cost != oracle:
+        yield f"seed {spec.seed}: cost {report.cost} != oracle {oracle}"
+
+
+def _tss_preservation(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
+    """Complete-graph embedding preserves target sets subset by subset."""
+    if i % 5 == 0:
+        spec = GenSpec(family="cubic", n=rng.choice((4, 6)), seed=_child_seed(rng))
         inst = generate(spec)
-        image = to_bidirected(inst).image
-        seeds = [frozenset((v,)) for v in inst.vertices]
-        for _ in range(3):
-            seeds.append(frozenset(v for v in inst.vertices if rng.random() < 0.4))
-        for seed_set in seeds:
-            if run_activation(inst, seed_set) != run_activation(image, seed_set):
-                failures.append(f"seed {spec.seed}: trace differs for {sorted(seed_set)}")
-                break
-        if exact_min_target_set(inst).optimum != exact_min_target_set(image).optimum:
-            failures.append(f"seed {spec.seed}: minimum seed size differs across modes")
-    return CheckResult("bidirected", instances, failures)
-
-
-def check_kappa(instances: int = 200, max_n: int = 10, seed: int = 0) -> CheckResult:
-    """Complement-ordering test agrees with the engine on target sets."""
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for i in range(instances):
+        label = f"cubic seed {spec.seed}"
+    else:
         inst = random_tss_instance(rng, rng.randint(2, max_n))
-        candidates = [frozenset(), inst.vertex_set]
-        for _ in range(4):
-            candidates.append(frozenset(v for v in inst.vertices if rng.random() < 0.5))
-        for target in candidates:
-            if kappa_complement_check(inst, target) != is_target_set(inst, target):
-                failures.append(f"instance {i}: disagreement on {sorted(target)}")
-                break
-    return CheckResult("kappa", instances, failures)
+        label = f"instance {i}"
+    image = tss_to_complete(inst).image
+    for size in range(inst.n + 1):
+        for combo in itertools.combinations(inst.vertices, size):
+            seed_set = frozenset(combo)
+            if is_target_set(inst, seed_set) != is_target_set(image, seed_set):
+                yield f"{label}: subset {sorted(seed_set)} disagrees"
+                return
+    if exact_min_target_set(inst).optimum != exact_min_target_set(image).optimum:
+        yield f"{label}: minimum sizes differ"
 
 
-def check_otv_grid(instances: int = 300, max_n: int = 4, seed: int = 0) -> CheckResult:
+def _degenerate_preservation(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
+    """Hub embedding raises the minimum target set size by exactly one."""
+    inst = random_degenerate_tss_instance(rng, rng.randint(2, max_n))
+    image = degenerate_to_complete(inst).image
+    dyn_source = exact_min_target_set(inst).optimum
+    dyn_image = exact_min_target_set(image).optimum
+    if dyn_image != dyn_source + 1:
+        yield f"instance {i}: {dyn_source} maps to {dyn_image}"
+
+
+def _bounds(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
+    """Lower bound <= vector optimum <= tau total; minimum seed <= cover size."""
+    policy = "capped" if i % 2 == 0 else "uniform"
+    spec = _mixed_spec(rng, rng.randint(1, max_n), tau_policy=policy)
+    inst = generate(spec)
+    lb = target_vector_lower_bound(inst)
+    opt = exact_min_target_vector(inst, limit=max_n).optimum
+    if not lb <= opt <= inst.tau_total:
+        yield f"seed {spec.seed}: {lb} <= {opt} <= {inst.tau_total} fails"
+    totals = inst.incident_totals
+    if all(inst.tau[v] <= totals[v] for v in inst.vertices):
+        cover = vertex_cover_target_set(inst)
+        if not is_target_set(inst, cover):
+            yield f"seed {spec.seed}: cover is not a target set"
+        dyn = exact_min_target_set(inst).optimum
+        beta = exact_min_vertex_cover(inst).optimum
+        if dyn > beta:
+            yield f"seed {spec.seed}: minimum seed {dyn} exceeds cover bound {beta}"
+
+
+def _bidirected(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
+    """Doubling each edge into opposite arcs changes nothing observable."""
+    spec = _mixed_spec(rng, rng.randint(1, max_n))
+    inst = generate(spec)
+    image = to_bidirected(inst).image
+    seeds = [frozenset((v,)) for v in inst.vertices]
+    for _ in range(3):
+        seeds.append(frozenset(v for v in inst.vertices if rng.random() < 0.4))
+    for seed_set in seeds:
+        if run_activation(inst, seed_set) != run_activation(image, seed_set):
+            yield f"seed {spec.seed}: trace differs for {sorted(seed_set)}"
+            break
+    if exact_min_target_set(inst).optimum != exact_min_target_set(image).optimum:
+        yield f"seed {spec.seed}: minimum seed size differs across modes"
+
+
+def _kappa(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
+    """Complement-ordering test agrees with the engine on target sets."""
+    inst = random_tss_instance(rng, rng.randint(2, max_n))
+    candidates = [frozenset(), inst.vertex_set]
+    for _ in range(4):
+        candidates.append(frozenset(v for v in inst.vertices if rng.random() < 0.5))
+    for target in candidates:
+        if kappa_complement_check(inst, target) != is_target_set(inst, target):
+            yield f"instance {i}: disagreement on {sorted(target)}"
+            return
+
+
+def _otv_grid(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     """Order-based vector oracle equals direct incentive-grid search.
 
-    Exhaustive over every graph shape up to max_n vertices with unit weights
-    and all integer thresholds in 0..3, plus `instances` random small cases
-    with integer weights and thresholds in 0..3.
+    Random small cases with integer weights and thresholds in 0..3; ahead of
+    them `run_check` compares every shape from `_grid_shapes`.
     """
-    failures: list[str] = []
-    checked = 0
+    n = rng.randint(1, max_n)
+    ids = tuple(range(1, n + 1))
+    edges = tuple(
+        (u, v, Fraction(rng.randint(0, 3)))
+        for u, v in itertools.combinations(ids, 2)
+        if rng.random() < 0.6
+    )
+    tau = {v: Fraction(rng.randint(0, 3)) for v in ids}
+    yield from _grid_agrees(Instance(UNDIRECTED, ids, edges, tau), f"random {i}", max_n)
 
-    def compare(inst: Instance, label: str) -> None:
-        nonlocal checked
-        checked += 1
-        dp = exact_min_target_vector(inst, limit=max_n)
-        grid = grid_min_target_vector(inst)
-        if dp.optimum != grid.optimum:
-            failures.append(f"{label}: order oracle {dp.optimum} != grid {grid.optimum}")
 
+def _grid_shapes(max_n: int) -> Iterator[tuple[Instance, str]]:
+    """Every graph up to max_n vertices, unit weights, all integer thresholds in 0..3."""
     for n in range(1, max_n + 1):
         ids = tuple(range(1, n + 1))
         pairs = list(itertools.combinations(ids, 2))
@@ -351,34 +308,31 @@ def check_otv_grid(instances: int = 300, max_n: int = 4, seed: int = 0) -> Check
             for tau_combo in itertools.product(range(4), repeat=n):
                 inst = Instance(UNDIRECTED, ids, edges,
                                 {v: Fraction(t) for v, t in zip(ids, tau_combo)})
-                compare(inst, f"n={n} edges={edge_mask} tau={tau_combo}")
-
-    rng = random.Random(seed)
-    for i in range(instances):
-        n = rng.randint(1, max_n)
-        ids = tuple(range(1, n + 1))
-        edges = tuple(
-            (u, v, Fraction(rng.randint(0, 3)))
-            for u, v in itertools.combinations(ids, 2)
-            if rng.random() < 0.6
-        )
-        tau = {v: Fraction(rng.randint(0, 3)) for v in ids}
-        compare(Instance(UNDIRECTED, ids, edges, tau), f"random {i}")
-    return CheckResult("otv-grid", checked, failures)
+                yield inst, f"n={n} edges={edge_mask} tau={tau_combo}"
 
 
-CHECKS = {
-    "degeneracy-oracle": check_degeneracy_oracle,
-    "algorithm-one": check_algorithm_one,
-    "otvw-degenerate": check_otvw_degenerate,
-    "two-level": check_two_level,
-    "min-or-full": check_min_or_full,
-    "prop1-preservation": check_tss_preservation,
-    "prop3-preservation": check_degenerate_preservation,
-    "bounds": check_bounds,
-    "bidirected": check_bidirected,
-    "kappa": check_kappa,
-    "otv-grid": check_otv_grid,
+def _grid_agrees(inst: Instance, label: str, max_n: int) -> Iterator[str]:
+    dp = exact_min_target_vector(inst, limit=max_n)
+    grid = grid_min_target_vector(inst)
+    if dp.optimum != grid.optimum:
+        yield f"{label}: order oracle {dp.optimum} != grid {grid.optimum}"
+
+
+_Sweep = Callable[[random.Random, int, int], Iterator[str]]
+
+# name -> (property, default instances, default max_n)
+CHECKS: dict[str, tuple[_Sweep, int, int]] = {
+    "degeneracy-oracle": (_degeneracy_oracle, 500, 12),
+    "algorithm-one": (_algorithm_one, 300, 10),
+    "otvw-degenerate": (_otvw_degenerate, 300, 9),
+    "two-level": (_two_level, 200, 9),
+    "min-or-full": (_min_or_full, 200, 9),
+    "prop1-preservation": (_tss_preservation, 100, 7),
+    "prop3-preservation": (_degenerate_preservation, 100, 6),
+    "bounds": (_bounds, 150, 8),
+    "bidirected": (_bidirected, 100, 8),
+    "kappa": (_kappa, 200, 10),
+    "otv-grid": (_otv_grid, 300, 4),
 }
 
 
@@ -386,14 +340,18 @@ def run_check(name: str, instances: int | None = None, max_n: int | None = None,
               seed: int | None = None) -> CheckResult:
     """Run a named sweep; omitted parameters use the sweep's own defaults."""
     try:
-        fn = CHECKS[name]
+        sweep, default_instances, default_max_n = CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}") from None
-    kwargs = {}
-    if instances is not None:
-        kwargs["instances"] = instances
-    if max_n is not None:
-        kwargs["max_n"] = max_n
-    if seed is not None:
-        kwargs["seed"] = seed
-    return fn(**kwargs)
+    instances = default_instances if instances is None else instances
+    max_n = default_max_n if max_n is None else max_n
+    failures: list[str] = []
+    checked = instances
+    if sweep is _otv_grid:
+        for inst, label in _grid_shapes(max_n):
+            checked += 1
+            failures.extend(_grid_agrees(inst, label, max_n))
+    rng = random.Random(0 if seed is None else seed)
+    for i in range(instances):
+        failures.extend(sweep(rng, i, max_n))
+    return CheckResult(name, checked, failures)

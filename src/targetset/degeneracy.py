@@ -98,28 +98,6 @@ def peel_ordering(instance: Instance) -> DegeneracyOrdering | NotDegenerate:
     return DegeneracyOrdering(tuple(verts[i] for i in reversed(slacks)), scaled)
 
 
-def slacks_along(instance: Instance, order) -> dict[int, Fraction]:
-    """Slack of each vertex along an explicit ordering.
-
-    Raises ValueError if the order is not a permutation of the vertices or
-    some slack comes out negative (i.e. it is not a degeneracy ordering).
-    """
-    order = tuple(order)
-    if len(order) != instance.n or set(order) != instance.vertex_set:
-        raise ValueError("order is not a permutation of the instance's vertices")
-    view = instance.compiled
-    earlier = [False] * instance.n
-    slacks: dict[int, int] = {}
-    for v in order:
-        i = view.position[v]
-        slack = view.tau[i] - sum(w for j, w in view.incoming[i] if earlier[j])
-        if slack < 0:
-            raise ValueError(f"not a degeneracy ordering: vertex {v} has slack {Fraction(slack, view.scale)}")
-        slacks[v] = slack
-        earlier[i] = True
-    return {v: Fraction(s, view.scale) for v, s in slacks.items()}
-
-
 def brute_degeneracy_check(instance: Instance, limit: int = BRUTE_LIMIT) -> bool:
     """Decide degeneracy by checking all 2^n - 1 induced subgraphs.
 

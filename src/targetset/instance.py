@@ -16,7 +16,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import OracleLimitError, ValidationError
 
 UNDIRECTED = "undirected"
 DIRECTED = "directed"
@@ -183,6 +183,14 @@ def _compile(mode, vertices, edges, weights, tau, scale) -> CompiledInstance:
     return CompiledInstance(scale, position, tuple(tau), incoming, out)
 
 
+# `_subset_weights` refuses instances above this many vertices, so that no
+# `--limit-n` can make an exhaustive oracle exhaust memory. Its tables hold
+# 4.2 M entries at n = 32: +32 MB peak RSS on an edgeless graph and +154 MB
+# on the complete graph with halves weights (+15 and +71 MB at n = 30;
+# Python 3.11). Enumerating 2^32 subsets takes far longer than any run.
+SUBSET_TABLE_CEILING = 32
+
+
 def _subset_weights(view: CompiledInstance) -> tuple[int, list[list[int]], list[list[int]]]:
     """The weight each position receives from every set of positions, in two halves.
 
@@ -193,9 +201,15 @@ def _subset_weights(view: CompiledInstance) -> tuple[int, list[list[int]], list[
     in a full bitmask `mask`. Each half table doubles once per position of
     its half, the new entries adding that position's weight to the old ones:
     n * (2**h + 2**(n - h)) entries in all. Not cached on the view, which
-    would keep them alive after the oracle that built them returns.
+    would keep them alive after the oracle that built them returns. Raises
+    OracleLimitError above `SUBSET_TABLE_CEILING` positions, before any table
+    is built.
     """
     n = len(view.tau)
+    if n > SUBSET_TABLE_CEILING:
+        raise OracleLimitError(
+            f"{n} vertices exceeds the subset-table ceiling of {SUBSET_TABLE_CEILING}"
+        )
     h = n // 2
     lo, hi = [], []
     for pairs in view.incoming:
@@ -290,33 +304,6 @@ def validate(instance: Instance) -> Violation | None:
         if tau[v].numerator < 0:
             return Violation("negative-threshold", f"vertex {v} has negative threshold {tau[v]}")
     return None
-
-
-def incident_weight_sum(instance: Instance, v: int, within) -> Fraction:
-    """Total weight on edges joining v to members of `within`.
-
-    Directed mode counts arcs into v coming from `within`.
-    """
-    view = instance.compiled
-    if v not in view.position:
-        raise ValueError(f"unknown vertex {v}")
-    verts = instance.vertices
-    total = sum(w for j, w in view.incoming[view.position[v]] if verts[j] in within)
-    return Fraction(total, view.scale)
-
-
-def induced_subinstance(instance: Instance, keep) -> Instance:
-    """Restrict to the vertices in `keep`; thresholds carry over unchanged."""
-    kept = frozenset(keep)
-    if not kept:
-        raise ValueError("cannot induce on an empty vertex set")
-    stray = kept - instance.vertex_set
-    if stray:
-        raise ValueError(f"unknown vertices in keep set: {sorted(stray)}")
-    verts = tuple(v for v in instance.vertices if v in kept)
-    edges = tuple((u, v, w) for u, v, w in instance.edges if u in kept and v in kept)
-    tau = {v: instance.tau[v] for v in verts}
-    return Instance(instance.mode, verts, edges, tau)
 
 
 def min_edge_weight(instance: Instance) -> Fraction:

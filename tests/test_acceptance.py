@@ -10,6 +10,22 @@ from targetset.wtg import parse_wtg, serialize_wtg
 
 from conftest import FIXTURES
 
+# Sweep -> (instances, max_n) for criteria 1-11, written out rather than read
+# from `checks.CHECKS`, whose defaults must equal them.
+SWEEPS = {
+    "degeneracy-oracle": (500, 12),
+    "algorithm-one": (300, 10),
+    "otvw-degenerate": (300, 9),
+    "two-level": (200, 9),
+    "min-or-full": (200, 9),
+    "prop1-preservation": (100, 7),
+    "prop3-preservation": (100, 6),
+    "bounds": (150, 8),
+    "bidirected": (100, 8),
+    "kappa": (200, 10),
+    "otv-grid": (300, 4),
+}
+
 
 def _report(number: int, result: checks.CheckResult) -> None:
     status = "PASS" if result.passed else "FAIL"
@@ -20,48 +36,57 @@ def _report(number: int, result: checks.CheckResult) -> None:
     assert result.passed, f"criterion {number} failed: {result.failures[:5]}"
 
 
+def _criterion(number: int, name: str) -> None:
+    instances, max_n = SWEEPS[name]
+    _report(number, checks.run_check(name, instances=instances, max_n=max_n, seed=0))
+
+
+def test_sweep_defaults_are_the_acceptance_values():
+    assert {name: (instances, max_n) for name, (_, instances, max_n) in checks.CHECKS.items()} == SWEEPS
+
+
 def test_criterion_01_degeneracy_soundness_completeness():
-    _report(1, checks.check_degeneracy_oracle(instances=500, max_n=12, seed=0))
+    _criterion(1, "degeneracy-oracle")
 
 
 def test_criterion_02_approximation_guarantee():
-    _report(2, checks.check_algorithm_one(instances=300, max_n=10, seed=0))
+    _criterion(2, "algorithm-one")
 
 
 def test_criterion_03_degenerate_vector_optimality():
-    _report(3, checks.check_otvw_degenerate(instances=300, max_n=9, seed=0))
+    _criterion(3, "otvw-degenerate")
 
 
 def test_criterion_04_two_level_solver():
-    _report(4, checks.check_two_level(instances=200, max_n=9, seed=0))
+    _criterion(4, "two-level")
 
 
 def test_criterion_05_min_or_full_solver():
-    _report(5, checks.check_min_or_full(instances=200, max_n=9, seed=0))
+    _criterion(5, "min-or-full")
 
 
 def test_criterion_06_complete_embedding_preservation():
-    _report(6, checks.check_tss_preservation(instances=100, max_n=7, seed=0))
+    _criterion(6, "prop1-preservation")
 
 
 def test_criterion_07_hub_embedding_preservation():
-    _report(7, checks.check_degenerate_preservation(instances=100, max_n=6, seed=0))
+    _criterion(7, "prop3-preservation")
 
 
 def test_criterion_08_bounds_sandwich():
-    _report(8, checks.check_bounds(instances=150, max_n=8, seed=0))
+    _criterion(8, "bounds")
 
 
 def test_criterion_09_directed_consistency():
-    _report(9, checks.check_bidirected(instances=100, max_n=8, seed=0))
+    _criterion(9, "bidirected")
 
 
 def test_criterion_10_kappa_equivalence():
-    _report(10, checks.check_kappa(instances=200, max_n=10, seed=0))
+    _criterion(10, "kappa")
 
 
 def test_criterion_11_vector_oracle_vs_grid_search():
-    _report(11, checks.check_otv_grid(instances=300, max_n=4, seed=0))
+    _criterion(11, "otv-grid")
 
 
 def test_criterion_12_toolkit_round_trip_and_determinism(tmp_path, capsys):

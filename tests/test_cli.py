@@ -7,6 +7,7 @@ import pytest
 
 from targetset import checks, solvers
 from targetset.cli import main
+from targetset.instance import SUBSET_TABLE_CEILING
 from targetset import parse_wtg, serialize_wtg, build_instance, UNDIRECTED
 
 
@@ -169,6 +170,15 @@ def test_target_vector_ceiling_beats_limit_override(tmp_path, capsys):
     assert "limit of 22" in err
 
 
+def test_target_set_oracle_above_the_subset_table_ceiling(tmp_path, capsys):
+    n = SUBSET_TABLE_CEILING + 1
+    edgeless = tmp_path / "edgeless.wtg"
+    edgeless.write_text(serialize_wtg(build_instance(UNDIRECTED, n, [], 0)))
+    code, out, err = run(capsys, "oracle", "target-set", str(edgeless), "--limit-n", str(n))
+    assert (code, out) == (4, "")
+    assert err == f"oracle limit: {n} vertices exceeds the subset-table ceiling of {n - 1}\n"
+
+
 def test_target_vector_oracle_past_its_default_limit(tmp_path, capsys):
     # n = 14 is above the dynamic program's default limit of 9, so the
     # closed-set search answers; every vertex gets a `p` line.
@@ -278,9 +288,9 @@ def test_unknown_check_exits_1(capsys):
 
 
 def test_value_error_inside_a_sweep_is_not_a_usage_error(capsys, monkeypatch):
-    def broken(**kwargs):
+    def broken(rng, i, max_n):
         raise ValueError("sweep bug")
-    monkeypatch.setitem(checks.CHECKS, "kappa", broken)
+    monkeypatch.setitem(checks.CHECKS, "kappa", (broken, 5, 6))
     code, _, err = run(capsys, "check", "kappa")
     assert code == 2
     assert err == "error: sweep bug\n"

@@ -15,13 +15,24 @@ from targetset import (
     brute_degeneracy_check,
     build_instance,
     generate,
-    incident_weight_sum,
     is_target_set,
     kappa_complement_check,
     near_saturation_check,
     peel_ordering,
-    slacks_along,
 )
+from targetset.instance import SUBSET_TABLE_CEILING
+
+
+def _weight_within(instance, v, within):
+    """Weight on the edges joining v to members of `within` (undirected)."""
+    return sum((w for a, b, w in instance.edges if v in (a, b) and (b if a == v else a) in within),
+               start=Fraction(0))
+
+
+def _slacks_along(instance, order):
+    """Each vertex's threshold minus its weight from earlier vertices in `order`."""
+    return {v: instance.tau[v] - _weight_within(instance, v, order[:k])
+            for k, v in enumerate(order)}
 
 
 def path3(tau=1):
@@ -45,7 +56,7 @@ def test_peel_unit_triangle_reports_the_stuck_set():
     assert got.stuck == {1, 2, 3}
     # the witness itself violates the degeneracy condition
     assert all(
-        triangle().tau[v] < incident_weight_sum(triangle(), v, got.stuck)
+        triangle().tau[v] < _weight_within(triangle(), v, got.stuck)
         for v in got.stuck
     )
 
@@ -73,6 +84,12 @@ def test_brute_check_respects_its_limit():
         brute_degeneracy_check(build_instance(UNDIRECTED, 5, [], 1), limit=4)
 
 
+def test_brute_check_refuses_more_vertices_than_the_subset_table_ceiling():
+    n = SUBSET_TABLE_CEILING + 1
+    with pytest.raises(OracleLimitError, match="subset-table ceiling"):
+        brute_degeneracy_check(build_instance(UNDIRECTED, n, [], 1), limit=n)
+
+
 def test_peel_matches_brute_check_on_random_instances():
     rng = random.Random(7)
     for _ in range(60):
@@ -92,14 +109,7 @@ def test_slack_identity_covers_every_edge_once():
         covered = sum((inst.tau[v] - got.slacks[v] for v in inst.vertices),
                       start=Fraction(0))
         assert covered == inst.total_weight
-        assert slacks_along(inst, got.order) == got.slacks
-
-
-def test_slacks_along_rejects_bad_orders():
-    with pytest.raises(ValueError):
-        slacks_along(triangle(1), (1, 2, 3))
-    with pytest.raises(ValueError):
-        slacks_along(path3(), (1, 2))
+        assert _slacks_along(inst, got.order) == got.slacks
 
 
 def test_near_saturation_examples():

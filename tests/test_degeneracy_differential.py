@@ -1,11 +1,10 @@
 """Integer peeling against the Fraction implementation it replaced.
 
-`_peel_ordering` and `_slacks_along` below are the former Fraction
-implementations of `peel_ordering` and `slacks_along`, kept as the
-reference. The only edits: the in-adjacency, the incident totals and the
-incident weight sum they read are built here by `_in_adjacency`,
-`_incident_totals` and `_incident_weight_sum`, all in Fractions, because
-the library now derives them from the integer view.
+`_peel_ordering` below is the former Fraction implementation of
+`peel_ordering`, kept as the reference. The only edit: the in-adjacency and
+the incident totals it reads are built here by `_in_adjacency` and
+`_incident_totals`, in Fractions, because the library now derives them from
+the integer view.
 """
 
 from fractions import Fraction
@@ -18,7 +17,6 @@ from targetset import (
     Instance,
     NotDegenerate,
     peel_ordering,
-    slacks_along,
 )
 
 
@@ -34,14 +32,6 @@ def _in_adjacency(instance):
 def _incident_totals(instance):
     adj = _in_adjacency(instance)
     return {v: sum((w for _, w in adj[v]), start=Fraction(0)) for v in instance.vertices}
-
-
-def _incident_weight_sum(instance, v, within):
-    total = Fraction(0)
-    for u, w in _in_adjacency(instance)[v]:
-        if u in within:
-            total += w
-    return total
 
 
 def _peel_ordering(instance: Instance):
@@ -68,21 +58,6 @@ def _peel_ordering(instance: Instance):
     return DegeneracyOrdering(tuple(reversed(deletion)), slacks)
 
 
-def _slacks_along(instance: Instance, order) -> dict[int, Fraction]:
-    order = tuple(order)
-    if len(order) != instance.n or set(order) != instance.vertex_set:
-        raise ValueError("order is not a permutation of the instance's vertices")
-    earlier: set[int] = set()
-    slacks: dict[int, Fraction] = {}
-    for v in order:
-        slack = instance.tau[v] - _incident_weight_sum(instance, v, earlier)
-        if slack < 0:
-            raise ValueError(f"not a degeneracy ordering: vertex {v} has slack {slack}")
-        slacks[v] = slack
-        earlier.add(v)
-    return slacks
-
-
 # Weights include 0 and use denominators 7, 9 and 11, so the scale is a
 # product of coprime factors; thresholds include 0 and reach past a typical
 # incident sum, so both peeling outcomes occur often.
@@ -100,13 +75,6 @@ def _instances(draw):
     return Instance(UNDIRECTED, tuple(ids), edges, tau)
 
 
-def _outcome(call, *args):
-    try:
-        return call(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
 @given(st.data())
 @settings(max_examples=400, deadline=None)
 def test_peeling_matches_reference(data):
@@ -116,15 +84,3 @@ def test_peeling_matches_reference(data):
     assert got == reference
     if isinstance(got, DegeneracyOrdering):
         assert list(got.slacks.items()) == list(reference.slacks.items())
-        assert slacks_along(inst, got.order) == _slacks_along(inst, got.order)
-
-
-@given(st.data())
-@settings(max_examples=400, deadline=None)
-def test_slacks_along_matches_reference(data):
-    inst = data.draw(_instances())
-    order = data.draw(st.permutations(inst.vertices))
-    got = _outcome(slacks_along, inst, order)
-    assert got == _outcome(_slacks_along, inst, order)
-    if isinstance(got, dict):
-        assert list(got) == list(order)

@@ -1,4 +1,4 @@
-"""Instance model: rational parsing, validation, sums, restriction."""
+"""Instance model: rational parsing, validation, sums."""
 
 import pickle
 import re
@@ -16,8 +16,6 @@ from targetset import (
     ValidationError,
     build_instance,
     generate,
-    incident_weight_sum,
-    induced_subinstance,
     min_edge_weight,
     parse_rational,
     tss_to_complete,
@@ -164,52 +162,6 @@ def triangle(tau=1):
     return build_instance(UNDIRECTED, 3, [(1, 2), (1, 3), (2, 3)], tau)
 
 
-def test_incident_weight_sum_triangle():
-    assert incident_weight_sum(triangle(), 1, {1, 2, 3}) == 2
-
-
-def test_incident_weight_sum_self_only():
-    assert incident_weight_sum(triangle(), 2, {2}) == 0
-
-
-def test_incident_weight_sum_partial():
-    path = build_instance(UNDIRECTED, 3, [(1, 2), (2, 3)], 1)
-    assert incident_weight_sum(path, 2, {1, 2}) == 1
-
-
-def test_incident_weight_sum_directed_counts_incoming_only():
-    arc = build_instance(DIRECTED, 2, [(1, 2)], 1)
-    assert incident_weight_sum(arc, 2, {1, 2}) == 1
-    assert incident_weight_sum(arc, 1, {1, 2}) == 0
-
-
-def test_incident_weight_sum_unknown_vertex():
-    with pytest.raises(ValueError):
-        incident_weight_sum(triangle(), 9, {1, 2})
-
-
-def test_induced_identity():
-    inst = triangle()
-    assert induced_subinstance(inst, {1, 2, 3}) == inst
-
-
-def test_induced_drops_edges():
-    sub = induced_subinstance(triangle(), {1, 2})
-    assert sub.vertices == (1, 2)
-    assert sub.edges == ((1, 2, Fraction(1)),)
-
-
-def test_induced_can_be_edgeless():
-    path = build_instance(UNDIRECTED, 3, [(1, 2), (2, 3)], 1)
-    sub = induced_subinstance(path, {1, 3})
-    assert sub.edges == ()
-
-
-def test_induced_empty_keep_rejected():
-    with pytest.raises(ValueError):
-        induced_subinstance(triangle(), set())
-
-
 def test_min_edge_weight_examples():
     weighted = build_instance(UNDIRECTED, 3, [(1, 2, 3), (2, 3, 3), (1, 3, 1)], 1)
     assert min_edge_weight(weighted) == 1
@@ -229,17 +181,5 @@ def test_min_edge_weight_of_complete_embedding_image():
 @settings(max_examples=40, deadline=None)
 def test_handshake_identity(seed):
     inst = generate(GenSpec(n=seed % 8 + 1, seed=seed))
-    total = sum(
-        (incident_weight_sum(inst, v, inst.vertex_set) for v in inst.vertices),
-        start=Fraction(0),
-    )
+    total = sum(inst.incident_totals.values(), start=Fraction(0))
     assert total == 2 * inst.total_weight
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_induced_is_idempotent(seed):
-    inst = generate(GenSpec(n=seed % 7 + 2, seed=seed))
-    keep = frozenset(v for v in inst.vertices if (seed >> v) & 1) or frozenset({1})
-    once = induced_subinstance(inst, keep)
-    assert induced_subinstance(once, keep) == once

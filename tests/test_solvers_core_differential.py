@@ -5,7 +5,8 @@
 call, are the former implementations, kept verbatim as the reference: they
 rebuild `Instance`s and add Fractions. So are `connected_components`, the
 former dict-of-sets search, and `kappa_complement_check`, which peeled an
-induced copy of the complement.
+induced copy of the complement. `induced_subinstance` and `slacks_along`
+are the former public helpers those call.
 """
 
 from fractions import Fraction
@@ -23,11 +24,9 @@ from targetset import (
     canonical_edges,
     degeneracy,
     incentive_cost,
-    induced_subinstance,
     is_target_vector,
     min_edge_weight,
     peel_ordering,
-    slacks_along,
     solvers,
 )
 from targetset.instance import is_connected as library_is_connected
@@ -36,6 +35,29 @@ from targetset.solvers import SolveReport
 
 
 # ------------------------------------------------------------ the reference
+
+def induced_subinstance(instance: Instance, keep) -> Instance:
+    """Restrict to the vertices in `keep`; thresholds carry over unchanged."""
+    kept = frozenset(keep)
+    verts = tuple(v for v in instance.vertices if v in kept)
+    edges = tuple((u, v, w) for u, v, w in instance.edges if u in kept and v in kept)
+    return Instance(instance.mode, verts, edges, {v: instance.tau[v] for v in verts})
+
+
+def slacks_along(instance: Instance, order) -> dict[int, Fraction]:
+    """Slack of each vertex along an ordering of an undirected instance."""
+    earlier: set[int] = set()
+    slacks: dict[int, Fraction] = {}
+    for v in order:
+        back = sum((w for a, b, w in instance.edges
+                    if v in (a, b) and (b if a == v else a) in earlier), start=Fraction(0))
+        slack = instance.tau[v] - back
+        if slack < 0:
+            raise ValueError(f"not a degeneracy ordering: vertex {v} has slack {slack}")
+        slacks[v] = slack
+        earlier.add(v)
+    return slacks
+
 
 def connected_components(instance: Instance):
     """Components of the underlying undirected graph, sorted by smallest member."""
