@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .errors import OracleLimitError, ValidationError
 

@@ -47,44 +47,95 @@ class OracleResult:
 
 
 def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> OracleResult:
-    """Smallest seed set that activates everything, by ascending subset size.
+    """Lexicographically smallest minimum seed set, by a depth-first branch and bound.
 
-    Seeds of each size are tried in lexicographic order, so the witness is
-    the lexicographically smallest optimal seed. Works in both modes. Each
-    candidate's closure runs in rounds on bitmasks: a round adds every
-    inactive vertex whose weight from the active set, two table lookups,
-    reaches its threshold. That is at most n rounds of n lookups for each
-    of up to 2^n candidates.
+    Works in both modes. The search runs on an explicit stack over bitmasks
+    of the positions 0..n-1. A node holds the next position to decide, the
+    seed taken so far, the seed's closure and its size; it takes the
+    position before it leaves it out. Closure is monotone, which makes four
+    cuts sound:
+
+    - success: a seed whose closure is everything ends its branch;
+    - size bound: a branch stops once its size plus one reaches the best
+      seed found, since it can only find seeds at least that large;
+    - skip: a position inside the current closure is never taken, since
+      taking it leaves the closure as it is, so a seed holding it is not
+      minimum (this covers tau = 0);
+    - feasibility: leaving a position out is tried only if the closure of
+      the current closure plus every later position outside it is
+      everything (a threshold above the vertex's incoming total puts it in
+      every seed).
+
+    A minimum seed meets none of the skip, feasibility and success cuts on
+    its own path. Taking before leaving out visits the seeds of one size in
+    lexicographic order, and the size bound keeps only strictly smaller
+    seeds once one is found, so the witness is the lexicographically
+    smallest minimum seed. `explored` counts the nodes popped from the
+    stack.
     """
     n = instance.n
     if n > limit:
         raise OracleLimitError(f"{n} vertices exceeds the target-set oracle limit of {limit}")
     view = instance.compiled
+    thresholds = view.tau
     h, lo, hi = _subset_weights(view)
-    low_mask = (1 << h) - 1
+    raises = _raises(view)
     everyone = (1 << n) - 1
-    bits = [1 << i for i in range(n)]
-    positions = list(zip(bits, lo, hi, view.tau))
+    best, found = n + 1, 0
+    stack = [(0, 0, _close(lo, hi, thresholds, raises, h, 0, everyone), 0)]
     explored = 0
-    for k in range(n + 1):
-        for combo in itertools.combinations(bits, k):
-            explored += 1
-            active = sum(combo)
-            while True:
-                s, t = active & low_mask, active >> h
-                reached = 0
-                for bit, lo_i, hi_i, tau_i in positions:
-                    if not active & bit and lo_i[s] + hi_i[t] >= tau_i:
-                        reached |= bit
-                if not reached:
-                    break
-                active |= reached
-            if active == everyone:
-                witness = frozenset(instance.vertices[bit.bit_length() - 1] for bit in combo)
-                if not is_target_set(instance, witness):
-                    raise VerificationError("oracle witness failed engine verification")
-                return OracleResult(k, witness, explored)
-    raise RuntimeError("unreachable: the full vertex set always activates everything")
+    while stack:
+        i, seed, closed, size = stack.pop()
+        explored += 1
+        if closed == everyone:
+            # Only a take can succeed, as a leave-out keeps its parent's
+            # closure. It is popped right after its parent pushed it below
+            # the bound, so it is smaller than the best.
+            best, found = size, seed
+            continue
+        if size + 1 >= best:
+            continue
+        # The closure of the closure plus every later position outside it is
+        # everything at every node, so a position outside remains.
+        while closed >> i & 1:
+            i += 1
+        bit = 1 << i
+        later = everyone >> (i + 1) << (i + 1) & ~closed
+        if _close(lo, hi, thresholds, raises, h, closed | later,
+                  everyone & ~(closed | later)) == everyone:
+            stack.append((i + 1, seed, closed, size))
+        stack.append((i + 1, seed | bit, _close(lo, hi, thresholds, raises, h, closed | bit,
+                                                raises[i] & ~closed), size + 1))
+    witness = frozenset(v for i, v in enumerate(instance.vertices) if found >> i & 1)
+    if not is_target_set(instance, witness):
+        raise VerificationError("oracle witness failed engine verification")
+    return OracleResult(best, witness, explored)
+
+
+def _raises(view: CompiledInstance) -> list[int]:
+    """Per position, the bitmask of positions whose received weight its activation raises."""
+    return [sum(1 << j for j, w in pairs if w) for pairs in view.out]
+
+
+def _close(lo: list[list[int]], hi: list[list[int]], thresholds: tuple[int, ...],
+           raises: list[int], h: int, active: int, todo: int) -> int:
+    """The closure of the bitmask `active`, given every inactive position that may activate.
+
+    `todo` holds the positions outside `active` whose received weight may
+    now reach their threshold; lo and hi are `_subset_weights` tables and
+    `raises` comes from `_raises`. Activation only raises weights, so one
+    pass over a worklist of positions whose weight went up reaches the
+    closure in any order.
+    """
+    low_mask = (1 << h) - 1
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        j = bit.bit_length() - 1
+        if lo[j][active & low_mask] + hi[j][active >> h] >= thresholds[j]:
+            active |= bit
+            todo |= raises[j] & ~active
+    return active
 
 
 def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT) -> OracleResult:
@@ -224,22 +275,8 @@ def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
     everyone = (1 << n) - 1
     budget = int((1 << n) * _SEARCH_BUDGET)
     excess = [t - s if t > s else 0 for t, s in zip(thresholds, view.totals)]
-    # Positions whose received weight a position's activation raises.
-    raises = [sum(1 << j for j, w in pairs if w) for pairs in view.out]
-
-    def close(active: int, todo: int) -> int:
-        # Activation only raises weights, so one pass over a worklist of
-        # positions whose weight went up reaches the closure in any order.
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            j = bit.bit_length() - 1
-            if lo[j][active & low_mask] + hi[j][active >> h] >= thresholds[j]:
-                active |= bit
-                todo |= raises[j] & ~active
-        return active
-
-    start = close(0, everyone)
+    raises = _raises(view)
+    start = _close(lo, hi, thresholds, raises, h, 0, everyone)
     rest = sum(excess)
     stored = {start: (0, None, -1)}
     # (cost + estimate, estimate, set): of equal totals, the set with the
@@ -264,7 +301,7 @@ def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
             i = bit.bit_length() - 1
             # i's deficit, positive because S is closed and i is outside it.
             step = cost + thresholds[i] - lo[i][s] - hi[i][t]
-            nxt = close(mask | bit, raises[i] & ~mask)
+            nxt = _close(lo, hi, thresholds, raises, h, mask | bit, raises[i] & ~mask)
             old = stored.get(nxt)
             if old is not None and step >= old[0]:
                 continue

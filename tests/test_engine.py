@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from targetset import (
-    DIRECTED,
     UNDIRECTED,
     GenSpec,
     Instance,

@@ -1,7 +1,6 @@
 """Exhaustive oracles: frozen examples, limits, and mutual consistency."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -46,6 +45,24 @@ def test_min_target_set_directed_arc():
     assert not is_target_set(arc, {2})
 
 
+def test_target_set_search_takes_one_branch_when_nothing_spreads():
+    # Leaving a vertex out can never succeed, so the search is one chain of
+    # takes: the root and 18 nodes. Enumeration by size tries all 2^18 seeds.
+    result = exact_min_target_set(build_instance(UNDIRECTED, 18, [], 1))
+    assert result.optimum == 18 and result.explored <= 19
+
+
+def test_target_set_search_on_a_saturated_path():
+    # tau = incident weight: a vertex activates once all its neighbours are
+    # active, so the minimum seeds are the minimum vertex covers.
+    n = 16
+    path = build_instance(UNDIRECTED, n, [(i, i + 1) for i in range(1, n)],
+                          [1] + [2] * (n - 2) + [1])
+    result = exact_min_target_set(path)
+    assert result.optimum == 8 and result.witness == set(range(1, n, 2))
+    assert result.explored < 2000  # enumeration by size tries 30,415 seeds
+
+
 def test_oracle_limits():
     big = build_instance(UNDIRECTED, 6, [], 0)
     with pytest.raises(OracleLimitError):
@@ -83,7 +100,11 @@ def test_oracles_on_directed_two_cycle():
     vec = exact_min_target_vector(cycle)
     assert vec == OracleResult(2, {1: 1, 2: 1}, 4)
     assert list(vec.witness) == [1, 2]
-    assert exact_min_target_set(cycle) == OracleResult(1, {2}, 3)
+    # The target-set search pops five nodes: the root (closure empty); the
+    # seed {1} (closure {1}; leaving 2 out cannot succeed); the seed {1, 2},
+    # which succeeds with size 2; the root's leave-out branch (the closure of
+    # {2} is everything); and the seed {2}, which succeeds with size 1.
+    assert exact_min_target_set(cycle) == OracleResult(1, {2}, 5)
 
 
 def test_target_vector_tie_ends_at_largest_position():

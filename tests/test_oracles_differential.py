@@ -8,8 +8,9 @@ per transition, a scan of every member pair per induced subgraph, and a
 recursive branch and bound over the uncovered edges. Only their size-limit
 checks are left out. The subset-table oracles must return the same optimum,
 the same witness in the same order, the same `explored` count and the same
-verdict. The vertex-cover search counts its nodes differently, so there only
-the optimum and the witness must agree.
+verdict. The vertex-cover search and the target-set branch and bound count
+their nodes differently, so there only the optimum and the witness must
+agree.
 
 Above the target-vector oracle's default limit, its closed-set search is
 checked against the subset dynamic program it runs in front of: the same
@@ -203,10 +204,29 @@ def test_target_vector_matches_reference(inst):
     assert list(got.witness.items()) == list(reference.witness.items())
 
 
-@given(_instances())
+@st.composite
+def _seed_instances(draw):
+    # Moves some thresholds to 0, to the incoming total or above it, where
+    # the target-set search's skip and feasibility cuts apply.
+    inst = draw(_instances())
+    totals = dict.fromkeys(inst.vertices, Fraction(0))
+    for u, v, w in inst.edges:
+        totals[v] += w
+        if inst.mode == UNDIRECTED:
+            totals[u] += w
+    tau = {v: draw(st.sampled_from((t, Fraction(0), totals[v], totals[v] + Fraction(1, 7))))
+           for v, t in inst.tau.items()}
+    return Instance(inst.mode, inst.vertices, inst.edges, tau)
+
+
+@given(_seed_instances())
 @settings(max_examples=300, deadline=None)
 def test_target_set_matches_reference(inst):
-    assert exact_min_target_set(inst) == _exact_min_target_set(inst)
+    # The branch and bound counts its nodes, at most the 2^(n+1) - 1 of the
+    # full binary tree over the n positions, where the reference counts seeds.
+    got, reference = exact_min_target_set(inst), _exact_min_target_set(inst)
+    assert (got.optimum, got.witness) == (reference.optimum, reference.witness)
+    assert got.explored <= 2 ** (inst.n + 1) - 1
 
 
 @given(_instances(modes=(UNDIRECTED,)))
