@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .errors import OracleLimitError, PreconditionError
 from .instance import (
@@ -50,8 +50,8 @@ def _require_undirected(instance: Instance, what: str) -> None:
         raise PreconditionError(f"{what} is defined for undirected instances only")
 
 
-def _peel(view: CompiledInstance, verts, tau, residual, alive, masked=(-1, -1)) -> dict[int, int]:
-    """Greedy reverse peeling of the `alive` positions, smallest vertex id first.
+def _peel(view: CompiledInstance, tau, residual, alive, masked=(-1, -1)) -> dict[int, int]:
+    """Greedy reverse peeling of the `alive` positions, smallest position (so id) first.
 
     `residual[i]` is the weight position i receives from live positions; the
     edge between the two `masked` positions, if any, counts as deleted. Both
@@ -61,14 +61,13 @@ def _peel(view: CompiledInstance, verts, tau, residual, alive, masked=(-1, -1)) 
     and a position stays eligible once it is: a min-heap enters each one
     once, O((n + m) log n).
     """
-    incoming, position = view.incoming, view.position
+    incoming = view.incoming
     queued = [live and t >= r for live, t, r in zip(alive, tau, residual)]
-    eligible = [v for v, q in zip(verts, queued) if q]
-    heapify(eligible)
+    eligible = [i for i, q in enumerate(queued) if q]  # ascending, so already a heap
     a, b = masked
     slacks: dict[int, int] = {}
     while eligible:
-        pick = position[heappop(eligible)]
+        pick = heappop(eligible)
         slacks[pick] = tau[pick] - residual[pick]
         alive[pick] = False
         skip = b if pick == a else a if pick == b else -1
@@ -77,7 +76,7 @@ def _peel(view: CompiledInstance, verts, tau, residual, alive, masked=(-1, -1)) 
                 residual[j] -= w
                 if not queued[j] and tau[j] >= residual[j]:
                     queued[j] = True
-                    heappush(eligible, verts[j])
+                    heappush(eligible, j)
     return slacks
 
 
@@ -91,7 +90,7 @@ def peel_ordering(instance: Instance) -> DegeneracyOrdering | NotDegenerate:
     _require_undirected(instance, "degeneracy")
     view, verts = instance.compiled, instance.vertices
     alive = [True] * instance.n
-    slacks = _peel(view, verts, view.tau, list(view.totals), alive)
+    slacks = _peel(view, view.tau, list(view.totals), alive)
     if len(slacks) < instance.n:
         return NotDegenerate(frozenset(v for v, live in zip(verts, alive) if live))
     scaled = {verts[i]: Fraction(s, view.scale) for i, s in slacks.items()}
@@ -168,5 +167,5 @@ def kappa_complement_check(instance: Instance, target) -> bool:
     alive = [v not in target for v in instance.vertices]
     kappa = [len(pairs) * view.scale - t for pairs, t in zip(view.incoming, view.tau)]
     residual = [sum(w for j, w in pairs if alive[j]) for pairs in view.incoming]
-    _peel(view, instance.vertices, kappa, residual, alive)
+    _peel(view, kappa, residual, alive)
     return not any(alive)

@@ -37,7 +37,7 @@ class ActivationTrace:
 def build_incentives(instance: Instance, values) -> dict[int, Fraction]:
     """Coerce `values` into a full per-vertex incentive map.
 
-    Accepts a map (missing vertices get 0), a sequence in vertex order,
+    Accepts a map (missing vertices get 0), a sequence in ascending id order,
     or a single value broadcast to every vertex.
     """
     if isinstance(values, Mapping):

@@ -74,6 +74,9 @@ def _thresholds(rng: random.Random, spec: GenSpec, instance_edges, n) -> dict[in
         degrees[v] += 1
         mu = w if mu is None or w < mu else mu
     policy = spec.tau_policy
+    fixed = parse_rational(spec.fixed_tau) if policy == "fixed" else 0
+    if fixed < 0:
+        raise ValueError(f"fixed threshold {fixed} is negative")
     tau: dict[int, Fraction] = {}
     for v in range(1, n + 1):
         if policy == "uniform":
@@ -81,7 +84,7 @@ def _thresholds(rng: random.Random, spec: GenSpec, instance_edges, n) -> dict[in
         elif policy == "capped":
             tau[v] = totals[v] * Fraction(rng.randint(0, 8), 8)
         elif policy == "fixed":
-            tau[v] = parse_rational(spec.fixed_tau)
+            tau[v] = fixed
         elif policy == "two-level":
             if mu is None:
                 raise ValueError("two-level thresholds need at least one edge")

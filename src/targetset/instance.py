@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import gt
 from types import MappingProxyType
 from typing import Mapping
 
@@ -21,7 +22,6 @@ from .errors import OracleLimitError, ValidationError
 UNDIRECTED = "undirected"
 DIRECTED = "directed"
 
-Rational = Fraction
 Edge = tuple[int, int, Fraction]
 VertexSet = frozenset[int]
 
@@ -66,6 +66,7 @@ class Instance:
     is an arc from u to v: its weight counts toward activating v only.
     Construction checks every invariant (see `validate`) and raises
     ValidationError on the first violation, so every Instance is valid.
+    `vertices` is stored ascending, so position i is the i-th smallest id.
     `vertices` and `edges` are stored as tuples and `tau` is copied into a
     read-only mapping, so instances are immutable and hashable, and can be
     shared freely across workers.
@@ -87,6 +88,9 @@ class Instance:
         violation = validate(self)
         if violation is not None:
             raise ValidationError(violation)
+        # After `validate`, so a non-int id is a bad-vertex-id; copied only when out of order.
+        if any(map(gt, self.vertices, self.vertices[1:])):
+            object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
 
     @classmethod
     def _from_checked(cls, mode, vertices, edges, tau, weights, tau_ints, scale) -> Instance:
@@ -148,9 +152,9 @@ class CompiledInstance:
 
     Every weight and threshold is multiplied by `scale`, the LCM of all their
     denominators, so the values here are exact integers. Position i stands
-    for `instance.vertices[i]`; `incoming[i]` lists the (position, weight)
-    pairs that can influence it and `out[i]` those it can influence. The
-    lists are shared by every caller and must be treated as read-only.
+    for `instance.vertices[i]`, the i-th smallest id; `incoming[i]` lists
+    the (position, weight) pairs that can influence it and `out[i]` those
+    it can influence. The lists are shared and must be treated as read-only.
     """
 
     scale: int
@@ -231,7 +235,7 @@ def build_instance(mode: str, vertices, edges=(), tau=0) -> Instance:
 
     vertices: an int n (meaning ids 1..n) or an iterable of ids.
     edges: (u, v) pairs (weight 1) or (u, v, weight) triples.
-    tau: one value for every vertex, a sequence in vertex order, or a map.
+    tau: one value for every vertex, a sequence in listing order, or a map.
     """
     if isinstance(vertices, int):
         ids = tuple(range(1, vertices + 1))
@@ -350,7 +354,8 @@ def connected_components(instance: Instance) -> list[VertexSet]:
     members: dict[int, list[int]] = {}
     for v, s in zip(instance.vertices, label):
         members.setdefault(s, []).append(v)
-    return sorted(map(frozenset, members.values()), key=min)
+    # Each label is its component's smallest position, met in ascending order.
+    return list(map(frozenset, members.values()))
 
 
 def is_connected(instance: Instance) -> bool:

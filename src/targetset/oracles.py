@@ -50,10 +50,10 @@ def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> O
     """Lexicographically smallest minimum seed set, by a depth-first branch and bound.
 
     Works in both modes. The search runs on an explicit stack over bitmasks
-    of the positions 0..n-1. A node holds the next position to decide, the
-    seed taken so far, the seed's closure and its size; it takes the
-    position before it leaves it out. Closure is monotone, which makes four
-    cuts sound:
+    of the positions 0..n-1, which ascend with the ids. A node holds the
+    next position to decide, the seed taken so far, the seed's closure and
+    its size; it takes the position before it leaves it out. Closure is
+    monotone, which makes four cuts sound:
 
     - success: a seed whose closure is everything ends its branch;
     - size bound: a branch stops once its size plus one reaches the best
@@ -150,7 +150,7 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
 
     Up to `TARGET_VECTOR_LIMIT` vertices a dynamic program over all vertex
     subsets finds it (`_subset_dp`). Of the optimal orders, the witness
-    follows the one whose every last vertex has the largest position, and
+    follows the one whose every last vertex has the largest id, and
     `explored` is n * 2^(n-1), the number of (set, last vertex) pairs.
 
     Above that limit a best-first search over the sets closed under free
@@ -232,8 +232,8 @@ def _subset_dp(view: CompiledInstance, h: int, lo: list[list[int]],
         return d if d > 0 else 0
 
     # Walk back from the full set. Of the last vertices that reach a set's
-    # optimum, take the largest position: that rule fixes which optimal
-    # order, and so which witness, the reports print.
+    # optimum, take the largest position, so the largest id: that rule fixes
+    # which optimal order, and so which witness, the reports print.
     steps: list[tuple[int, int]] = []
     mask = (1 << n) - 1
     while mask:
@@ -455,13 +455,9 @@ def exact_min_vertex_cover(instance: Instance, limit: int = VERTEX_COVER_LIMIT) 
     n = instance.n
     if n > limit:
         raise OracleLimitError(f"{n} vertices exceeds the vertex-cover oracle limit of {limit}")
-    ids = sorted(instance.vertices)
-    position = {v: i for i, v in enumerate(ids)}
-    adj = [0] * n
-    for u, v, _ in instance.edges:
-        i, j = position[u], position[v]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    view = instance.compiled
+    adj = [sum(1 << j for j, _ in out) | sum(1 << j for j, _ in inc)
+           for out, inc in zip(view.out, view.incoming)]
     alive = (1 << n) - 1
     # All n vertices always cover, so a cover below n + 1 is always found;
     # one as small as the matching bound is a minimum one.
@@ -489,7 +485,7 @@ def exact_min_vertex_cover(instance: Instance, limit: int = VERTEX_COVER_LIMIT) 
             chosen |= nbrs
             left -= nbrs.bit_count()
             alive &= ~nbrs
-    witness: VertexSet = frozenset(v for i, v in enumerate(ids) if chosen >> i & 1)
+    witness: VertexSet = frozenset(v for i, v in enumerate(instance.vertices) if chosen >> i & 1)
     if len(witness) != optimum or any(u not in witness and v not in witness
                                       for u, v, _ in instance.edges):
         raise VerificationError("oracle witness is not a vertex cover")

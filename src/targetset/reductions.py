@@ -54,7 +54,7 @@ def tss_to_complete(source: Instance) -> ReductionReceipt:
     big = Fraction(n)
     edges = tuple(
         (u, v, big if (u, v) in present else Fraction(1))
-        for u, v in combinations(sorted(source.vertices), 2)
+        for u, v in combinations(source.vertices, 2)
     )
     tau = {v: big * source.tau[v] for v in source.vertices}
     image = Instance(UNDIRECTED, source.vertices, edges, tau)
@@ -92,9 +92,9 @@ def degenerate_to_complete(source: Instance) -> ReductionReceipt:
     big = Fraction(n)
     edges = [
         (u, v, big if (u, v) in present else Fraction(1))
-        for u, v in combinations(sorted(source.vertices), 2)
+        for u, v in combinations(source.vertices, 2)
     ]
-    edges.extend((v, hub, big) for v in sorted(source.vertices))
+    edges.extend((v, hub, big) for v in source.vertices)
     tau = {v: big * source.tau[v] + big for v in source.vertices}
     tau[hub] = big * big
     image = Instance(UNDIRECTED, source.vertices + (hub,), tuple(edges), tau)

@@ -8,8 +8,6 @@ time: the CLI appends one to report commands run without `--deterministic`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .degeneracy import DegeneracyOrdering, NotDegenerate
 from .engine import ActivationTrace
 from .instance import Violation, format_rational
@@ -80,7 +78,7 @@ def oracle_report_text(problem: str, result: OracleResult) -> str:
     lines = [
         "report oracle",
         f"problem {problem}",
-        f"optimum {format_rational(result.optimum) if isinstance(result.optimum, Fraction) else result.optimum}",
+        f"optimum {format_rational(result.optimum)}",
     ]
     if isinstance(result.witness, dict):
         for v in sorted(result.witness):

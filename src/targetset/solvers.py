@@ -89,9 +89,9 @@ def _peel_or_fail(instance: Instance, residual: list[int], masked=(-1, -1)) -> t
     _require_undirected(instance, "degeneracy")
     view, verts = instance.compiled, instance.vertices
     alive = [True] * instance.n
-    slacks = _peel(view, verts, view.tau, residual, alive, masked)
+    slacks = _peel(view, view.tau, residual, alive, masked)
     if len(slacks) < instance.n:
-        stuck = sorted(v for v, live in zip(verts, alive) if live)
+        stuck = [v for v, live in zip(verts, alive) if live]
         raise PreconditionError(f"thresholds are not degenerate; peeling sticks on {stuck}")
     return [slacks[i] for i in range(instance.n)], " ".join(str(verts[i]) for i in reversed(slacks))
 
@@ -154,13 +154,12 @@ def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = N
     view, verts = instance.compiled, instance.vertices
     m, out, position = view.min_weight, view.out, view.position
     if removed_edge is None:
-        chosen = min((u, verts[j]) for u, pairs in zip(verts, out)
-                     for j, w in pairs if w == m and u < verts[j])
+        a, b = min((i, j) for i, pairs in enumerate(out) for j, w in pairs if w == m and i < j)
     else:
         chosen = (min(removed_edge), max(removed_edge))
-        if chosen[0] not in position or (position.get(chosen[1]), m) not in out[position[chosen[0]]]:
+        a, b = position.get(chosen[0]), position.get(chosen[1])
+        if a is None or (b, m) not in out[a]:
             raise ValueError(f"edge {chosen} is not a minimum-weight edge")
-    a, b = position[chosen[0]], position[chosen[1]]
     residual = [r - m if i in (a, b) else r for i, r in enumerate(view.totals)]
     paid, ordering = _peel_or_fail(instance, residual, (a, b))
     reduced = list(out)
@@ -169,7 +168,7 @@ def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = N
     need = [t - x for t, x in zip(view.tau, paid)]
     if not _activates_all(CompiledInstance(view.scale, position, view.tau, reduced, reduced), (), need):
         raise VerificationError("degenerate incentive vector failed engine verification")
-    cert = {"branch": "split", "removed_edge": f"{chosen[0]} {chosen[1]}", "ordering": ordering}
+    cert = {"branch": "split", "removed_edge": f"{verts[a]} {verts[b]}", "ordering": ordering}
     return _certified_report(instance, paid, "two-level", cert)
 
 
@@ -202,12 +201,11 @@ def solve_min_or_full(instance: Instance) -> SolveReport:
                 f"vertex {v} has threshold {instance.tau[v]}, expected the minimum "
                 f"edge weight {Fraction(mu, scale)} or its incident sum {Fraction(total, scale)}"
             )
-    by_id = sorted(range(n), key=verts.__getitem__)
-    label = _label_components(view, [i for i in by_id if low[i]], low)
+    label = _label_components(view, [i for i in range(n) if low[i]], low)
     # Low-low edges lie inside a component; every other edge is subdivided.
     crossing = [(u, v, w) for u, pairs in enumerate(out) for v, w in pairs
                 if u < v and not (low[u] and low[v])]
-    high = [h for h in by_id if not low[h]]
+    high = [h for h in range(n) if not low[h]]
     k, s = sum(label[i] == i for i in range(n)), len(crossing)
     slacks = [mu] * k
     slacks += [w - (w if low[u] or low[v] else 0) for u, v, w in crossing]
@@ -221,7 +219,7 @@ def solve_min_or_full(instance: Instance) -> SolveReport:
         if slack:
             if low[u] or low[v]:
                 raise VerificationError("unexpected incentive on a contracted-edge subdivision")
-            paid[u if verts[u] < verts[v] else v] += slack
+            paid[u] += slack  # u < v, so u is the smaller id
     for h, slack in zip(high, slacks[k + s:]):
         paid[h] += slack
     if sum(paid) != sum(slacks):

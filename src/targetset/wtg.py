@@ -77,7 +77,6 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     weight_tokens: list[str] = []
     seen_pairs: set[tuple[int, int]] = set()
     incentives: dict[int, Fraction] = {}
-    has_incentives = False
     numbers: dict[str, Fraction] = {}
     lines = text.splitlines()
     last_line = len(lines)
@@ -152,7 +151,6 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
             if value.numerator < 0:
                 raise WtgParseError(f"negative incentive {value}", line_no, _column(line, 2))
             incentives[vid] = value
-            has_incentives = True
         else:
             raise WtgParseError(f"unknown directive {key!r}", line_no, _column(line, 0))
         ready = mode is not None and declared_n is not None
@@ -174,17 +172,21 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     vertices = tuple(sorted(tau))
     return Instance._from_checked(
         mode, vertices, tuple(edges), tau, list(map(ints.__getitem__, weight_tokens)),
-        [ints[tau_tokens[v]] for v in vertices], scale), (incentives if has_incentives else None)
+        [ints[tau_tokens[v]] for v in vertices], scale), incentives or None
 
 
 def serialize_wtg(instance: Instance, incentives: dict[int, Fraction] | None = None) -> str:
-    """Write the canonical WTG form; parse(serialize(x)) reproduces x exactly."""
+    """Write the canonical WTG form.
+
+    parse(serialize(x)) keeps x's mode, vertices, thresholds and edge set and
+    serializes to the same bytes, but lists the edges in canonical order.
+    """
     lines = ["wtg 1", f"mode {instance.mode}", f"n {instance.n}"]
-    for v in sorted(instance.vertices):
+    for v in instance.vertices:
         lines.append(f"v {v} {format_rational(instance.tau[v])}")
     for u, v, w in canonical_edges(instance):
         lines.append(f"e {u} {v} {format_rational(w)}")
     if incentives is not None:
-        for v in sorted(instance.vertices):
+        for v in instance.vertices:
             lines.append(f"p {v} {format_rational(incentives.get(v, Fraction(0)))}")
     return "\n".join(lines) + "\n"

@@ -270,6 +270,7 @@ def test_gen_is_deterministic(capsys):
 @pytest.mark.parametrize("spec", [
     ("--family", "cubic", "--n", "5"),
     ("--tau-policy", "two-level", "--n", "8", "--p", "0.1", "--seed", "1"),  # vertex 1 is isolated
+    ("--tau-policy", "fixed", "--fixed-tau", "-1"),
 ])
 def test_gen_infeasible_spec_is_usage_error(capsys, spec):
     code, _, err = run(capsys, "gen", *spec)

@@ -1,6 +1,7 @@
 """Instance model: rational parsing, validation, sums."""
 
 import pickle
+import random
 import re
 from fractions import Fraction
 from types import MappingProxyType
@@ -13,11 +14,19 @@ from targetset import (
     UNDIRECTED,
     GenSpec,
     Instance,
+    PreconditionError,
     ValidationError,
+    VerificationError,
     build_instance,
+    classify_and_solve,
+    exact_min_target_set,
+    exact_min_target_vector,
+    exact_min_vertex_cover,
     generate,
     min_edge_weight,
     parse_rational,
+    peel_ordering,
+    to_bidirected,
     tss_to_complete,
     validate,
 )
@@ -132,6 +141,46 @@ def test_list_arguments_are_stored_as_tuples():
 ])
 def test_float_values_are_validation_errors(edges, tau, rule):
     assert _violated_rule(lambda: Instance(UNDIRECTED, (1, 2), edges, tau)) == rule
+
+
+def test_non_int_vertex_id_is_reported_before_sorting():
+    assert _violated_rule(lambda: Instance(UNDIRECTED, (2, "1"), (), {2: 0, "1": 0})) == "bad-vertex-id"
+
+
+def test_vertices_are_stored_ascending():
+    path = build_instance(UNDIRECTED, [3, 2, 1], [(1, 2), (2, 3)], 1)
+    assert path.vertices == (1, 2, 3)
+    assert path == build_instance(UNDIRECTED, [1, 2, 3], [(1, 2), (2, 3)], 1)
+    assert exact_min_target_set(path).witness == {1}
+
+
+def _outcome(solve, instance):
+    """What `solve` returns on `instance`, or the type and text of what it raises."""
+    try:
+        return solve(instance)
+    except (PreconditionError, ValueError, VerificationError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_listing_order_changes_nothing(seed):
+    family = ("random", "degenerate", "tournament", "bidirected")[seed % 4]
+    n = seed % 8 + 2
+    spec = GenSpec(family="random" if family == "bidirected" else family, n=n, seed=seed,
+                   weights="halves")
+    inst = generate(spec)
+    if family == "bidirected":
+        inst = to_bidirected(inst).image
+    order = list(inst.vertices)
+    random.Random(seed).shuffle(order)
+    relisted = Instance(inst.mode, tuple(order), inst.edges, dict(inst.tau))
+    assert relisted == inst and hash(relisted) == hash(inst)
+    for solve in (exact_min_target_set, exact_min_target_vector, exact_min_vertex_cover,
+                  peel_ordering, classify_and_solve):
+        assert _outcome(solve, relisted) == _outcome(solve, inst)
+    vector = exact_min_target_vector(relisted).witness
+    assert list(vector.items()) == list(exact_min_target_vector(inst).witness.items())
 
 
 def test_thresholds_are_read_only():

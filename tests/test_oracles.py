@@ -108,9 +108,9 @@ def test_oracles_on_directed_two_cycle():
 
 
 def test_target_vector_tie_ends_at_largest_position():
-    # Both orders cost 1; the witness ends at the last position (vertex 3).
+    # Both orders cost 1; the witness ends at the last position (vertex 5).
     pair = build_instance(UNDIRECTED, [5, 3], [(5, 3)], 1)
-    assert list(exact_min_target_vector(pair).witness.items()) == [(5, 1), (3, 0)]
+    assert list(exact_min_target_vector(pair).witness.items()) == [(3, 1), (5, 0)]
 
 
 def test_oracles_on_zero_thresholds():

@@ -11,9 +11,12 @@ from targetset import (
     ValidationError,
     WtgParseError,
     build_instance,
+    canonical_edges,
+    degenerate_to_complete,
     generate,
     parse_wtg,
     serialize_wtg,
+    to_bidirected,
 )
 
 FIXTURE_NAMES = [
@@ -106,11 +109,20 @@ def test_negative_incentive_rejected():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_serialize_parse_round_trip_random(seed):
-    family = ("random", "degenerate", "tournament")[seed % 3]
-    n = seed % 7 + (2 if family == "tournament" else 1)
-    inst = generate(GenSpec(family=family, n=n, seed=seed, weights="halves"))
+    # Tournaments and the two reduction images do not store edges canonically.
+    family = ("random", "degenerate", "tournament", "bidirected", "hub")[seed % 5]
+    n = seed % 7 + (1 if family in ("random", "degenerate") else 2)
+    if family == "hub":
+        unit = GenSpec(family="degenerate", n=n, seed=seed, weights="unit", max_slack=0)
+        inst = degenerate_to_complete(generate(unit)).image
+    elif family == "bidirected":
+        inst = to_bidirected(generate(GenSpec(n=n, seed=seed, weights="halves"))).image
+    else:
+        inst = generate(GenSpec(family=family, n=n, seed=seed, weights="halves"))
     text = serialize_wtg(inst)
     parsed, _ = parse_wtg(text)
     assert serialize_wtg(parsed) == text
     assert parsed.tau == inst.tau
     assert parsed.mode == inst.mode
+    assert parsed.vertices == inst.vertices
+    assert set(canonical_edges(parsed)) == set(canonical_edges(inst))
