@@ -24,12 +24,15 @@ TARGET_VECTOR_LIMIT = 9
 # No `limit` argument lifts it.
 TARGET_VECTOR_CEILING = 22
 # The closed-set search gives up for the DP once it stores more than this
-# share of the 2^n sets. On saturated thresholds (tau = incident weight),
-# where nearly every set is closed, search plus DP then take a median
-# 1.1-1.3 times the DP alone at n = 12-16, and 1.7 times at n = 22 (Python
-# 3.11). Of 200 instances at n = 14 (the degenerate family and uniform
-# thresholds, edge probability 0.3, halves weights), 7 fall back; at half
-# this share, 24 would.
+# share of the 2^n sets. Of 200 instances at n = 14 (seeds 1-100 each of
+# the degenerate family and of uniform thresholds on connected graphs, edge
+# probability 0.3, halves weights), 1 falls back; at half this share, 5
+# would. Those that do are sparse graphs with uniform or capped thresholds,
+# where the search expands hundreds of sets at the optimal cost: on the 7
+# such instances among 160 at n = 12 and 14 (edge probability 0.2), search
+# plus DP take a median 1.4 times the DP alone (Python 3.11). Saturated
+# (tau = incident weight) and two-level thresholds, where nearly every set
+# is closed, stay far below it: at n = 22 the search expands 16-19 sets.
 _SEARCH_BUDGET = 1 / 16
 # The largest multiple of 10 at which the slowest of five seeds each of
 # G(n, p), p in {0.1, 0.2, 0.3, 0.5, 0.8}, and the cubic family stays under
@@ -257,12 +260,28 @@ def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
     order passes only through closed sets, those with no vertex outside
     that the set alone activates. The search starts from the closure of the
     empty set; from a closed set S, paying a vertex i outside S its deficit
-    leads to the closure of S + {i}. The sum of max(0, tau(i) - total(i))
-    over the vertices outside S, which nothing but payment covers, is a
-    consistent estimate of the cost still to come (A*). A stored set keeps
-    only its cost, its parent and the vertex paid; when it is expanded, the
-    weight each vertex receives from it is two lookups in the subset weight
-    tables.
+    leads to the closure S' of S + {i}. A stored set keeps only its cost,
+    its parent and the vertex paid; when it is expanded, the weight each
+    vertex receives from it is two lookups in the subset weight tables.
+
+    The cost still to come is estimated (A*) by the larger of two bounds:
+
+    - the sum of max(0, tau(i) - total(i)) over the vertices outside S,
+      which nothing but payment covers;
+    - in undirected mode, T(S) = tau(V - S) - W + W(S), where W is the
+      total edge weight and W(S) the weight of the edges inside S: each
+      edge left outside S covers at most one of its endpoints. Summed over
+      the vertices that S' adds in the order the closure activates them,
+      the deficits of that order telescope to T(S) - T(S'); the first is
+      what the step pays and the others, those of free vertices, are at
+      most 0, so T(S) <= deficit(i) + T(S'), and T(full set) = 0.
+
+    Both are consistent, and so is their maximum: the first time the full
+    set is popped its cost is optimal, and a popped set costlier than its
+    stored cost is stale. W(S') - W(S) is half the sum, over the vertices
+    S' adds, of the weight each receives from S and from S'. In directed
+    mode T(S) would be the sum of tau(i) - total(i) outside S, never above
+    the first bound, so only the first is used.
 
     Returns ((order, cost), expanded) like `_subset_dp`, with every free
     vertex paid 0 right after the payment that activates it. Once it stores
@@ -276,18 +295,36 @@ def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
     budget = int((1 << n) * _SEARCH_BUDGET)
     excess = [t - s if t > s else 0 for t, s in zip(thresholds, view.totals)]
     raises = _raises(view)
+    # An undirected view shares one list for in and out neighbours (`_compile`).
+    undirected = view.incoming is view.out
+
+    def drop(before: int, after: int) -> int:
+        """T(before) - T(after), for a set `after` that holds `before`."""
+        s, t, s2, t2 = before & low_mask, before >> h, after & low_mask, after >> h
+        # Even: the weight between two added vertices is counted at both.
+        twice = 0
+        added = after ^ before
+        while added:
+            bit = added & -added
+            added ^= bit
+            j = bit.bit_length() - 1
+            twice += 2 * thresholds[j] - lo[j][s] - hi[j][t] - lo[j][s2] - hi[j][t2]
+        return twice >> 1
+
     start = _close(lo, hi, thresholds, raises, h, 0, everyone)
     rest = sum(excess)
+    gap = sum(thresholds) - sum(view.totals) // 2 - drop(0, start) if undirected else 0
+    est = max(rest, gap)
     stored = {start: (0, None, -1)}
-    # (cost + estimate, estimate, set): of equal totals, the set with the
-    # smaller estimate, so the one nearer the full set, comes first.
-    heap = [(rest, rest, start)]
+    # (cost + estimate, estimate, set, excess bound, T): of equal totals, the
+    # set with the smaller estimate, so the one nearer the full set, comes first.
+    heap = [(est, est, start, rest, gap)]
     expanded = 0
     while heap:
         if len(stored) > budget:
             return None, expanded
-        f, rest, mask = heapq.heappop(heap)
-        cost = f - rest
+        f, est, mask, rest, gap = heapq.heappop(heap)
+        cost = f - est
         if mask == everyone:
             break
         if cost > stored[mask][0]:
@@ -300,14 +337,19 @@ def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
             outside ^= bit
             i = bit.bit_length() - 1
             # i's deficit, positive because S is closed and i is outside it.
-            step = cost + thresholds[i] - lo[i][s] - hi[i][t]
+            d = thresholds[i] - lo[i][s] - hi[i][t]
+            step = cost + d
             nxt = _close(lo, hi, thresholds, raises, h, mask | bit, raises[i] & ~mask)
             old = stored.get(nxt)
             if old is not None and step >= old[0]:
                 continue
             stored[nxt] = (step, mask, i)
             left = rest - excess[i]
-            heapq.heappush(heap, (step + left, left, nxt))
+            after = gap
+            if undirected:
+                after -= d if nxt == mask | bit else d + drop(mask | bit, nxt)
+            est = left if left > after else after
+            heapq.heappush(heap, (step + est, est, nxt, left, after))
     path = [mask]
     while mask != start:
         mask = stored[mask][1]

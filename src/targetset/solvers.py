@@ -107,9 +107,17 @@ def solve_degenerate(instance: Instance) -> SolveReport:
 
 
 def target_vector_lower_bound(instance: Instance) -> Fraction:
-    """Universal lower bound on incentive cost: thresholds minus edge weights, at worst 0."""
-    gap = instance.tau_total - instance.total_weight
-    return gap if gap > 0 else Fraction(0)
+    """Universal lower bound on incentive cost, in both modes.
+
+    The larger of two bounds: each vertex is paid at least its threshold
+    minus its whole incident (incoming) weight, and the payments sum to at
+    least the thresholds minus the edge weights, since each edge covers one
+    endpoint. The target-vector oracle's closed-set search starts from the
+    same estimate.
+    """
+    view = instance.compiled
+    excess = Fraction(sum(t - s for t, s in zip(view.tau, view.totals) if t > s), view.scale)
+    return max(excess, instance.tau_total - instance.total_weight)
 
 
 def _two_level_split(instance: Instance) -> list[int]:

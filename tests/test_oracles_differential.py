@@ -16,7 +16,9 @@ Above the target-vector oracle's default limit, its closed-set search is
 checked against the subset dynamic program it runs in front of: the same
 optimum, and a witness that pays every vertex, sums to the optimum and
 passes the engine. When the search gives up, the program's answer comes
-back unchanged.
+back unchanged. The bidirected image of an undirected instance takes the
+search's directed path, and must reach the same optimum as the undirected
+path.
 """
 
 import itertools
@@ -37,6 +39,7 @@ from targetset import (
     exact_min_target_vector,
     exact_min_vertex_cover,
     generate,
+    to_bidirected,
 )
 from targetset import oracles
 from targetset.engine import _activates_all, incentive_cost, is_target_set, is_target_vector
@@ -302,6 +305,17 @@ def _saturated(spec: GenSpec) -> Instance:
     return Instance(base.mode, base.vertices, base.edges, base.incident_totals)
 
 
+def _kind_instance(kind: str, n: int, seed: int) -> Instance:
+    weights = "halves" if seed % 2 else "int"
+    if kind in ("degenerate", "tournament"):
+        return generate(GenSpec(family=kind, n=n, seed=seed, edge_prob=0.3, weights=weights))
+    if kind == "saturated":
+        return _saturated(GenSpec(n=n, seed=seed, edge_prob=0.4, weights=weights))
+    # Connected, so that no two-level threshold drops below zero.
+    return generate(GenSpec(n=n, seed=seed, edge_prob=0.3, weights=weights,
+                            tau_policy=kind, connected=True))
+
+
 _KINDS = ("uniform", "capped", "min-or-full", "two-level", "saturated", "degenerate", "tournament")
 
 
@@ -309,16 +323,33 @@ _KINDS = ("uniform", "capped", "min-or-full", "two-level", "saturated", "degener
 @pytest.mark.parametrize("n", [10, 13, 16])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_closed_set_search_matches_dp(kind, n, seed):
-    weights = "halves" if seed == 1 else "int"
-    if kind in ("degenerate", "tournament"):
-        instance = generate(GenSpec(family=kind, n=n, seed=seed, edge_prob=0.3, weights=weights))
-    elif kind == "saturated":
-        instance = _saturated(GenSpec(n=n, seed=seed, edge_prob=0.4, weights=weights))
-    else:
-        # Connected, so that no two-level threshold drops below zero.
-        instance = generate(GenSpec(n=n, seed=seed, edge_prob=0.3, weights=weights,
-                                    tau_policy=kind, connected=True))
-    _check_closed_set_path(instance)
+    _check_closed_set_path(_kind_instance(kind, n, seed))
+
+
+@pytest.mark.parametrize("kind", ["two-level", "saturated"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_two_level_and_saturated_searches_answer_within_the_budget(kind, seed):
+    # Nearly every set is closed here, but the telescoping estimate T(S) is
+    # exact on saturated thresholds and close on two-level ones: the search
+    # reaches the full set after a few dozen expansions, without the program.
+    n = 16
+    got = exact_min_target_vector(_kind_instance(kind, n, seed), limit=n)
+    assert got.explored < n << (n - 1)
+    assert got.explored <= 4 * n
+
+
+@pytest.mark.parametrize("kind", [k for k in _KINDS if k != "tournament"])
+@pytest.mark.parametrize("n", [10, 13])
+def test_directed_search_agrees_with_undirected_search(kind, n):
+    # The bidirected image runs the search's directed path, which keeps the
+    # excess bound alone, against the undirected path's telescoping bound.
+    instance = _kind_instance(kind, n, n)
+    image = to_bidirected(instance).image
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "_SEARCH_BUDGET", 1)
+        directed = exact_min_target_vector(image, limit=n)
+        undirected = exact_min_target_vector(instance, limit=n)
+    assert directed.optimum == undirected.optimum
 
 
 @st.composite
@@ -349,8 +380,11 @@ def test_exhausted_budget_returns_the_dp_answer(monkeypatch):
     assert list(got.witness.items()) == list(expected.witness.items())
 
 
-def test_saturated_instance_falls_back_to_the_dp():
-    inst = _saturated(GenSpec(n=12, seed=1, edge_prob=0.4, weights="halves"))
+def test_search_past_its_budget_falls_back_to_the_dp():
+    # Found by a scan: a sparse graph whose optimum meets the telescoping
+    # bound, yet the search stores more than 2^(n-4) sets on its way there.
+    inst = generate(GenSpec(n=12, seed=7, edge_prob=0.2, weights="halves", tau_policy="uniform",
+                            connected=True))
     view = inst.compiled
     found, expanded = _closed_set_search(view, *_subset_weights(view))
     assert found is None and expanded > 0

@@ -107,6 +107,14 @@ def test_lower_bound_examples():
     assert target_vector_lower_bound(build_instance(UNDIRECTED, 2, [], [2, 3])) == 5
 
 
+def test_lower_bound_counts_each_vertex_excess():
+    # Vertex 1 needs 5 and receives at most 3, so it is paid 2; vertex 2 is
+    # free and activates it for the rest. The sum of thresholds minus
+    # weights is negative.
+    inst = build_instance(UNDIRECTED, 3, [(3, 2, 10), (2, 1, 3)], {1: 5, 2: 0, 3: 0})
+    assert target_vector_lower_bound(inst) == 2 == exact_min_target_vector(inst).optimum
+
+
 # ---------------------------------------------------------------- two-level
 
 def test_two_level_unit_triangle_all_low():
