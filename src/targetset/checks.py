@@ -3,9 +3,11 @@
 A sweep is a generator `(rng, i, max_n)`: it draws instance `i` from the
 shared seeded `rng`, at most `max_n` vertices, and yields one message per
 way that instance breaks the property. `run_check` owns the rng, the loop
-and the `CheckResult`. `CHECKS` holds each sweep's default instance count
-and size, which the acceptance suite uses, so `targetset check <name>` and
-the tests run the same code.
+and the `CheckResult`. Each oracle call passes the size of the instance
+it checks as the limit, since some draws and reduction images exceed
+`max_n`; only the oracles' memory ceilings refuse a size. `CHECKS` holds
+each sweep's default instance count and size, which the acceptance suite
+uses, so `targetset check <name>` and the tests run the same code.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def _degeneracy_oracle(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     """Peeling agrees with the exhaustive subgraph check; slacks stay nonnegative."""
     spec = _mixed_spec(rng, rng.randint(1, max_n))
     inst = generate(spec)
-    verdict = brute_degeneracy_check(inst, limit=max_n)
+    verdict = brute_degeneracy_check(inst, limit=inst.n)
     got = peel_ordering(inst)
     if isinstance(got, DegeneracyOrdering):
         if not verdict:
@@ -126,7 +128,7 @@ def _algorithm_one(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     if not is_target_set(inst, result.seed):
         yield f"seed {spec.seed}: selection is not a target set"
         return
-    opt = exact_min_target_set(inst).optimum
+    opt = exact_min_target_set(inst, limit=inst.n).optimum
     if not result.seed:
         if not is_target_set(inst, frozenset()):
             yield f"seed {spec.seed}: empty selection but empty seed does not activate"
@@ -142,7 +144,7 @@ def _otvw_degenerate(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     inst = generate(spec)
     report = solve_degenerate(inst)
     formula = inst.tau_total - inst.total_weight
-    oracle = exact_min_target_vector(inst, limit=max_n).optimum
+    oracle = exact_min_target_vector(inst, limit=inst.n).optimum
     if report.cost != formula:
         yield f"seed {spec.seed}: cost {report.cost} != formula {formula}"
     if report.cost != oracle:
@@ -162,7 +164,7 @@ def _two_level(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     report = solve_two_level(inst)
     all_low = all(inst.tau[v] != inst.incident_totals[v] for v in inst.vertices)
     expected = inst.tau_total - inst.total_weight + (mu if all_low else 0)
-    oracle = exact_min_target_vector(inst, limit=max_n).optimum
+    oracle = exact_min_target_vector(inst, limit=inst.n).optimum
     if report.cost != expected:
         yield f"seed {spec.seed}: cost {report.cost} != formula {expected}"
     if report.cost != oracle:
@@ -194,7 +196,7 @@ def _min_or_full(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     report = solve_min_or_full(inst)
     if not is_target_vector(inst, report.incentives):
         yield f"seed {spec.seed}: vector failed engine verification"
-    oracle = exact_min_target_vector(inst, limit=max_n).optimum
+    oracle = exact_min_target_vector(inst, limit=inst.n).optimum
     if report.cost != oracle:
         yield f"seed {spec.seed}: cost {report.cost} != oracle {oracle}"
 
@@ -215,7 +217,7 @@ def _tss_preservation(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
             if is_target_set(inst, seed_set) != is_target_set(image, seed_set):
                 yield f"{label}: subset {sorted(seed_set)} disagrees"
                 return
-    if exact_min_target_set(inst).optimum != exact_min_target_set(image).optimum:
+    if exact_min_target_set(inst, limit=inst.n).optimum != exact_min_target_set(image, limit=image.n).optimum:
         yield f"{label}: minimum sizes differ"
 
 
@@ -223,8 +225,8 @@ def _degenerate_preservation(rng: random.Random, i: int, max_n: int) -> Iterator
     """Hub embedding raises the minimum target set size by exactly one."""
     inst = random_degenerate_tss_instance(rng, rng.randint(2, max_n))
     image = degenerate_to_complete(inst).image
-    dyn_source = exact_min_target_set(inst).optimum
-    dyn_image = exact_min_target_set(image).optimum
+    dyn_source = exact_min_target_set(inst, limit=inst.n).optimum
+    dyn_image = exact_min_target_set(image, limit=image.n).optimum
     if dyn_image != dyn_source + 1:
         yield f"instance {i}: {dyn_source} maps to {dyn_image}"
 
@@ -235,7 +237,7 @@ def _bounds(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     spec = _mixed_spec(rng, rng.randint(1, max_n), tau_policy=policy)
     inst = generate(spec)
     lb = target_vector_lower_bound(inst)
-    opt = exact_min_target_vector(inst, limit=max_n).optimum
+    opt = exact_min_target_vector(inst, limit=inst.n).optimum
     if not lb <= opt <= inst.tau_total:
         yield f"seed {spec.seed}: {lb} <= {opt} <= {inst.tau_total} fails"
     totals = inst.incident_totals
@@ -243,8 +245,8 @@ def _bounds(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
         cover = vertex_cover_target_set(inst)
         if not is_target_set(inst, cover):
             yield f"seed {spec.seed}: cover is not a target set"
-        dyn = exact_min_target_set(inst).optimum
-        beta = exact_min_vertex_cover(inst).optimum
+        dyn = exact_min_target_set(inst, limit=inst.n).optimum
+        beta = exact_min_vertex_cover(inst, limit=inst.n).optimum
         if dyn > beta:
             yield f"seed {spec.seed}: minimum seed {dyn} exceeds cover bound {beta}"
 
@@ -261,7 +263,7 @@ def _bidirected(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
         if run_activation(inst, seed_set) != run_activation(image, seed_set):
             yield f"seed {spec.seed}: trace differs for {sorted(seed_set)}"
             break
-    if exact_min_target_set(inst).optimum != exact_min_target_set(image).optimum:
+    if exact_min_target_set(inst, limit=inst.n).optimum != exact_min_target_set(image, limit=image.n).optimum:
         yield f"seed {spec.seed}: minimum seed size differs across modes"
 
 
@@ -291,7 +293,7 @@ def _otv_grid(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
         if rng.random() < 0.6
     )
     tau = {v: Fraction(rng.randint(0, 3)) for v in ids}
-    yield from _grid_agrees(Instance(UNDIRECTED, ids, edges, tau), f"random {i}", max_n)
+    yield from _grid_agrees(Instance(UNDIRECTED, ids, edges, tau), f"random {i}")
 
 
 def _grid_shapes(max_n: int) -> Iterator[tuple[Instance, str]]:
@@ -311,8 +313,8 @@ def _grid_shapes(max_n: int) -> Iterator[tuple[Instance, str]]:
                 yield inst, f"n={n} edges={edge_mask} tau={tau_combo}"
 
 
-def _grid_agrees(inst: Instance, label: str, max_n: int) -> Iterator[str]:
-    dp = exact_min_target_vector(inst, limit=max_n)
+def _grid_agrees(inst: Instance, label: str) -> Iterator[str]:
+    dp = exact_min_target_vector(inst, limit=inst.n)
     grid = grid_min_target_vector(inst)
     if dp.optimum != grid.optimum:
         yield f"{label}: order oracle {dp.optimum} != grid {grid.optimum}"
@@ -350,7 +352,7 @@ def run_check(name: str, instances: int | None = None, max_n: int | None = None,
     if sweep is _otv_grid:
         for inst, label in _grid_shapes(max_n):
             checked += 1
-            failures.extend(_grid_agrees(inst, label, max_n))
+            failures.extend(_grid_agrees(inst, label))
     rng = random.Random(0 if seed is None else seed)
     for i in range(instances):
         failures.extend(sweep(rng, i, max_n))

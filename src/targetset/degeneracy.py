@@ -20,7 +20,6 @@ from .instance import (
     Instance,
     VertexSet,
     _subset_weights,
-    is_connected,
 )
 
 BRUTE_LIMIT = 16
@@ -120,24 +119,6 @@ def brute_degeneracy_check(instance: Instance, limit: int = BRUTE_LIMIT) -> bool
         else:
             return False
     return True
-
-
-def near_saturation_check(instance: Instance) -> bool:
-    """Fast sufficient condition for degeneracy on connected instances.
-
-    Holds when every threshold is within the minimum edge weight of the
-    vertex's full incident sum and at least one vertex reaches the full sum.
-    When it holds, peel_ordering is guaranteed to succeed.
-    """
-    _require_undirected(instance, "the near-saturation check")
-    if not instance.edges:
-        raise PreconditionError("the near-saturation check needs at least one edge")
-    if not is_connected(instance):
-        raise PreconditionError("the near-saturation check requires a connected instance")
-    view = instance.compiled
-    if any(t < total - view.min_weight for t, total in zip(view.tau, view.totals)):
-        return False
-    return any(t >= total for t, total in zip(view.tau, view.totals))
 
 
 def kappa_complement_check(instance: Instance, target) -> bool:

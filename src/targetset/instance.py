@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import gt
@@ -58,7 +58,7 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """An edge-weighted graph with per-vertex activation thresholds.
 
@@ -69,13 +69,14 @@ class Instance:
     `vertices` is stored ascending, so position i is the i-th smallest id.
     `vertices` and `edges` are stored as tuples and `tau` is copied into a
     read-only mapping, so instances are immutable and hashable, and can be
-    shared freely across workers.
+    shared freely across workers. Equality and hashing ignore the order the
+    edges are listed in, and which endpoint of an undirected edge comes first.
     """
 
     mode: str
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
-    tau: Mapping[int, Fraction] = field(hash=False)
+    tau: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
         # Tuples pass through untouched: copying them too measurably raised
@@ -109,6 +110,19 @@ class Instance:
         self.__dict__.update(mode=mode, vertices=vertices, edges=edges, tau=MappingProxyType(tau),
                              compiled=_compile(mode, vertices, edges, weights, tau_ints, scale))
         return self
+
+    @cached_property
+    def _key(self) -> tuple:
+        return (self.mode, self.vertices, tuple(canonical_edges(self)),
+                tuple(map(self.tau.__getitem__, self.vertices)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def __reduce__(self):
         # A mappingproxy cannot be pickled; rebuild through the constructor.

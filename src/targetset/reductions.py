@@ -1,8 +1,8 @@
 """Instance transformations that preserve solutions.
 
-Each reduction returns a receipt holding the source, the image, the vertex
-correspondence, and the construction parameters, so property tests never
-have to re-derive which vertex went where.
+Each reduction keeps the source's vertex ids, so a vertex of the source is
+the same vertex of the image. It returns a receipt holding the image and
+the construction parameters.
 """
 
 from __future__ import annotations
@@ -13,21 +13,32 @@ from itertools import combinations
 
 from .degeneracy import DegeneracyOrdering, peel_ordering
 from .errors import PreconditionError, VerificationError
-from .instance import DIRECTED, UNDIRECTED, Instance, canonical_edges
+from .instance import DIRECTED, UNDIRECTED, Edge, Instance, canonical_edges
 
 
 @dataclass(frozen=True)
 class ReductionReceipt:
-    source: Instance
     image: Instance
-    correspondence: dict[int, int]
     notes: dict[str, str]
 
 
-def _require_unit_weights(instance: Instance, what: str) -> None:
-    for u, v, w in instance.edges:
+def _complete_edges(source: Instance, what: str) -> list[Edge]:
+    """The complete graph on an undirected unit-weight source with at least two vertices.
+
+    Source edges get weight n and absent pairs weight 1; `what` names the
+    embedding in the precondition errors.
+    """
+    if source.mode != UNDIRECTED:
+        raise PreconditionError(f"{what} takes undirected instances")
+    n = source.n
+    if n < 2:
+        raise PreconditionError(f"{what} needs at least two vertices")
+    for u, v, w in source.edges:
         if w != 1:
             raise PreconditionError(f"{what} needs unit edge weights, edge ({u}, {v}) has {w}")
+    present = {(min(u, v), max(u, v)) for u, v, _ in source.edges}
+    big, one = Fraction(n), Fraction(1)
+    return [(u, v, big if (u, v) in present else one) for u, v in combinations(source.vertices, 2)]
 
 
 def tss_to_complete(source: Instance) -> ReductionReceipt:
@@ -37,27 +48,16 @@ def tss_to_complete(source: Instance) -> ReductionReceipt:
     multiplied by n. A seed activates the image exactly when it activates the
     source, so minimum target sets coincide.
     """
-    if source.mode != UNDIRECTED:
-        raise PreconditionError("the complete-graph embedding takes undirected instances")
+    edges = _complete_edges(source, "the complete-graph embedding")
     n = source.n
-    if n < 2:
-        raise PreconditionError("the complete-graph embedding needs at least two vertices")
-    _require_unit_weights(source, "the complete-graph embedding")
-    degrees = {v: len(pairs) for v, pairs in zip(source.vertices, source.compiled.incoming)}
-    for v in source.vertices:
+    for v, pairs in zip(source.vertices, source.compiled.incoming):
         t = source.tau[v]
-        if t.denominator != 1 or not 1 <= t <= degrees[v]:
+        if t.denominator != 1 or not 1 <= t <= len(pairs):
             raise PreconditionError(
                 f"vertex {v} needs an integer threshold between 1 and its degree, got {t}"
             )
-    present = {(min(u, v), max(u, v)) for u, v, _ in source.edges}
-    big = Fraction(n)
-    edges = tuple(
-        (u, v, big if (u, v) in present else Fraction(1))
-        for u, v in combinations(source.vertices, 2)
-    )
-    tau = {v: big * source.tau[v] for v in source.vertices}
-    image = Instance(UNDIRECTED, source.vertices, edges, tau)
+    tau = {v: n * source.tau[v] for v in source.vertices}
+    image = Instance(UNDIRECTED, source.vertices, tuple(edges), tau)
     notes = {
         "kind": "complete-embedding",
         "n": str(n),
@@ -65,7 +65,7 @@ def tss_to_complete(source: Instance) -> ReductionReceipt:
         "non_edge_weight": "1",
         "threshold_factor": str(n),
     }
-    return ReductionReceipt(source, image, {v: v for v in source.vertices}, notes)
+    return ReductionReceipt(image, notes)
 
 
 def degenerate_to_complete(source: Instance) -> ReductionReceipt:
@@ -75,12 +75,8 @@ def degenerate_to_complete(source: Instance) -> ReductionReceipt:
     thresholds become n*tau + n. The image stays degenerate, and its minimum
     target set is exactly one larger than the source's.
     """
-    if source.mode != UNDIRECTED:
-        raise PreconditionError("the hub embedding takes undirected instances")
+    edges = _complete_edges(source, "the hub embedding")
     n = source.n
-    if n < 2:
-        raise PreconditionError("the hub embedding needs at least two vertices")
-    _require_unit_weights(source, "the hub embedding")
     for v in source.vertices:
         t = source.tau[v]
         if t.denominator != 1 or t < 0:
@@ -88,12 +84,7 @@ def degenerate_to_complete(source: Instance) -> ReductionReceipt:
     if not isinstance(peel_ordering(source), DegeneracyOrdering):
         raise PreconditionError("the hub embedding requires degenerate thresholds")
     hub = max(source.vertices) + 1
-    present = {(min(u, v), max(u, v)) for u, v, _ in source.edges}
     big = Fraction(n)
-    edges = [
-        (u, v, big if (u, v) in present else Fraction(1))
-        for u, v in combinations(source.vertices, 2)
-    ]
     edges.extend((v, hub, big) for v in source.vertices)
     tau = {v: big * source.tau[v] + big for v in source.vertices}
     tau[hub] = big * big
@@ -107,7 +98,7 @@ def degenerate_to_complete(source: Instance) -> ReductionReceipt:
         "hub_threshold": str(n * n),
         "image_degenerate": "true",
     }
-    return ReductionReceipt(source, image, {v: v for v in source.vertices}, notes)
+    return ReductionReceipt(image, notes)
 
 
 def to_bidirected(source: Instance) -> ReductionReceipt:
@@ -123,4 +114,4 @@ def to_bidirected(source: Instance) -> ReductionReceipt:
         arcs.append((v, u, w))
     image = Instance(DIRECTED, source.vertices, tuple(arcs), source.tau)
     notes = {"kind": "bidirected", "arc_count": str(len(arcs))}
-    return ReductionReceipt(source, image, {v: v for v in source.vertices}, notes)
+    return ReductionReceipt(image, notes)

@@ -304,6 +304,14 @@ def test_check_subcommand_runs_a_sweep(capsys):
     assert "pass true" in out
 
 
+def test_check_lifts_every_oracle_limit_to_the_instance_size(capsys):
+    # Draws of 21 vertices pass the target-set oracle's default limit of 20.
+    code, out, _ = run(capsys, "check", "bidirected", "--limit-n", "21", "--instances", "3",
+                       "--seed", "14", "--deterministic")
+    assert code == 0
+    assert "pass true" in out
+
+
 def test_deterministic_flag_makes_runs_byte_identical(fixtures, capsys):
     args = ("solve", "--method", "degenerate", str(fixtures / "p3.wtg"), "--deterministic")
     _, out1, _ = run(capsys, *args)

@@ -17,7 +17,6 @@ from targetset import (
     generate,
     is_target_set,
     kappa_complement_check,
-    near_saturation_check,
     peel_ordering,
 )
 from targetset.instance import SUBSET_TABLE_CEILING
@@ -110,33 +109,6 @@ def test_slack_identity_covers_every_edge_once():
                       start=Fraction(0))
         assert covered == inst.total_weight
         assert _slacks_along(inst, got.order) == got.slacks
-
-
-def test_near_saturation_examples():
-    assert near_saturation_check(triangle([2, 1, 1]))
-    assert not near_saturation_check(triangle(1))
-    assert near_saturation_check(build_instance(UNDIRECTED, 2, [(1, 2)], [1, 0]))
-
-
-def test_near_saturation_preconditions():
-    disconnected = build_instance(UNDIRECTED, 4, [(1, 2), (3, 4)], 1)
-    with pytest.raises(PreconditionError):
-        near_saturation_check(disconnected)
-    with pytest.raises(PreconditionError):
-        near_saturation_check(build_instance(UNDIRECTED, 2, [], 1))
-
-
-def test_near_saturation_implies_peeling_succeeds():
-    rng = random.Random(3)
-    hits = 0
-    for _ in range(120):
-        inst = generate(GenSpec(n=rng.randint(2, 8), seed=rng.randrange(2**32),
-                                tau_policy=rng.choice(("uniform", "two-level")),
-                                connected=True))
-        if near_saturation_check(inst):
-            hits += 1
-            assert isinstance(peel_ordering(inst), DegeneracyOrdering)
-    assert hits > 0
 
 
 def test_kappa_examples():

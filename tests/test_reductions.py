@@ -39,7 +39,6 @@ def test_complete_embedding_of_path3():
         (2, 3, Fraction(3)),
     )
     assert image.tau == {1: Fraction(3), 2: Fraction(3), 3: Fraction(3)}
-    assert receipt.correspondence == {1: 1, 2: 2, 3: 3}
     assert validate(image) is None
 
 
@@ -114,6 +113,15 @@ def test_hub_embedding_rejects_non_degenerate_sources():
     triangle = build_instance(UNDIRECTED, 3, [(1, 2), (1, 3), (2, 3)], 1)
     with pytest.raises(PreconditionError):
         degenerate_to_complete(triangle)
+
+
+def test_hub_embedding_preconditions():
+    with pytest.raises(PreconditionError, match="the hub embedding takes undirected instances"):
+        degenerate_to_complete(build_instance(DIRECTED, 2, [(1, 2)], 1))
+    with pytest.raises(PreconditionError, match="the hub embedding needs at least two vertices"):
+        degenerate_to_complete(build_instance(UNDIRECTED, 1, [], 1))
+    with pytest.raises(PreconditionError, match=r"the hub embedding needs unit edge weights, edge \(1, 2\) has 2"):
+        degenerate_to_complete(build_instance(UNDIRECTED, 2, [(1, 2, 2)], 1))
 
 
 def test_bidirected_conversion_shapes():
