@@ -312,6 +312,14 @@ def test_check_lifts_every_oracle_limit_to_the_instance_size(capsys):
     assert "pass true" in out
 
 
+def test_check_lifts_the_oracle_limit_for_hub_images(capsys):
+    # The hub embedding of a 20-vertex draw has 21 vertices.
+    code, out, _ = run(capsys, "check", "prop3-preservation", "--limit-n", "20", "--instances",
+                       "3", "--seed", "2", "--deterministic")
+    assert code == 0
+    assert "pass true" in out
+
+
 def test_deterministic_flag_makes_runs_byte_identical(fixtures, capsys):
     args = ("solve", "--method", "degenerate", str(fixtures / "p3.wtg"), "--deterministic")
     _, out1, _ = run(capsys, *args)

@@ -128,6 +128,18 @@ def test_equal_instances_hash_equal():
     assert len({a, b}) == 1
 
 
+def test_equality_ignores_edge_listing_order():
+    edges = [(1, 2, "1/2"), (2, 3), (3, 1, 2)]
+    a = build_instance(UNDIRECTED, 3, edges, [1, 2, "3/4"])
+    b = build_instance(UNDIRECTED, 3, [(1, 3, 2), (3, 2), (2, 1, "1/2")], [1, 2, "3/4"])
+    assert a == b and hash(a) == hash(b)
+    assert a != build_instance(UNDIRECTED, 3, edges, [1, 2, 1])
+    arcs = build_instance(DIRECTED, 2, [(1, 2)], 1)
+    assert arcs == build_instance(DIRECTED, 2, [(1, 2)], 1)
+    assert arcs != build_instance(DIRECTED, 2, [(2, 1)], 1)
+    assert arcs != build_instance(UNDIRECTED, 2, [(1, 2)], 1)
+
+
 def test_list_arguments_are_stored_as_tuples():
     inst = Instance(UNDIRECTED, [1, 2], [[1, 2, Fraction(1)]], {1: 0, 2: 0})
     same = Instance(UNDIRECTED, (1, 2), ((1, 2, Fraction(1)),), {1: 0, 2: 0})
