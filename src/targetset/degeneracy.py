@@ -17,6 +17,7 @@ from .errors import OracleLimitError, PreconditionError
 from .instance import (
     UNDIRECTED,
     CompiledInstance,
+    Edge,
     Instance,
     VertexSet,
     _subset_weights,
@@ -47,6 +48,28 @@ class NotDegenerate:
 def _require_undirected(instance: Instance, what: str) -> None:
     if instance.mode != UNDIRECTED:
         raise PreconditionError(f"{what} is defined for undirected instances only")
+
+
+def _non_unit_edge(instance: Instance) -> Edge | None:
+    """The first edge, in listing order, whose weight is not 1; None when every weight is 1."""
+    view = instance.compiled
+    if all(w == view.scale for pairs in view.out for _, w in pairs):
+        return None
+    return next(e for e in instance.edges if e[2] != 1)
+
+
+def _require_degree_thresholds(instance: Instance) -> None:
+    """Raise unless every threshold is an integer between 1 and its vertex's degree.
+
+    Assumes unit weights, so a degree is the length of an incoming list.
+    """
+    view = instance.compiled
+    scale = view.scale
+    for v, pairs, t in zip(instance.vertices, view.incoming, view.tau):
+        if t % scale or not scale <= t <= len(pairs) * scale:
+            raise PreconditionError(
+                f"vertex {v} needs an integer threshold between 1 and its degree, got {instance.tau[v]}"
+            )
 
 
 def _peel(view: CompiledInstance, tau, residual, alive, masked=(-1, -1)) -> dict[int, int]:
@@ -130,16 +153,11 @@ def kappa_complement_check(instance: Instance, target) -> bool:
     peeling problem with thresholds d(v) - tau(v), so peeling decides it.
     """
     _require_undirected(instance, "the complement-ordering check")
-    for _, _, w in instance.edges:
-        if w != 1:
-            raise PreconditionError(f"unit edge weights required, found {w}")
+    edge = _non_unit_edge(instance)
+    if edge is not None:
+        raise PreconditionError(f"unit edge weights required, found {edge[2]}")
+    _require_degree_thresholds(instance)
     view = instance.compiled
-    for v, pairs in zip(instance.vertices, view.incoming):
-        t = instance.tau[v]
-        if t.denominator != 1 or not 1 <= t <= len(pairs):
-            raise PreconditionError(
-                f"vertex {v} needs an integer threshold between 1 and its degree, got {t}"
-            )
     target = frozenset(target)
     stray = target - instance.vertex_set
     if stray:

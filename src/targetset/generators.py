@@ -1,11 +1,21 @@
 """Seeded instance generators for tests and benchmarks.
 
-The same GenSpec always produces the same instance: every random draw comes
-from a `random.Random(spec.seed)` consumed in a fixed order.
+Stream contract: the same GenSpec makes the same random draws, from one
+`random.Random(spec.seed)` consumed in a fixed order, and so builds the
+same instance, down to the bytes `serialize_wtg` writes. A spec the family
+cannot honour raises ValueError, and options the family does not read are
+refused before the first draw.
+
+Weights are drawn as numerators on their grid, and incident sums and
+thresholds are computed on those integers. A Fraction is built once per
+threshold, and every weight Fraction comes from its grid's shared table. Each
+instance is handed its integer view, so it is neither validated nor compiled
+a second time.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +31,12 @@ class GenSpec:
     weights: int (1..10) | halves (k/2, k in 1..20) | unit
     tau_policy (random family): uniform | capped | fixed | two-level |
         min-or-full | degree-range
+
+    Every family reads n and seed. random reads edge_prob, weights,
+    tau_policy, fixed_tau (fixed policy only) and connected; degenerate reads
+    edge_prob, weights, connected and max_slack; tournament reads weights;
+    cubic reads nothing more. Every family refuses an edge_prob outside
+    [0, 1], and all but random refuse a tau_policy other than uniform.
     """
 
     family: str = "random"
@@ -34,72 +50,110 @@ class GenSpec:
     max_slack: int = 3
 
 
-def _draw_weight(rng: random.Random, grid: str) -> Fraction:
-    if grid == "int":
-        return Fraction(rng.randint(1, 10))
-    if grid == "halves":
-        return Fraction(rng.randint(1, 20), 2)
-    if grid == "unit":
-        return Fraction(1)
-    raise ValueError(f"unknown weight grid {grid!r}")
+# Each weight grid: its denominator, the largest numerator drawn (0: every
+# numerator is 1 and none is drawn), and the Fraction of each numerator.
+_GRIDS = {
+    name: (den, top, tuple(Fraction(k, den) for k in range(max(top, 1) + 1)))
+    for name, den, top in (("int", 1, 10), ("halves", 2, 20), ("unit", 1, 0))
+}
 
 
-def _random_edges(rng: random.Random, spec: GenSpec) -> list[tuple[int, int, Fraction]]:
-    if not 0 <= spec.edge_prob <= 1:
-        raise ValueError(f"edge probability {spec.edge_prob} outside [0, 1]")
+def _grid(name: str) -> tuple[int, int, tuple[Fraction, ...]]:
+    try:
+        return _GRIDS[name]
+    except KeyError:
+        raise ValueError(f"unknown weight grid {name!r}") from None
+
+
+def _random_edges(rng: random.Random, spec: GenSpec) -> tuple[tuple, list[int], int]:
+    """Sorted edges, their weight numerators and the grid's denominator.
+
+    A pair on the spanning tree (if `connected`) is taken without a draw;
+    every other pair is taken with probability `edge_prob`. The weights are
+    drawn afterwards, in edge order.
+    """
     n = spec.n
-    ids = list(range(1, n + 1))
-    chosen: set[tuple[int, int]] = set()
+    tree: set[tuple[int, int]] = set()
     if spec.connected and n >= 2:
-        order = ids[:]
+        order = list(range(1, n + 1))
         rng.shuffle(order)
         for i in range(1, n):
             a, b = order[rng.randrange(i)], order[i]
-            chosen.add((min(a, b), max(a, b)))
+            tree.add((min(a, b), max(a, b)))
+    draw, p = rng.random, spec.edge_prob
+    pairs = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if (i, j) not in chosen and rng.random() < spec.edge_prob:
-                chosen.add((i, j))
-    return [(u, v, _draw_weight(rng, spec.weights)) for u, v in sorted(chosen)]
+            if (i, j) in tree or draw() < p:
+                pairs.append((i, j))
+    if not pairs:  # no weight is drawn, so the grid is never read
+        return (), [], 1
+    den, top, fractions = _grid(spec.weights)
+    nums = [rng.randint(1, top) for _ in pairs] if top else [1] * len(pairs)
+    return tuple([(u, v, fractions[k]) for (u, v), k in zip(pairs, nums)]), nums, den
 
 
-def _thresholds(rng: random.Random, spec: GenSpec, instance_edges, n) -> dict[int, Fraction]:
-    totals = {v: Fraction(0) for v in range(1, n + 1)}
-    degrees = {v: 0 for v in range(1, n + 1)}
-    mu = None
-    for u, v, w in instance_edges:
-        totals[u] += w
-        totals[v] += w
-        degrees[u] += 1
-        degrees[v] += 1
-        mu = w if mu is None or w < mu else mu
-    policy = spec.tau_policy
-    fixed = parse_rational(spec.fixed_tau) if policy == "fixed" else 0
-    if fixed < 0:
-        raise ValueError(f"fixed threshold {fixed} is negative")
-    tau: dict[int, Fraction] = {}
-    for v in range(1, n + 1):
-        if policy == "uniform":
-            tau[v] = totals[v] * Fraction(rng.randint(0, 10), 8)
-        elif policy == "capped":
-            tau[v] = totals[v] * Fraction(rng.randint(0, 8), 8)
-        elif policy == "fixed":
-            tau[v] = fixed
-        elif policy == "two-level":
-            if mu is None:
-                raise ValueError("two-level thresholds need at least one edge")
-            tau[v] = totals[v] if rng.random() < 0.5 else totals[v] - mu
-            if tau[v] < 0:  # checked after the draw, so the stream stays the same
-                raise ValueError(f"two-level threshold of isolated vertex {v} would be negative")
-        elif policy == "min-or-full":
-            if mu is None:
-                raise ValueError("min-or-full thresholds need at least one edge")
-            tau[v] = mu if rng.random() < 0.5 else totals[v]
-        elif policy == "degree-range":
-            tau[v] = Fraction(rng.randint(1, max(1, degrees[v])))
-        else:
-            raise ValueError(f"unknown threshold policy {policy!r}")
-    return tau
+def _thresholds(rng: random.Random, spec: GenSpec, edges, nums: list[int], den: int) -> tuple[list[int], int]:
+    """Threshold numerators in vertex order and their common denominator.
+
+    Weights are `nums` over `den`; thresholds are drawn vertex by vertex.
+    """
+    n, policy = spec.n, spec.tau_policy
+    if policy == "fixed":
+        fixed = parse_rational(spec.fixed_tau)
+        if fixed < 0:
+            raise ValueError(f"fixed threshold {fixed} is negative")
+        return [fixed.numerator] * n, fixed.denominator
+    if policy == "degree-range":
+        degrees = [0] * (n + 1)
+        for u, v, _ in edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        return [rng.randint(1, max(1, d)) for d in degrees[1:]], 1
+    totals = [0] * (n + 1)
+    for (u, v, _), k in zip(edges, nums):
+        totals[u] += k
+        totals[v] += k
+    del totals[0]
+    if policy in ("uniform", "capped"):
+        top = 10 if policy == "uniform" else 8
+        return [t * rng.randint(0, top) for t in totals], 8 * den
+    if policy not in ("two-level", "min-or-full"):
+        raise ValueError(f"unknown threshold policy {policy!r}")
+    if not nums:
+        raise ValueError(f"{policy} thresholds need at least one edge")
+    mu, draw = min(nums), rng.random
+    if policy == "min-or-full":
+        return [mu if draw() < 0.5 else t for t in totals], den
+    tau = [t if draw() < 0.5 else t - mu for t in totals]
+    if min(tau) < 0:  # checked after the draws, so the stream stays the same
+        v = 1 + next(i for i, t in enumerate(tau) if t < 0)
+        raise ValueError(f"two-level threshold of isolated vertex {v} would be negative")
+    return tau, den
+
+
+def _reduced(den: int, nums: list[int]) -> int:
+    """The least common denominator of every num/den."""
+    g = den
+    for k in nums:
+        if g == 1:
+            break
+        g = math.gcd(g, k)
+    return den // g
+
+
+def _checked(mode: str, n: int, edges, nums: list[int], den: int, tau: list[int], tau_den: int) -> Instance:
+    """The instance with weights `nums`/`den` and thresholds `tau`/`tau_den`, handed its integer view.
+
+    The view's scale is the LCM of the reduced denominators, as the
+    constructor's compile would find it.
+    """
+    scale = math.lcm(_reduced(den, nums), _reduced(tau_den, tau))
+    weights = nums if scale == den else [k * scale // den for k in nums]
+    scaled = tau if scale == tau_den else [t * scale // tau_den for t in tau]
+    vertices = tuple(range(1, n + 1))
+    tau_map = {v: Fraction(t, tau_den) for v, t in zip(vertices, tau)}
+    return Instance._from_checked(mode, vertices, edges, tau_map, weights, scaled, scale)
 
 
 def gen_random_weighted(spec: GenSpec) -> Instance:
@@ -107,9 +161,9 @@ def gen_random_weighted(spec: GenSpec) -> Instance:
     if spec.n < 1:
         raise ValueError("need at least one vertex")
     rng = random.Random(spec.seed)
-    edges = _random_edges(rng, spec)
-    tau = _thresholds(rng, spec, edges, spec.n)
-    return Instance(UNDIRECTED, tuple(range(1, spec.n + 1)), tuple(edges), tau)
+    edges, nums, den = _random_edges(rng, spec)
+    tau, tau_den = _thresholds(rng, spec, edges, nums, den)
+    return _checked(UNDIRECTED, spec.n, edges, nums, den, tau, tau_den)
 
 
 def gen_degenerate(spec: GenSpec) -> Instance:
@@ -119,22 +173,23 @@ def gen_degenerate(spec: GenSpec) -> Instance:
     its predecessors plus a nonnegative random slack, so peeling always
     succeeds.
     """
-    if spec.n < 1:
+    n = spec.n
+    if n < 1:
         raise ValueError("need at least one vertex")
     rng = random.Random(spec.seed)
-    edges = _random_edges(rng, spec)
-    order = list(range(1, spec.n + 1))
+    edges, nums, den = _random_edges(rng, spec)
+    order = list(range(1, n + 1))
     rng.shuffle(order)
-    rank = {v: i for i, v in enumerate(order)}
-    back = {v: Fraction(0) for v in order}
-    for u, v, w in edges:
-        later = u if rank[u] > rank[v] else v
-        back[later] += w
-    tau = {}
+    rank = [0] * (n + 1)
+    for i, v in enumerate(order):
+        rank[v] = i
+    back = [0] * (n + 1)
+    for (u, v, _), k in zip(edges, nums):
+        back[u if rank[u] > rank[v] else v] += k
+    # Thresholds are halves: the back sum over 2 plus a slack drawn in `order`.
     for v in order:
-        slack = Fraction(rng.randint(0, 2 * spec.max_slack), 2)
-        tau[v] = back[v] + slack
-    return Instance(UNDIRECTED, tuple(range(1, spec.n + 1)), tuple(edges), tau)
+        back[v] = back[v] * (2 // den) + rng.randint(0, 2 * spec.max_slack)
+    return _checked(UNDIRECTED, n, edges, nums, den, back[1:], 2)
 
 
 def gen_cubic_t12(spec: GenSpec) -> Instance:
@@ -147,13 +202,14 @@ def gen_cubic_t12(spec: GenSpec) -> Instance:
         raise ValueError(f"no 3-regular simple graph on {n} vertices")
     rng = random.Random(spec.seed)
     stubs = [v for v in range(1, n + 1) for _ in range(3)]
+    one = Fraction(1)
     for _ in range(10000):
         rng.shuffle(stubs)
         pairs = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])}
         if len(pairs) == 3 * n // 2 and all(a != b for a, b in pairs):
-            edges = tuple((u, v, Fraction(1)) for u, v in sorted(pairs))
-            tau = {v: Fraction(rng.choice((1, 2))) for v in range(1, n + 1)}
-            return Instance(UNDIRECTED, tuple(range(1, n + 1)), edges, tau)
+            edges = tuple([(u, v, one) for u, v in sorted(pairs)])
+            tau = [rng.choice((1, 2)) for _ in range(n)]
+            return _checked(UNDIRECTED, n, edges, [1] * len(edges), 1, tau, 1)
     raise RuntimeError(f"could not pair a simple cubic graph on {n} vertices")
 
 
@@ -166,16 +222,20 @@ def gen_tournament(spec: GenSpec) -> Instance:
     if n < 2:
         raise ValueError("a tournament needs at least two vertices")
     rng = random.Random(spec.seed)
+    den, top, fractions = _grid(spec.weights)
+    randint, draw = rng.randint, rng.random
     arcs = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            w = _draw_weight(rng, spec.weights)
-            arcs.append((u, v, w) if rng.random() < 0.5 else (v, u, w))
-    insum = {v: Fraction(0) for v in range(1, n + 1)}
-    for _, v, w in arcs:
-        insum[v] += w
-    tau = {v: insum[v] * Fraction(rng.randint(0, 8), 8) for v in range(1, n + 1)}
-    return Instance(DIRECTED, tuple(range(1, n + 1)), tuple(arcs), tau)
+    nums: list[int] = []
+    insum = [0] * (n + 1)
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            k = randint(1, top) if top else 1
+            u, v = (a, b) if draw() < 0.5 else (b, a)
+            arcs.append((u, v, fractions[k]))
+            nums.append(k)
+            insum[v] += k
+    tau = [t * randint(0, 8) for t in insum[1:]]
+    return _checked(DIRECTED, n, tuple(arcs), nums, den, tau, 8 * den)
 
 
 _FAMILIES = {
@@ -192,4 +252,9 @@ def generate(spec: GenSpec) -> Instance:
         family = _FAMILIES[spec.family]
     except KeyError:
         raise ValueError(f"unknown family {spec.family!r}") from None
+    if not 0 <= spec.edge_prob <= 1:
+        raise ValueError(f"edge probability {spec.edge_prob} outside [0, 1]")
+    if spec.family != "random" and spec.tau_policy != GenSpec.tau_policy:
+        raise ValueError(f"threshold policy {spec.tau_policy!r} is for the random family;"
+                         f" the {spec.family} family sets its own thresholds")
     return family(spec)

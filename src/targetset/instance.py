@@ -95,9 +95,11 @@ class Instance:
 
     @classmethod
     def _from_checked(cls, mode, vertices, edges, tau, weights, tau_ints, scale) -> Instance:
-        """The WTG parser's instance: only the three rules below are left, failing as in `validate`.
+        """The WTG parser's and the generators' instance: only the three rules below are left,
+        failing as in `validate`.
 
-        `vertices` ascend; `weights` (in edge order) and `tau_ints` are scaled by `scale`."""
+        `vertices` ascend; `weights` (in edge order) and `tau_ints` are scaled by `scale`, the LCM
+        of the denominators of `edges` and `tau`."""
         if vertices[0] < 1:
             raise ValidationError(Violation("bad-vertex-id", f"vertex id {vertices[0]!r} is not a positive integer"))
         if weights and min(weights) < 0:
@@ -144,11 +146,14 @@ class Instance:
 
     @cached_property
     def total_weight(self) -> Fraction:
-        return sum((w for _, _, w in self.edges), start=Fraction(0))
+        view = self.compiled
+        # Undirected totals count each edge at both ends.
+        return Fraction(sum(view.totals), view.scale * (2 if self.mode == UNDIRECTED else 1))
 
     @cached_property
     def tau_total(self) -> Fraction:
-        return sum(self.tau.values(), start=Fraction(0))
+        view = self.compiled
+        return Fraction(sum(view.tau), view.scale)
 
     @cached_property
     def compiled(self) -> CompiledInstance:
@@ -180,7 +185,7 @@ class CompiledInstance:
     @cached_property
     def totals(self) -> tuple[int, ...]:
         """Scaled incident weight sum of each position (incoming in directed mode)."""
-        return tuple(sum(w for _, w in pairs) for pairs in self.incoming)
+        return tuple([sum(w for _, w in pairs) for pairs in self.incoming])
 
     @cached_property
     def min_weight(self) -> int:

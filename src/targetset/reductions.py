@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .degeneracy import DegeneracyOrdering, peel_ordering
+from .degeneracy import DegeneracyOrdering, _non_unit_edge, _require_degree_thresholds, peel_ordering
 from .errors import PreconditionError, VerificationError
 from .instance import DIRECTED, UNDIRECTED, Edge, Instance, canonical_edges
 
@@ -33,9 +33,10 @@ def _complete_edges(source: Instance, what: str) -> list[Edge]:
     n = source.n
     if n < 2:
         raise PreconditionError(f"{what} needs at least two vertices")
-    for u, v, w in source.edges:
-        if w != 1:
-            raise PreconditionError(f"{what} needs unit edge weights, edge ({u}, {v}) has {w}")
+    edge = _non_unit_edge(source)
+    if edge is not None:
+        u, v, w = edge
+        raise PreconditionError(f"{what} needs unit edge weights, edge ({u}, {v}) has {w}")
     present = {(min(u, v), max(u, v)) for u, v, _ in source.edges}
     big, one = Fraction(n), Fraction(1)
     return [(u, v, big if (u, v) in present else one) for u, v in combinations(source.vertices, 2)]
@@ -50,12 +51,7 @@ def tss_to_complete(source: Instance) -> ReductionReceipt:
     """
     edges = _complete_edges(source, "the complete-graph embedding")
     n = source.n
-    for v, pairs in zip(source.vertices, source.compiled.incoming):
-        t = source.tau[v]
-        if t.denominator != 1 or not 1 <= t <= len(pairs):
-            raise PreconditionError(
-                f"vertex {v} needs an integer threshold between 1 and its degree, got {t}"
-            )
+    _require_degree_thresholds(source)
     tau = {v: n * source.tau[v] for v in source.vertices}
     image = Instance(UNDIRECTED, source.vertices, tuple(edges), tau)
     notes = {
@@ -77,10 +73,10 @@ def degenerate_to_complete(source: Instance) -> ReductionReceipt:
     """
     edges = _complete_edges(source, "the hub embedding")
     n = source.n
-    for v in source.vertices:
-        t = source.tau[v]
-        if t.denominator != 1 or t < 0:
-            raise PreconditionError(f"vertex {v} needs a nonnegative integer threshold, got {t}")
+    scale = source.compiled.scale
+    for v, t in zip(source.vertices, source.compiled.tau):
+        if t % scale:
+            raise PreconditionError(f"vertex {v} needs a nonnegative integer threshold, got {source.tau[v]}")
     if not isinstance(peel_ordering(source), DegeneracyOrdering):
         raise PreconditionError("the hub embedding requires degenerate thresholds")
     hub = max(source.vertices) + 1

@@ -271,11 +271,17 @@ def test_gen_is_deterministic(capsys):
     ("--family", "cubic", "--n", "5"),
     ("--tau-policy", "two-level", "--n", "8", "--p", "0.1", "--seed", "1"),  # vertex 1 is isolated
     ("--tau-policy", "fixed", "--fixed-tau", "-1"),
+    # Options the family does not read are refused, not ignored.
+    ("--family", "tournament", "--n", "4", "--p", "7"),
+    ("--family", "cubic", "--p", "7"),
+    ("--family", "cubic", "--tau-policy", "two-level"),
+    ("--family", "degenerate", "--tau-policy", "fixed", "--fixed-tau", "-1"),
 ])
 def test_gen_infeasible_spec_is_usage_error(capsys, spec):
-    code, _, err = run(capsys, "gen", *spec)
+    code, out, err = run(capsys, "gen", *spec)
     assert code == 1
-    assert err.startswith("usage error:")
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_1(capsys):

@@ -102,6 +102,17 @@ def test_bad_specs_rejected():
         generate(GenSpec(n=3, tau_policy="nope"))
 
 
+@pytest.mark.parametrize("family,n", [("random", 4), ("degenerate", 4), ("cubic", 4), ("tournament", 4)])
+def test_every_family_refuses_options_it_does_not_read(family, n):
+    for p in (-0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            generate(GenSpec(family=family, n=n, edge_prob=p))
+    policies = ("capped", "fixed", "two-level", "min-or-full", "degree-range")
+    for policy in policies if family != "random" else ():
+        with pytest.raises(ValueError, match=f"threshold policy '{policy}' is for the random family"):
+            generate(GenSpec(family=family, n=n, tau_policy=policy, fixed_tau="-1"))
+
+
 def test_every_draw_builds_or_is_a_bad_spec():
     # A spec the generator cannot honour raises ValueError (a usage error on
     # the CLI); an invalid instance would raise ValidationError out of here.

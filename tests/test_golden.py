@@ -79,6 +79,23 @@ CASES = {
     "reduce-bidirect-halves": ["reduce", "bidirect", _fixture("halves.wtg")],
     "gen-degenerate-n8": ["gen", "--family", "degenerate", "--n", "8", "--seed", "7"],
     "gen-tournament-n6": ["gen", "--family", "tournament", "--n", "6", "--seed", "3"],
+    "gen-degenerate-slack0": ["gen", "--family", "degenerate", "--n", "9", "--seed", "5",
+                              "--weights", "halves", "--max-slack", "0"],
+    "gen-random-int": ["gen", "--n", "8", "--seed", "11", "--weights", "int"],
+    "gen-random-unit": ["gen", "--n", "8", "--seed", "12", "--weights", "unit",
+                        "--tau-policy", "degree-range"],
+    "gen-uniform-halves": ["gen", "--n", "8", "--seed", "21", "--weights", "halves",
+                           "--tau-policy", "uniform"],
+    "gen-capped-halves": ["gen", "--n", "8", "--seed", "22", "--weights", "halves",
+                          "--tau-policy", "capped"],
+    "gen-fixed-halves": ["gen", "--n", "8", "--seed", "23", "--weights", "halves",
+                         "--tau-policy", "fixed", "--fixed-tau", "5/2"],
+    "gen-two-level-halves": ["gen", "--n", "8", "--seed", "24", "--weights", "halves",
+                             "--tau-policy", "two-level", "--connected"],
+    "gen-min-or-full-halves": ["gen", "--n", "8", "--seed", "25", "--weights", "halves",
+                               "--tau-policy", "min-or-full"],
+    "gen-degree-range-halves": ["gen", "--n", "8", "--seed", "26", "--weights", "halves",
+                                "--tau-policy", "degree-range"],
 }
 
 

@@ -69,6 +69,23 @@ def test_complete_embedding_preconditions():
         tss_to_complete(build_instance(DIRECTED, 2, [(1, 2)], 1))
 
 
+def test_embedding_preconditions_name_the_first_offender():
+    # Edges listed out of sorted order: the message names the first one listed.
+    heavy = build_instance(UNDIRECTED, 3, [(2, 3, "1/2"), (1, 2, 3), (1, 3)], 1)
+    for embed, what in ((tss_to_complete, "the complete-graph embedding"),
+                        (degenerate_to_complete, "the hub embedding")):
+        with pytest.raises(PreconditionError, match=rf"^{what} needs unit edge weights, edge \(2, 3\) has 1/2$"):
+            embed(heavy)
+    path = [(1, 2), (2, 3)]
+    for tau, bad in (([1, 3, 2], "vertex 2 needs an integer threshold between 1 and its degree, got 3"),
+                     ([1, "3/2", "1/2"], "vertex 2 needs an integer threshold between 1 and its degree, got 3/2"),
+                     ([0, 1, 1], "vertex 1 needs an integer threshold between 1 and its degree, got 0")):
+        with pytest.raises(PreconditionError, match=f"^{bad}$"):
+            tss_to_complete(build_instance(UNDIRECTED, 3, path, tau))
+    with pytest.raises(PreconditionError, match="^vertex 3 needs a nonnegative integer threshold, got 1/3$"):
+        degenerate_to_complete(build_instance(UNDIRECTED, 3, path, [1, 1, "1/3"]))
+
+
 def test_complete_embedding_preserves_target_sets_subsetwise():
     rng = random.Random(23)
     for _ in range(12):
