@@ -95,17 +95,17 @@ class Instance:
 
     @classmethod
     def _from_checked(cls, mode, vertices, edges, tau, weights, tau_ints, scale) -> Instance:
-        """The WTG parser's and the generators' instance: only the three rules below are left,
-        failing as in `validate`.
+        """The WTG parser's, the generators' and the reductions' instance: only the three rules
+        below are left, failing as in `validate`.
 
         `vertices` ascend; `weights` (in edge order) and `tau_ints` are scaled by `scale`, the LCM
         of the denominators of `edges` and `tau`."""
-        if vertices[0] < 1:
+        if vertices and vertices[0] < 1:
             raise ValidationError(Violation("bad-vertex-id", f"vertex id {vertices[0]!r} is not a positive integer"))
         if weights and min(weights) < 0:
             u, v, w = next(e for e, x in zip(edges, weights) if x < 0)
             raise ValidationError(Violation("negative-weight", f"edge ({u}, {v}) has negative weight {w}"))
-        if min(tau_ints) < 0:
+        if tau_ints and min(tau_ints) < 0:
             v = next(v for v, t in zip(vertices, tau_ints) if t < 0)
             raise ValidationError(Violation("negative-threshold", f"vertex {v} has negative threshold {tau[v]}"))
         self = object.__new__(cls)

@@ -22,11 +22,12 @@ class ReductionReceipt:
     notes: dict[str, str]
 
 
-def _complete_edges(source: Instance, what: str) -> list[Edge]:
+def _complete_edges(source: Instance, what: str) -> tuple[list[Edge], list[int]]:
     """The complete graph on an undirected unit-weight source with at least two vertices.
 
-    Source edges get weight n and absent pairs weight 1; `what` names the
-    embedding in the precondition errors.
+    Source edges get weight n and absent pairs weight 1; returns the edges
+    and their integer weights in the same order. `what` names the embedding
+    in the precondition errors.
     """
     if source.mode != UNDIRECTED:
         raise PreconditionError(f"{what} takes undirected instances")
@@ -38,8 +39,14 @@ def _complete_edges(source: Instance, what: str) -> list[Edge]:
         u, v, w = edge
         raise PreconditionError(f"{what} needs unit edge weights, edge ({u}, {v}) has {w}")
     present = {(min(u, v), max(u, v)) for u, v, _ in source.edges}
-    big, one = Fraction(n), Fraction(1)
-    return [(u, v, big if (u, v) in present else one) for u, v in combinations(source.vertices, 2)]
+    pairs = list(combinations(source.vertices, 2))
+    weights = [n if pair in present else 1 for pair in pairs]
+    fraction = {n: Fraction(n), 1: Fraction(1)}
+    return [(u, v, fraction[k]) for (u, v), k in zip(pairs, weights)], weights
+
+
+def _integer_tau(vertices, tau_ints: list[int]) -> dict[int, Fraction]:
+    return {v: Fraction(t) for v, t in zip(vertices, tau_ints)}
 
 
 def tss_to_complete(source: Instance) -> ReductionReceipt:
@@ -49,11 +56,14 @@ def tss_to_complete(source: Instance) -> ReductionReceipt:
     multiplied by n. A seed activates the image exactly when it activates the
     source, so minimum target sets coincide.
     """
-    edges = _complete_edges(source, "the complete-graph embedding")
+    edges, weights = _complete_edges(source, "the complete-graph embedding")
     n = source.n
     _require_degree_thresholds(source)
-    tau = {v: n * source.tau[v] for v in source.vertices}
-    image = Instance(UNDIRECTED, source.vertices, tuple(edges), tau)
+    # Unit weights and integer thresholds: every value of the image is an integer.
+    scale = source.compiled.scale
+    tau_ints = [n * (t // scale) for t in source.compiled.tau]
+    image = Instance._from_checked(UNDIRECTED, source.vertices, tuple(edges),
+                                   _integer_tau(source.vertices, tau_ints), weights, tau_ints, 1)
     notes = {
         "kind": "complete-embedding",
         "n": str(n),
@@ -71,7 +81,7 @@ def degenerate_to_complete(source: Instance) -> ReductionReceipt:
     thresholds become n*tau + n. The image stays degenerate, and its minimum
     target set is exactly one larger than the source's.
     """
-    edges = _complete_edges(source, "the hub embedding")
+    edges, weights = _complete_edges(source, "the hub embedding")
     n = source.n
     scale = source.compiled.scale
     for v, t in zip(source.vertices, source.compiled.tau):
@@ -82,9 +92,12 @@ def degenerate_to_complete(source: Instance) -> ReductionReceipt:
     hub = max(source.vertices) + 1
     big = Fraction(n)
     edges.extend((v, hub, big) for v in source.vertices)
-    tau = {v: big * source.tau[v] + big for v in source.vertices}
-    tau[hub] = big * big
-    image = Instance(UNDIRECTED, source.vertices + (hub,), tuple(edges), tau)
+    weights.extend([n] * n)
+    vertices = source.vertices + (hub,)
+    tau_ints = [n * (t // scale) + n for t in source.compiled.tau]
+    tau_ints.append(n * n)
+    image = Instance._from_checked(UNDIRECTED, vertices, tuple(edges),
+                                   _integer_tau(vertices, tau_ints), weights, tau_ints, 1)
     if not isinstance(peel_ordering(image), DegeneracyOrdering):
         raise VerificationError("hub embedding lost degeneracy")
     notes = {
@@ -104,10 +117,15 @@ def to_bidirected(source: Instance) -> ReductionReceipt:
     """
     if source.mode != UNDIRECTED:
         raise PreconditionError("already directed; the bi-directed conversion takes undirected input")
-    arcs = []
+    view = source.compiled
+    scale = view.scale
+    arcs, weights = [], []
     for u, v, w in canonical_edges(source):
-        arcs.append((u, v, w))
-        arcs.append((v, u, w))
-    image = Instance(DIRECTED, source.vertices, tuple(arcs), source.tau)
+        k = w.numerator * (scale // w.denominator)
+        arcs += (u, v, w), (v, u, w)
+        weights += k, k
+    # Same weights and thresholds, so the same scale and scaled thresholds.
+    image = Instance._from_checked(DIRECTED, source.vertices, tuple(arcs), dict(source.tau),
+                                   weights, view.tau, scale)
     notes = {"kind": "bidirected", "arc_count": str(len(arcs))}
     return ReductionReceipt(image, notes)
