@@ -34,6 +34,7 @@ CASES = {
     "simulate-noncontig-empty": ["simulate", _input("noncontig.wtg"), "--seed-set", ""],
     "simulate-noncontig-seed": ["simulate", _input("noncontig.wtg"), "--seed-set", "40"],
     "simulate-capped12-seed": ["simulate", _input("capped12.wtg"), "--seed-set", "1,11"],
+    "simulate-unreduced-seed": ["simulate", _input("unreduced.wtg"), "--seed-set", "1"],
     "simulate-directed-pair-seed": ["simulate", _fixture("directed_pair.wtg"), "--seed-set", "1"],
     "simulate-tour7-seed": ["simulate", _input("tour7.wtg"), "--seed-set", "3,4"],
     "simulate-directed-p-seed": ["simulate", _input("directed_p.wtg"), "--seed-set", "9"],
@@ -77,6 +78,8 @@ CASES = {
     "reduce-prop1-p3": ["reduce", "prop1", _fixture("p3.wtg")],
     "reduce-prop3-triangle": ["reduce", "prop3", _fixture("triangle_t2.wtg")],
     "reduce-bidirect-halves": ["reduce", "bidirect", _fixture("halves.wtg")],
+    "reduce-bidirect-unreduced": ["reduce", "bidirect", _input("unreduced.wtg")],
+    "gen-cubic-n8": ["gen", "--family", "cubic", "--n", "8", "--seed", "4"],
     "gen-degenerate-n8": ["gen", "--family", "degenerate", "--n", "8", "--seed", "7"],
     "gen-tournament-n6": ["gen", "--family", "tournament", "--n", "6", "--seed", "3"],
     "gen-degenerate-slack0": ["gen", "--family", "degenerate", "--n", "9", "--seed", "5",
