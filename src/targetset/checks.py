@@ -88,14 +88,13 @@ def random_degenerate_tss_instance(rng: random.Random, n: int) -> Instance:
     rng.shuffle(order)
     rank = {v: i for i, v in enumerate(order)}
     degree = {v: len(pairs) for v, pairs in zip(base.vertices, base.compiled.incoming)}
+    tails = [u for u, _, _ in base.edges]
+    heads = [v for _, v, _ in base.edges]
     back = {v: 0 for v in base.vertices}
-    for u, v, _ in base.edges:
+    for u, v in zip(tails, heads):
         back[u if rank[u] > rank[v] else v] += 1
-    tau_ints = [rng.randint(max(1, back[v]), max(1, back[v], degree[v])) for v in base.vertices]
-    # Unit weights and integer thresholds, so the integer view has scale 1.
-    inst = Instance._from_checked(base.mode, base.vertices, base.edges,
-                                  {v: Fraction(t) for v, t in zip(base.vertices, tau_ints)},
-                                  [1] * len(base.edges), tau_ints, 1)
+    tau = [rng.randint(max(1, back[v]), max(1, back[v], degree[v])) for v in base.vertices]
+    inst = Instance._from_ints(base.mode, base.vertices, tails, heads, [1] * len(tails), 1, tau, 1)
     if not isinstance(peel_ordering(inst), DegeneracyOrdering):
         raise RuntimeError("degenerate construction failed to peel")
     return inst

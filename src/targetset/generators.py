@@ -7,18 +7,16 @@ cannot honour raises ValueError, and options the family does not read are
 refused before the first draw.
 
 Weights are drawn as numerators on their grid, and incident sums and
-thresholds are computed on those integers. A Fraction is built once per
-threshold, and every weight Fraction comes from its grid's shared table. Each
-instance is handed its integer view, so it is neither validated nor compiled
-a second time.
+thresholds are computed on those integers. Each family hands the instance
+its endpoint lists and the numerators of its weights and thresholds, each
+list over one denominator; the instance derives its scale and its Fractions,
+so it is neither validated nor compiled a second time.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .instance import DIRECTED, UNDIRECTED, Instance, parse_rational
 
@@ -50,23 +48,20 @@ class GenSpec:
     max_slack: int = 3
 
 
-# Each weight grid: its denominator, the largest numerator drawn (0: every
-# numerator is 1 and none is drawn), and the Fraction of each numerator.
-_GRIDS = {
-    name: (den, top, tuple(Fraction(k, den) for k in range(max(top, 1) + 1)))
-    for name, den, top in (("int", 1, 10), ("halves", 2, 20), ("unit", 1, 0))
-}
+# Each weight grid: its denominator and the largest numerator drawn (0: every
+# numerator is 1 and none is drawn).
+_GRIDS = {"int": (1, 10), "halves": (2, 20), "unit": (1, 0)}
 
 
-def _grid(name: str) -> tuple[int, int, tuple[Fraction, ...]]:
+def _grid(name: str) -> tuple[int, int]:
     try:
         return _GRIDS[name]
     except KeyError:
         raise ValueError(f"unknown weight grid {name!r}") from None
 
 
-def _random_edges(rng: random.Random, spec: GenSpec) -> tuple[tuple, list[int], int]:
-    """Sorted edges, their weight numerators and the grid's denominator.
+def _random_edges(rng: random.Random, spec: GenSpec) -> tuple[list[int], list[int], list[int], int]:
+    """Sorted edges as endpoint lists, their weight numerators and the grid's denominator.
 
     A pair on the spanning tree (if `connected`) is taken without a draw;
     every other pair is taken with probability `edge_prob`. The weights are
@@ -81,19 +76,20 @@ def _random_edges(rng: random.Random, spec: GenSpec) -> tuple[tuple, list[int], 
             a, b = order[rng.randrange(i)], order[i]
             tree.add((min(a, b), max(a, b)))
     draw, p = rng.random, spec.edge_prob
-    pairs = []
+    tails, heads = [], []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if (i, j) in tree or draw() < p:
-                pairs.append((i, j))
-    if not pairs:  # no weight is drawn, so the grid is never read
-        return (), [], 1
-    den, top, fractions = _grid(spec.weights)
-    nums = [rng.randint(1, top) for _ in pairs] if top else [1] * len(pairs)
-    return tuple([(u, v, fractions[k]) for (u, v), k in zip(pairs, nums)]), nums, den
+                tails.append(i)
+                heads.append(j)
+    if not tails:  # no weight is drawn, so the grid is never read
+        return tails, heads, [], 1
+    den, top = _grid(spec.weights)
+    nums = [rng.randint(1, top) for _ in tails] if top else [1] * len(tails)
+    return tails, heads, nums, den
 
 
-def _thresholds(rng: random.Random, spec: GenSpec, edges, nums: list[int], den: int) -> tuple[list[int], int]:
+def _thresholds(rng: random.Random, spec: GenSpec, tails, heads, nums: list[int], den: int) -> tuple[list[int], int]:
     """Threshold numerators in vertex order and their common denominator.
 
     Weights are `nums` over `den`; thresholds are drawn vertex by vertex.
@@ -106,12 +102,12 @@ def _thresholds(rng: random.Random, spec: GenSpec, edges, nums: list[int], den: 
         return [fixed.numerator] * n, fixed.denominator
     if policy == "degree-range":
         degrees = [0] * (n + 1)
-        for u, v, _ in edges:
+        for u, v in zip(tails, heads):
             degrees[u] += 1
             degrees[v] += 1
         return [rng.randint(1, max(1, d)) for d in degrees[1:]], 1
     totals = [0] * (n + 1)
-    for (u, v, _), k in zip(edges, nums):
+    for u, v, k in zip(tails, heads, nums):
         totals[u] += k
         totals[v] += k
     del totals[0]
@@ -132,38 +128,14 @@ def _thresholds(rng: random.Random, spec: GenSpec, edges, nums: list[int], den: 
     return tau, den
 
 
-def _reduced(den: int, nums: list[int]) -> int:
-    """The least common denominator of every num/den."""
-    g = den
-    for k in nums:
-        if g == 1:
-            break
-        g = math.gcd(g, k)
-    return den // g
-
-
-def _checked(mode: str, n: int, edges, nums: list[int], den: int, tau: list[int], tau_den: int) -> Instance:
-    """The instance with weights `nums`/`den` and thresholds `tau`/`tau_den`, handed its integer view.
-
-    The view's scale is the LCM of the reduced denominators, as the
-    constructor's compile would find it.
-    """
-    scale = math.lcm(_reduced(den, nums), _reduced(tau_den, tau))
-    weights = nums if scale == den else [k * scale // den for k in nums]
-    scaled = tau if scale == tau_den else [t * scale // tau_den for t in tau]
-    vertices = tuple(range(1, n + 1))
-    tau_map = {v: Fraction(t, tau_den) for v, t in zip(vertices, tau)}
-    return Instance._from_checked(mode, vertices, edges, tau_map, weights, scaled, scale)
-
-
 def gen_random_weighted(spec: GenSpec) -> Instance:
     """Edge-probability random graph with weights and thresholds per spec."""
     if spec.n < 1:
         raise ValueError("need at least one vertex")
     rng = random.Random(spec.seed)
-    edges, nums, den = _random_edges(rng, spec)
-    tau, tau_den = _thresholds(rng, spec, edges, nums, den)
-    return _checked(UNDIRECTED, spec.n, edges, nums, den, tau, tau_den)
+    tails, heads, nums, den = _random_edges(rng, spec)
+    tau, tau_den = _thresholds(rng, spec, tails, heads, nums, den)
+    return Instance._from_ints(UNDIRECTED, tuple(range(1, spec.n + 1)), tails, heads, nums, den, tau, tau_den)
 
 
 def gen_degenerate(spec: GenSpec) -> Instance:
@@ -177,19 +149,19 @@ def gen_degenerate(spec: GenSpec) -> Instance:
     if n < 1:
         raise ValueError("need at least one vertex")
     rng = random.Random(spec.seed)
-    edges, nums, den = _random_edges(rng, spec)
+    tails, heads, nums, den = _random_edges(rng, spec)
     order = list(range(1, n + 1))
     rng.shuffle(order)
     rank = [0] * (n + 1)
     for i, v in enumerate(order):
         rank[v] = i
     back = [0] * (n + 1)
-    for (u, v, _), k in zip(edges, nums):
+    for u, v, k in zip(tails, heads, nums):
         back[u if rank[u] > rank[v] else v] += k
     # Thresholds are halves: the back sum over 2 plus a slack drawn in `order`.
     for v in order:
         back[v] = back[v] * (2 // den) + rng.randint(0, 2 * spec.max_slack)
-    return _checked(UNDIRECTED, n, edges, nums, den, back[1:], 2)
+    return Instance._from_ints(UNDIRECTED, tuple(range(1, n + 1)), tails, heads, nums, den, back[1:], 2)
 
 
 def gen_cubic_t12(spec: GenSpec) -> Instance:
@@ -202,14 +174,14 @@ def gen_cubic_t12(spec: GenSpec) -> Instance:
         raise ValueError(f"no 3-regular simple graph on {n} vertices")
     rng = random.Random(spec.seed)
     stubs = [v for v in range(1, n + 1) for _ in range(3)]
-    one = Fraction(1)
     for _ in range(10000):
         rng.shuffle(stubs)
         pairs = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])}
         if len(pairs) == 3 * n // 2 and all(a != b for a, b in pairs):
-            edges = tuple([(u, v, one) for u, v in sorted(pairs)])
+            ordered = sorted(pairs)
             tau = [rng.choice((1, 2)) for _ in range(n)]
-            return _checked(UNDIRECTED, n, edges, [1] * len(edges), 1, tau, 1)
+            return Instance._from_ints(UNDIRECTED, tuple(range(1, n + 1)), [u for u, _ in ordered],
+                                       [v for _, v in ordered], [1] * len(ordered), 1, tau, 1)
     raise RuntimeError(f"could not pair a simple cubic graph on {n} vertices")
 
 
@@ -222,20 +194,20 @@ def gen_tournament(spec: GenSpec) -> Instance:
     if n < 2:
         raise ValueError("a tournament needs at least two vertices")
     rng = random.Random(spec.seed)
-    den, top, fractions = _grid(spec.weights)
+    den, top = _grid(spec.weights)
     randint, draw = rng.randint, rng.random
-    arcs = []
-    nums: list[int] = []
+    tails, heads, nums = [], [], []
     insum = [0] * (n + 1)
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             k = randint(1, top) if top else 1
             u, v = (a, b) if draw() < 0.5 else (b, a)
-            arcs.append((u, v, fractions[k]))
+            tails.append(u)
+            heads.append(v)
             nums.append(k)
             insum[v] += k
     tau = [t * randint(0, 8) for t in insum[1:]]
-    return _checked(DIRECTED, n, tuple(arcs), nums, den, tau, 8 * den)
+    return Instance._from_ints(DIRECTED, tuple(range(1, n + 1)), tails, heads, nums, den, tau, 8 * den)
 
 
 _FAMILIES = {

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import gt
 from types import MappingProxyType
 from typing import Mapping
@@ -27,6 +27,20 @@ VertexSet = frozenset[int]
 
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 _EXACT = (Fraction, int)
+# Instances built in a row mostly share their few values; Fraction's own constructor is slow.
+_fraction = lru_cache(maxsize=256)(Fraction)
+
+
+def _ratio(text: str) -> tuple[int, int]:
+    """Parse `int` or `int/int` into its numerator and denominator as written, unreduced."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not an integer or integer/integer rational: {text!r}")
+    num, den = match.groups()
+    den = int(den or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return int(num), den
 
 
 def parse_rational(text: str) -> Fraction:
@@ -35,13 +49,7 @@ def parse_rational(text: str) -> Fraction:
     Decimal notation is rejected on purpose: values written as "3/2" must
     survive a round trip without ever becoming "1.5".
     """
-    match = _RATIONAL.fullmatch(text)
-    if match is None:
-        raise ValueError(f"not an integer or integer/integer rational: {text!r}")
-    num, den = match.groups()
-    if den is not None and int(den) == 0:
-        raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den or 1))
+    return Fraction(*_ratio(text))
 
 
 def format_rational(value: Fraction) -> str:
@@ -94,23 +102,44 @@ class Instance:
             object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
 
     @classmethod
-    def _from_checked(cls, mode, vertices, edges, tau, weights, tau_ints, scale) -> Instance:
-        """The WTG parser's, the generators' and the reductions' instance: only the three rules
-        below are left, failing as in `validate`.
+    def _from_ints(cls, mode, vertices, tails, heads, weights, weight_den, tau, tau_den) -> Instance:
+        """The instance with arcs `tails[i]` -> `heads[i]` of weight `weights[i] / weight_den` and
+        thresholds `tau[i] / tau_den` (in vertex order), handed its integer view.
 
-        `vertices` ascend; `weights` (in edge order) and `tau_ints` are scaled by `scale`, the LCM
-        of the denominators of `edges` and `tau`."""
+        The parser's, the generators' and the reductions' constructor. `vertices` ascend and every
+        rule but three holds already; those three fail as in `validate`. The integer view alone is
+        derived here: both lists go onto one denominator, which one gcd with every numerator reduces
+        to the LCM of the reduced denominators, as compiling `edges` and `tau` would find it. Each
+        distinct value becomes one Fraction. Endpoints come as two flat lists so that callers emit
+        them straight from their loops and the edge triples are built in one pass.
+        """
         if vertices and vertices[0] < 1:
             raise ValidationError(Violation("bad-vertex-id", f"vertex id {vertices[0]!r} is not a positive integer"))
         if weights and min(weights) < 0:
-            u, v, w = next(e for e, x in zip(edges, weights) if x < 0)
-            raise ValidationError(Violation("negative-weight", f"edge ({u}, {v}) has negative weight {w}"))
-        if tau_ints and min(tau_ints) < 0:
-            v = next(v for v, t in zip(vertices, tau_ints) if t < 0)
-            raise ValidationError(Violation("negative-threshold", f"vertex {v} has negative threshold {tau[v]}"))
+            u, v, k = next(e for e in zip(tails, heads, weights) if e[2] < 0)
+            raise ValidationError(Violation("negative-weight",
+                                            f"edge ({u}, {v}) has negative weight {Fraction(k, weight_den)}"))
+        if tau and min(tau) < 0:
+            v, t = next(x for x in zip(vertices, tau) if x[1] < 0)
+            raise ValidationError(Violation("negative-threshold",
+                                            f"vertex {v} has negative threshold {Fraction(t, tau_den)}"))
+        scale = weight_den
+        if tau_den != scale:
+            scale = math.lcm(weight_den, tau_den)
+            if scale != weight_den:
+                weights = [k * (scale // weight_den) for k in weights]
+            if scale != tau_den:
+                tau = [t * (scale // tau_den) for t in tau]
+        if scale > 1 and (g := math.gcd(scale, *weights, *tau)) > 1:
+            scale //= g
+            weights = [k // g for k in weights]
+            tau = [t // g for t in tau]
+        value = {k: _fraction(k, scale) for k in {*weights, *tau}}
+        edges = tuple([(u, v, value[k]) for u, v, k in zip(tails, heads, weights)])
         self = object.__new__(cls)
-        self.__dict__.update(mode=mode, vertices=vertices, edges=edges, tau=MappingProxyType(tau),
-                             compiled=_compile(mode, vertices, edges, weights, tau_ints, scale))
+        self.__dict__.update(mode=mode, vertices=vertices, edges=edges,
+                             tau=MappingProxyType(dict(zip(vertices, map(value.__getitem__, tau)))),
+                             compiled=_compile(mode, vertices, edges, weights, tau, scale))
         return self
 
     @cached_property

@@ -8,12 +8,11 @@ the construction parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .degeneracy import DegeneracyOrdering, _non_unit_edge, _require_degree_thresholds, peel_ordering
 from .errors import PreconditionError, VerificationError
-from .instance import DIRECTED, UNDIRECTED, Edge, Instance, canonical_edges
+from .instance import DIRECTED, UNDIRECTED, Instance
 
 
 @dataclass(frozen=True)
@@ -22,12 +21,12 @@ class ReductionReceipt:
     notes: dict[str, str]
 
 
-def _complete_edges(source: Instance, what: str) -> tuple[list[Edge], list[int]]:
+def _complete_edges(source: Instance, what: str) -> tuple[list[int], list[int], list[int]]:
     """The complete graph on an undirected unit-weight source with at least two vertices.
 
-    Source edges get weight n and absent pairs weight 1; returns the edges
-    and their integer weights in the same order. `what` names the embedding
-    in the precondition errors.
+    Source edges get weight n and absent pairs weight 1; returns the edges as
+    tail and head lists and their integer weights, in the same order. `what`
+    names the embedding in the precondition errors.
     """
     if source.mode != UNDIRECTED:
         raise PreconditionError(f"{what} takes undirected instances")
@@ -41,12 +40,7 @@ def _complete_edges(source: Instance, what: str) -> tuple[list[Edge], list[int]]
     present = {(min(u, v), max(u, v)) for u, v, _ in source.edges}
     pairs = list(combinations(source.vertices, 2))
     weights = [n if pair in present else 1 for pair in pairs]
-    fraction = {n: Fraction(n), 1: Fraction(1)}
-    return [(u, v, fraction[k]) for (u, v), k in zip(pairs, weights)], weights
-
-
-def _integer_tau(vertices, tau_ints: list[int]) -> dict[int, Fraction]:
-    return {v: Fraction(t) for v, t in zip(vertices, tau_ints)}
+    return [u for u, _ in pairs], [v for _, v in pairs], weights
 
 
 def tss_to_complete(source: Instance) -> ReductionReceipt:
@@ -56,14 +50,13 @@ def tss_to_complete(source: Instance) -> ReductionReceipt:
     multiplied by n. A seed activates the image exactly when it activates the
     source, so minimum target sets coincide.
     """
-    edges, weights = _complete_edges(source, "the complete-graph embedding")
+    tails, heads, weights = _complete_edges(source, "the complete-graph embedding")
     n = source.n
     _require_degree_thresholds(source)
     # Unit weights and integer thresholds: every value of the image is an integer.
     scale = source.compiled.scale
-    tau_ints = [n * (t // scale) for t in source.compiled.tau]
-    image = Instance._from_checked(UNDIRECTED, source.vertices, tuple(edges),
-                                   _integer_tau(source.vertices, tau_ints), weights, tau_ints, 1)
+    tau = [n * (t // scale) for t in source.compiled.tau]
+    image = Instance._from_ints(UNDIRECTED, source.vertices, tails, heads, weights, 1, tau, 1)
     notes = {
         "kind": "complete-embedding",
         "n": str(n),
@@ -81,7 +74,7 @@ def degenerate_to_complete(source: Instance) -> ReductionReceipt:
     thresholds become n*tau + n. The image stays degenerate, and its minimum
     target set is exactly one larger than the source's.
     """
-    edges, weights = _complete_edges(source, "the hub embedding")
+    tails, heads, weights = _complete_edges(source, "the hub embedding")
     n = source.n
     scale = source.compiled.scale
     for v, t in zip(source.vertices, source.compiled.tau):
@@ -90,14 +83,12 @@ def degenerate_to_complete(source: Instance) -> ReductionReceipt:
     if not isinstance(peel_ordering(source), DegeneracyOrdering):
         raise PreconditionError("the hub embedding requires degenerate thresholds")
     hub = max(source.vertices) + 1
-    big = Fraction(n)
-    edges.extend((v, hub, big) for v in source.vertices)
-    weights.extend([n] * n)
-    vertices = source.vertices + (hub,)
-    tau_ints = [n * (t // scale) + n for t in source.compiled.tau]
-    tau_ints.append(n * n)
-    image = Instance._from_checked(UNDIRECTED, vertices, tuple(edges),
-                                   _integer_tau(vertices, tau_ints), weights, tau_ints, 1)
+    tails += source.vertices
+    heads += [hub] * n
+    weights += [n] * n
+    tau = [n * (t // scale) + n for t in source.compiled.tau]
+    tau.append(n * n)
+    image = Instance._from_ints(UNDIRECTED, source.vertices + (hub,), tails, heads, weights, 1, tau, 1)
     if not isinstance(peel_ordering(image), DegeneracyOrdering):
         raise VerificationError("hub embedding lost degeneracy")
     notes = {
@@ -118,14 +109,15 @@ def to_bidirected(source: Instance) -> ReductionReceipt:
     if source.mode != UNDIRECTED:
         raise PreconditionError("already directed; the bi-directed conversion takes undirected input")
     view = source.compiled
-    scale = view.scale
-    arcs, weights = [], []
-    for u, v, w in canonical_edges(source):
-        k = w.numerator * (scale // w.denominator)
-        arcs += (u, v, w), (v, u, w)
-        weights += k, k
-    # Same weights and thresholds, so the same scale and scaled thresholds.
-    image = Instance._from_checked(DIRECTED, source.vertices, tuple(arcs), dict(source.tau),
-                                   weights, view.tau, scale)
-    notes = {"kind": "bidirected", "arc_count": str(len(arcs))}
+    ids = source.vertices
+    tails, heads, weights = [], [], []
+    # Positions ascend with ids, so this is the canonical edge order.
+    for i, pairs in enumerate(view.out):
+        for j, k in sorted(pairs):
+            if j > i:
+                tails += ids[i], ids[j]
+                heads += ids[j], ids[i]
+                weights += k, k
+    image = Instance._from_ints(DIRECTED, ids, tails, heads, weights, view.scale, view.tau, view.scale)
+    notes = {"kind": "bidirected", "arc_count": str(len(tails))}
     return ReductionReceipt(image, notes)

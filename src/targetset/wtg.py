@@ -26,6 +26,7 @@ from .instance import (
     DIRECTED,
     UNDIRECTED,
     Instance,
+    _ratio,
     canonical_edges,
     format_rational,
     parse_rational,
@@ -46,15 +47,16 @@ def _int_token(toks, k, line, line_no, what) -> int:
     return int(tok)
 
 
-def _rational_token(toks, k, line, line_no, what, numbers) -> Fraction:
+def _number_token(toks, k, line, line_no, what, cache, parse):
+    """Token k parsed by `parse`, once per distinct token: `cache` keeps each result."""
     tok = toks[k]
-    value = numbers.get(tok)
+    value = cache.get(tok)
     if value is None:
         try:
-            value = parse_rational(tok)
+            value = parse(tok)
         except ValueError as exc:
             raise WtgParseError(f"bad {what}: {exc}", line_no, _column(line, k)) from None
-        numbers[tok] = value
+        cache[tok] = value
     return value
 
 
@@ -62,22 +64,24 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     """Parse a WTG document into a validated instance plus optional incentives.
 
     Tokens are split on whitespace; a token's column is worked out only when
-    an error names it. Each distinct number is parsed once per document. The
-    same pass builds the checked integer view, scaling each distinct threshold
-    and weight token once (incentives stay Fractions and leave the scale alone),
-    so the instance is neither validated nor compiled a second time.
+    an error names it. Each distinct number is parsed once per document:
+    threshold and weight tokens into a numerator and a denominator, which are
+    put on their common denominator once per distinct token and handed to the
+    instance with the endpoints, so it is neither validated nor compiled a
+    second time. Incentives stay Fractions and leave the integer view alone.
     """
     mode = None
     declared_n = None
     version_seen = False
     ready = False  # header, mode and n seen; edge lines, most of a file, then take the first branch
-    tau: dict[int, Fraction] = {}
-    tau_tokens: dict[int, str] = {}
-    edges: list[tuple[int, int, Fraction]] = []
+    tau: dict[int, str] = {}  # vertex id -> its threshold token
+    tails: list[int] = []
+    heads: list[int] = []
     weight_tokens: list[str] = []
     seen_pairs: set[tuple[int, int]] = set()
     incentives: dict[int, Fraction] = {}
-    numbers: dict[str, Fraction] = {}
+    ratios: dict[str, tuple[int, int]] = {}
+    incentive_numbers: dict[str, Fraction] = {}
     lines = text.splitlines()
     last_line = len(lines)
 
@@ -95,17 +99,18 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
             _, a, b, wt = toks
             u = int(a) if a.isdecimal() else _int_token(toks, 1, line, line_no, "endpoint")
             v = int(b) if b.isdecimal() else _int_token(toks, 2, line, line_no, "endpoint")
-            if (w := numbers.get(wt)) is None:
-                w = _rational_token(toks, 3, line, line_no, "weight", numbers)
+            if wt not in ratios:
+                _number_token(toks, 3, line, line_no, "weight", ratios, _ratio)
             if u == v:
                 raise WtgParseError(f"self-loop at vertex {u}", line_no, _column(line, 2))
             if u not in tau or v not in tau:
                 x, k = (u, 1) if u not in tau else (v, 2)
                 raise WtgParseError(f"edge references undeclared vertex {x}", line_no, _column(line, k))
             seen_pairs.add((u, v) if mode == DIRECTED or u < v else (v, u))
-            if len(seen_pairs) == len(edges):  # the pair was there already
+            if len(seen_pairs) == len(tails):  # the pair was there already
                 raise WtgParseError(f"duplicate edge between {u} and {v}", line_no, _column(line, 0))
-            edges.append((u, v, w))
+            tails.append(u)
+            heads.append(v)
             weight_tokens.append(wt)
             continue
 
@@ -137,8 +142,8 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
             vid = _int_token(toks, 1, line, line_no, "vertex id")
             if vid in tau:
                 raise WtgParseError(f"vertex {vid} declared twice", line_no, _column(line, 1))
-            tau[vid] = _rational_token(toks, 2, line, line_no, "threshold", numbers)
-            tau_tokens[vid] = toks[2]
+            _number_token(toks, 2, line, line_no, "threshold", ratios, _ratio)
+            tau[vid] = toks[2]
         elif key == "p":
             if nargs != 2:
                 raise WtgParseError("p takes an id and a value", line_no, _column(line, 0))
@@ -147,7 +152,7 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
                 raise WtgParseError(f"incentive for undeclared vertex {vid}", line_no, _column(line, 1))
             if vid in incentives:
                 raise WtgParseError(f"duplicate incentive for vertex {vid}", line_no, _column(line, 1))
-            value = _rational_token(toks, 2, line, line_no, "incentive", numbers)
+            value = _number_token(toks, 2, line, line_no, "incentive", incentive_numbers, parse_rational)
             if value.numerator < 0:
                 raise WtgParseError(f"negative incentive {value}", line_no, _column(line, 2))
             incentives[vid] = value
@@ -166,13 +171,13 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     if len(tau) != declared_n:
         raise WtgParseError(f"declared n {declared_n} but found {len(tau)} vertex lines", last_line)
 
-    scaled = set(weight_tokens).union(tau_tokens.values())
-    scale = math.lcm(*(numbers[t].denominator for t in scaled))
-    ints = {t: (x := numbers[t]).numerator * (scale // x.denominator) for t in scaled}
+    tokens = set(weight_tokens).union(tau.values())
+    den = math.lcm(*(ratios[t][1] for t in tokens))
+    ints = {t: ratios[t][0] * (den // ratios[t][1]) for t in tokens}
     vertices = tuple(sorted(tau))
-    return Instance._from_checked(
-        mode, vertices, tuple(edges), tau, list(map(ints.__getitem__, weight_tokens)),
-        [ints[tau_tokens[v]] for v in vertices], scale), incentives or None
+    return Instance._from_ints(
+        mode, vertices, tails, heads, list(map(ints.__getitem__, weight_tokens)), den,
+        [ints[tau[v]] for v in vertices], den), incentives or None
 
 
 def serialize_wtg(instance: Instance, incentives: dict[int, Fraction] | None = None) -> str:

@@ -219,6 +219,42 @@ def test_caller_dict_is_copied():
     assert inst.incident_totals == {1: 1, 2: 1}
 
 
+# (mode, tails, heads, weight numerators, weight_den, threshold numerators, tau_den, scale)
+_INTEGER_CASES = [
+    (UNDIRECTED, [1, 3], [2, 2], [2, 6], 4, [4, 0, 2], 4, 2),  # every numerator even over 4
+    (DIRECTED, [1, 2, 3], [2, 3, 1], [1, 3, 2], 2, [4, 2, 12], 8, 4),  # weights over 2, thresholds over 8
+    (UNDIRECTED, [1, 2], [2, 3], [0, 0], 6, [0, 0, 0], 10, 1),  # every numerator 0
+]
+
+
+@pytest.mark.parametrize("mode, tails, heads, weights, weight_den, tau, tau_den, scale", _INTEGER_CASES)
+def test_integer_constructor_matches_the_validating_one(mode, tails, heads, weights, weight_den,
+                                                        tau, tau_den, scale):
+    vertices = (1, 2, 3)
+    got = Instance._from_ints(mode, vertices, tails, heads, weights, weight_den, tau, tau_den)
+    edges = tuple((u, v, Fraction(k, weight_den)) for u, v, k in zip(tails, heads, weights))
+    want = Instance(mode, vertices, edges, {v: Fraction(t, tau_den) for v, t in zip(vertices, tau)})
+    assert got.compiled.scale == scale
+    assert got.compiled == want.compiled
+    assert got.edges == want.edges and dict(got.tau) == dict(want.tau)
+    assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("vertices, weights, tau", [
+    ((1, 2), [-2], [0, 3]),  # negative weight
+    ((1, 2), [2], [0, -3]),  # negative threshold
+    ((0, 2), [2], [0, 3]),  # vertex id 0
+])
+def test_integer_constructor_fails_as_the_validating_one(vertices, weights, tau):
+    u, v = vertices
+    with pytest.raises(ValidationError) as caught:
+        Instance._from_ints(UNDIRECTED, vertices, [u], [v], weights, 4, tau, 9)
+    with pytest.raises(ValidationError) as expected:
+        Instance(UNDIRECTED, vertices, ((u, v, Fraction(weights[0], 4)),),
+                 {x: Fraction(t, 9) for x, t in zip(vertices, tau)})
+    assert caught.value.violation == expected.value.violation
+
+
 def triangle(tau=1):
     return build_instance(UNDIRECTED, 3, [(1, 2), (1, 3), (2, 3)], tau)
 
