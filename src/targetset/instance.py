@@ -106,39 +106,35 @@ class Instance:
         """The instance with arcs `tails[i]` -> `heads[i]` of weight `weights[i] / weight_den` and
         thresholds `tau[i] / tau_den` (in vertex order), handed its integer view.
 
-        The parser's, the generators' and the reductions' constructor. `vertices` ascend and every
-        rule but three holds already; those three fail as in `validate`. The integer view alone is
-        derived here: both lists go onto one denominator, which one gcd with every numerator reduces
-        to the LCM of the reduced denominators, as compiling `edges` and `tau` would find it. Each
-        distinct value becomes one Fraction. Endpoints come as two flat lists so that callers emit
-        them straight from their loops and the edge triples are built in one pass.
+        The parser's, the generators' and the reductions' constructor: `vertices` ascend and every
+        rule but three holds, and those three fail as in `validate`. Only here are the scale and the
+        Fractions derived. Both lists go onto one denominator, and one gcd with every numerator
+        reduces it to the LCM of the reduced denominators, the scale `compiled` would find. Each
+        distinct value becomes one Fraction. Endpoints come as flat lists, which callers fill straight
+        from their loops, so the edge triples are built in one pass.
         """
-        if vertices and vertices[0] < 1:
-            raise ValidationError(Violation("bad-vertex-id", f"vertex id {vertices[0]!r} is not a positive integer"))
-        if weights and min(weights) < 0:
-            u, v, k = next(e for e in zip(tails, heads, weights) if e[2] < 0)
-            raise ValidationError(Violation("negative-weight",
-                                            f"edge ({u}, {v}) has negative weight {Fraction(k, weight_den)}"))
-        if tau and min(tau) < 0:
-            v, t = next(x for x in zip(vertices, tau) if x[1] < 0)
-            raise ValidationError(Violation("negative-threshold",
-                                            f"vertex {v} has negative threshold {Fraction(t, tau_den)}"))
-        scale = weight_den
-        if tau_den != scale:
-            scale = math.lcm(weight_den, tau_den)
-            if scale != weight_den:
-                weights = [k * (scale // weight_den) for k in weights]
-            if scale != tau_den:
-                tau = [t * (scale // tau_den) for t in tau]
+        scale = math.lcm(weight_den, tau_den)
+        if scale != weight_den:
+            weights = [k * (scale // weight_den) for k in weights]
+        if scale != tau_den:
+            tau = [t * (scale // tau_den) for t in tau]
         if scale > 1 and (g := math.gcd(scale, *weights, *tau)) > 1:
             scale //= g
             weights = [k // g for k in weights]
             tau = [t // g for t in tau]
         value = {k: _fraction(k, scale) for k in {*weights, *tau}}
         edges = tuple([(u, v, value[k]) for u, v, k in zip(tails, heads, weights)])
+        tau_map = dict(zip(vertices, map(value.__getitem__, tau)))
+        if vertices and vertices[0] < 1:
+            raise ValidationError(Violation("bad-vertex-id", f"vertex id {vertices[0]!r} is not a positive integer"))
+        if weights and min(weights) < 0:
+            u, v, w = next(e for e in edges if e[2] < 0)
+            raise ValidationError(Violation("negative-weight", f"edge ({u}, {v}) has negative weight {w}"))
+        if tau and min(tau) < 0:
+            v = next(v for v, t in zip(vertices, tau) if t < 0)
+            raise ValidationError(Violation("negative-threshold", f"vertex {v} has negative threshold {tau_map[v]}"))
         self = object.__new__(cls)
-        self.__dict__.update(mode=mode, vertices=vertices, edges=edges,
-                             tau=MappingProxyType(dict(zip(vertices, map(value.__getitem__, tau)))),
+        self.__dict__.update(mode=mode, vertices=vertices, edges=edges, tau=MappingProxyType(tau_map),
                              compiled=_compile(mode, vertices, edges, weights, tau, scale))
         return self
 
