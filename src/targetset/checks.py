@@ -208,7 +208,9 @@ def _tss_preservation(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     its image are both such instances, even when the embedding is wrong. So
     a superset of a seed that activates both activates both again: it cannot
     disagree and is skipped. Every other seed is put to the engine, source
-    first, which leaves the first disagreeing subset as in a full sweep.
+    first, which leaves the first disagreeing subset as in a full sweep. Once
+    every subset agrees, the first seed that activates both is a smallest
+    target set of each, and the oracle must find its size on the source.
     """
     if i % 5 == 0:
         spec = GenSpec(family="cubic", n=rng.choice((4, 6)), seed=_child_seed(rng))
@@ -234,8 +236,9 @@ def _tss_preservation(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
                 return
             if activates:
                 both.append(mask)
-    if exact_min_target_set(inst, limit=inst.n).optimum != exact_min_target_set(image, limit=image.n).optimum:
-        yield f"{label}: minimum sizes differ"
+    optimum, smallest = exact_min_target_set(inst, limit=inst.n).optimum, both[0].bit_count()
+    if optimum != smallest:
+        yield f"{label}: oracle minimum {optimum} != smallest common target set size {smallest}"
 
 
 def _degenerate_preservation(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
