@@ -113,10 +113,12 @@ def to_bidirected(source: Instance) -> ReductionReceipt:
     tails, heads, weights = [], [], []
     # Positions ascend with ids, so this is the canonical edge order.
     for i, pairs in enumerate(view.out):
+        u = ids[i]
         for j, k in sorted(pairs):
             if j > i:
-                tails += ids[i], ids[j]
-                heads += ids[j], ids[i]
+                v = ids[j]
+                tails += u, v
+                heads += v, u
                 weights += k, k
     image = Instance._from_ints(DIRECTED, ids, tails, heads, weights, view.scale, view.tau, view.scale)
     notes = {"kind": "bidirected", "arc_count": str(len(tails))}
