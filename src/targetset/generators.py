@@ -3,8 +3,10 @@
 Stream contract: the same GenSpec makes the same random draws, from one
 `random.Random(spec.seed)` consumed in a fixed order, and so builds the
 same instance, down to the bytes `serialize_wtg` writes. A spec the family
-cannot honour raises ValueError, and options the family does not read are
-refused before the first draw.
+cannot honour raises ValueError. An unknown family, an edge probability
+outside [0, 1] and, for any family but random, a threshold policy other
+than uniform are refused before the first draw; other options a family
+does not read (see `GenSpec`) are ignored.
 
 Weights are drawn as numerators on their grid, and incident sums and
 thresholds are computed on those integers. Each family hands the instance

@@ -27,20 +27,9 @@ VertexSet = frozenset[int]
 
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 _EXACT = (Fraction, int)
-# Instances built in a row mostly share their few values; Fraction's own constructor is slow.
+# Instances built, and files parsed, in a row mostly share their few values; Fraction's own
+# constructor is slow.
 _fraction = lru_cache(maxsize=256)(Fraction)
-
-
-def _ratio(text: str) -> tuple[int, int]:
-    """Parse `int` or `int/int` into its numerator and denominator as written, unreduced."""
-    match = _RATIONAL.fullmatch(text)
-    if match is None:
-        raise ValueError(f"not an integer or integer/integer rational: {text!r}")
-    num, den = match.groups()
-    den = int(den or 1)
-    if den == 0:
-        raise ValueError(f"zero denominator: {text!r}")
-    return int(num), den
 
 
 def parse_rational(text: str) -> Fraction:
@@ -49,7 +38,18 @@ def parse_rational(text: str) -> Fraction:
     Decimal notation is rejected on purpose: values written as "3/2" must
     survive a round trip without ever becoming "1.5".
     """
-    return Fraction(*_ratio(text))
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not an integer or integer/integer rational: {text!r}")
+    num, den = match.groups()
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # more digits than the interpreter converts
+        digits = max(len(num.lstrip("+-")), len(den or ""))
+        raise ValueError(f"integer of {digits} digits is too long") from None
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return _fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
@@ -102,29 +102,40 @@ class Instance:
             object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
 
     @classmethod
-    def _from_ints(cls, mode, vertices, tails, heads, weights, weight_den, tau, tau_den) -> Instance:
+    def _from_ints(cls, mode, vertices, tails, heads, weights, weight_den, tau, tau_den,
+                   fractions=None) -> Instance:
         """The instance with arcs `tails[i]` -> `heads[i]` of weight `weights[i] / weight_den` and
         thresholds `tau[i] / tau_den` (in vertex order), handed its integer view.
 
         The parser's, the generators' and the reductions' constructor: `vertices` ascend and every
-        rule but three holds, and those three fail as in `validate`. Only here are the scale and the
-        Fractions derived. Both lists go onto one denominator, and one gcd with every numerator
-        reduces it to the LCM of the reduced denominators, the scale `compiled` would find. Each
-        distinct value becomes one Fraction. Endpoints come as flat lists, which callers fill straight
-        from their loops, so the edge triples are built in one pass.
+        rule but three holds, and those three fail as in `validate`. Both lists go onto one
+        denominator, which is reduced to the LCM of the distinct values' reduced denominators, the
+        scale `compiled` would find, and each distinct value becomes one Fraction. A caller already
+        on that scale may pass `fractions`, the weights' and the thresholds' Fractions in list
+        order; then nothing is reduced. Endpoints come as flat lists, which callers fill straight
+        from their loops.
         """
         scale = math.lcm(weight_den, tau_den)
         if scale != weight_den:
             weights = [k * (scale // weight_den) for k in weights]
         if scale != tau_den:
             tau = [t * (scale // tau_den) for t in tau]
-        if scale > 1 and (g := math.gcd(scale, *weights, *tau)) > 1:
-            scale //= g
-            weights = [k // g for k in weights]
-            tau = [t // g for t in tau]
-        value = {k: _fraction(k, scale) for k in {*weights, *tau}}
-        edges = tuple([(u, v, value[k]) for u, v, k in zip(tails, heads, weights)])
-        tau_map = dict(zip(vertices, map(value.__getitem__, tau)))
+        if fractions is None:
+            keys = {*weights, *tau}
+            # One divisor, two ways. Over a wide scale one gcd running over every value takes many
+            # steps on wide integers, while each value's own gcd with the scale takes few. (A list:
+            # unpacking an iterator resizes the argument tuple, and peak RSS crept up in sweeps.)
+            g = (math.gcd(scale, *keys) if scale.bit_length() <= 64
+                 else scale // math.lcm(*[scale // math.gcd(k, scale) for k in keys]))
+            if g > 1:
+                scale //= g
+                weights = [k // g for k in weights]
+                tau = [t // g for t in tau]
+                keys = {k // g for k in keys}
+            value = {k: _fraction(k, scale) for k in keys}
+            fractions = map(value.__getitem__, weights), map(value.__getitem__, tau)
+        edges = tuple([(u, v, x) for u, v, x in zip(tails, heads, fractions[0])])
+        tau_map = dict(zip(vertices, fractions[1]))
         if vertices and vertices[0] < 1:
             raise ValidationError(Violation("bad-vertex-id", f"vertex id {vertices[0]!r} is not a positive integer"))
         if weights and min(weights) < 0:

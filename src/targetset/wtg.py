@@ -13,6 +13,16 @@ Numbers are `int` or `int/int`; decimals are rejected so rationals survive
 round trips exactly. Canonical form lists vertices ascending, then edges
 sorted with undirected endpoints written low id first, then incentives
 ascending.
+
+`parse_wtg` has two paths. A document in the layout `serialize_wtg` writes
+(single spaces, `\n` line ends, no comment or blank line; `v` lines, then
+`e` lines, then `p` lines, in any order within each block) is checked by
+regexes and read in bulk, with every check on whole lists and sets. Any
+other document, and any document that fails a check, goes to the line
+parser, which alone raises `WtgParseError`: a message, its line and its
+column never depend on the path. Both paths end in one tail, which puts the
+distinct numbers on their common denominator and hands them to the integer
+constructor.
 """
 
 from __future__ import annotations
@@ -20,19 +30,26 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import eq
 
 from .errors import WtgParseError
 from .instance import (
     DIRECTED,
     UNDIRECTED,
     Instance,
-    _ratio,
     canonical_edges,
     format_rational,
     parse_rational,
 )
 
 _TOKEN = re.compile(r"\S+")
+# `serialize_wtg`'s layout: this header, then `v`, `e` and `p` lines, single-spaced, with ASCII
+# ids and `\n` line ends. Each line is matched on its own: a regex repeating a group over every
+# line would keep a backtracking frame per line until the match ends, tens of bytes per byte.
+_HEADER = re.compile(r"wtg 1\nmode (undirected|directed)\nn ([0-9]+)\n")
+_V_LINE = re.compile(r"v [0-9]+ \S+\n")
+_E_LINE = re.compile(r"e [0-9]+ [0-9]+ \S+\n")
+_P_LINE = re.compile(r"p [0-9]+ \S+\n")
 
 
 def _column(line: str, k: int) -> int:
@@ -44,31 +61,92 @@ def _int_token(toks, k, line, line_no, what) -> int:
     tok = toks[k]
     if not tok.isdecimal():
         raise WtgParseError(f"{what} must be a positive integer, got {tok!r}", line_no, _column(line, k))
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # more digits than the interpreter converts
+        raise WtgParseError(f"{what} of {len(tok)} digits is too long", line_no, _column(line, k)) from None
 
 
-def _number_token(toks, k, line, line_no, what, cache, parse):
-    """Token k parsed by `parse`, once per distinct token: `cache` keeps each result."""
+def _number_token(toks, k, line, line_no, what, numbers) -> Fraction:
+    """Token k as a Fraction, parsed once per distinct token: `numbers` keeps each result."""
     tok = toks[k]
-    value = cache.get(tok)
+    value = numbers.get(tok)
     if value is None:
         try:
-            value = parse(tok)
+            value = parse_rational(tok)
         except ValueError as exc:
             raise WtgParseError(f"bad {what}: {exc}", line_no, _column(line, k)) from None
-        cache[tok] = value
+        numbers[tok] = value
     return value
 
 
 def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     """Parse a WTG document into a validated instance plus optional incentives.
 
+    A document in `serialize_wtg`'s layout that passes every check is read in
+    bulk (`_parse_bulk`); every other document goes through the line parser
+    (`_parse_lines`), which raises the first error with its line and column.
+    Both parse each distinct number once and build the instance in `_build`.
+    """
+    return _parse_bulk(text) or _parse_lines(text)
+
+
+def _parse_bulk(text: str) -> tuple[Instance, dict[int, Fraction] | None] | None:
+    """The parse of a document in `serialize_wtg`'s layout that passes every check, else None.
+
+    Regexes check the layout; the tokens are stride slices of each block's
+    `str.split()`, and every check runs on whole lists, sets and maps.
+    """
+    if "#" in text or "\r" in text:
+        return None
+    header = _HEADER.match(text)
+    if header is None:
+        return None
+    mode = header.group(1)
+    # A block ends where the first line of a later block starts, so a line out of order sits in a
+    # block whose line pattern it fails.
+    start = header.end()
+    p_at = text.find("\np ", start - 1) + 1 or len(text)
+    e_at = text.find("\ne ", start - 1, p_at) + 1 or p_at
+    try:
+        declared_n = int(header.group(2))
+        (ids,), tau_tokens = _columns(text[start:e_at], _V_LINE, 3)
+        (tails, heads), weight_tokens = _columns(text[e_at:p_at], _E_LINE, 4)
+        (pids,), incentive_tokens = _columns(text[p_at:], _P_LINE, 3)
+        numbers = {t: parse_rational(t) for t in {*tau_tokens, *weight_tokens, *incentive_tokens}}
+    except ValueError:  # a line out of layout, a malformed number or an over-long integer
+        return None
+    tau = dict(zip(ids, tau_tokens))
+    incentives = dict(zip(pids, map(numbers.__getitem__, incentive_tokens)))
+    pairs = set(zip(tails, heads))
+    if (declared_n < 1 or len(ids) != declared_n or len(tau) != declared_n
+            or any(map(eq, tails, heads)) or not tau.keys() >= {*tails, *heads}
+            or len(pairs) != len(tails) or (mode == UNDIRECTED and not pairs.isdisjoint(zip(heads, tails)))
+            or len(incentives) != len(pids) or not tau.keys() >= incentives.keys()
+            or min(map(numbers.__getitem__, set(incentive_tokens)), default=0) < 0):
+        return None
+    del ids, pids, pairs  # before the view is built
+    return _build(mode, tau, tails, heads, weight_tokens, numbers, incentives)
+
+
+def _columns(block: str, line: re.Pattern, width: int) -> tuple[list[list[int]], list[str]]:
+    """The id columns, as ints, and the number tokens of a block of `width`-token lines.
+
+    Raises ValueError when a line of the block does not match `line`, or an
+    id has more digits than the interpreter converts. The block's token list
+    lives only for this call.
+    """
+    if line.sub("", block):
+        raise ValueError("a line out of layout")
+    toks = block.split()
+    return [list(map(int, toks[k::width])) for k in range(1, width - 1)], toks[width - 1::width]
+
+
+def _parse_lines(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
+    """The line parser: any layout, comments and blank lines; raises on the first error.
+
     Tokens are split on whitespace; a token's column is worked out only when
-    an error names it. Each distinct number is parsed once per document:
-    threshold and weight tokens into a numerator and a denominator, which are
-    put on their common denominator once per distinct token and handed to the
-    instance with the endpoints, so it is neither validated nor compiled a
-    second time. Incentives stay Fractions and leave the integer view alone.
+    an error names it.
     """
     mode = None
     declared_n = None
@@ -80,8 +158,7 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     weight_tokens: list[str] = []
     seen_pairs: set[tuple[int, int]] = set()
     incentives: dict[int, Fraction] = {}
-    ratios: dict[str, tuple[int, int]] = {}
-    incentive_numbers: dict[str, Fraction] = {}
+    numbers: dict[str, Fraction] = {}
     lines = text.splitlines()
     last_line = len(lines)
 
@@ -97,10 +174,14 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
             if nargs != 3:
                 raise WtgParseError("e takes two endpoints and a weight", line_no, _column(line, 0))
             _, a, b, wt = toks
-            u = int(a) if a.isdecimal() else _int_token(toks, 1, line, line_no, "endpoint")
-            v = int(b) if b.isdecimal() else _int_token(toks, 2, line, line_no, "endpoint")
-            if wt not in ratios:
-                _number_token(toks, 3, line, line_no, "weight", ratios, _ratio)
+            try:
+                u = int(a) if a.isdecimal() else _int_token(toks, 1, line, line_no, "endpoint")
+                v = int(b) if b.isdecimal() else _int_token(toks, 2, line, line_no, "endpoint")
+            except ValueError:  # an endpoint too long to convert: report it with its position
+                u = _int_token(toks, 1, line, line_no, "endpoint")
+                v = _int_token(toks, 2, line, line_no, "endpoint")
+            if wt not in numbers:
+                _number_token(toks, 3, line, line_no, "weight", numbers)
             if u == v:
                 raise WtgParseError(f"self-loop at vertex {u}", line_no, _column(line, 2))
             if u not in tau or v not in tau:
@@ -142,7 +223,7 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
             vid = _int_token(toks, 1, line, line_no, "vertex id")
             if vid in tau:
                 raise WtgParseError(f"vertex {vid} declared twice", line_no, _column(line, 1))
-            _number_token(toks, 2, line, line_no, "threshold", ratios, _ratio)
+            _number_token(toks, 2, line, line_no, "threshold", numbers)
             tau[vid] = toks[2]
         elif key == "p":
             if nargs != 2:
@@ -152,7 +233,7 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
                 raise WtgParseError(f"incentive for undeclared vertex {vid}", line_no, _column(line, 1))
             if vid in incentives:
                 raise WtgParseError(f"duplicate incentive for vertex {vid}", line_no, _column(line, 1))
-            value = _number_token(toks, 2, line, line_no, "incentive", incentive_numbers, parse_rational)
+            value = _number_token(toks, 2, line, line_no, "incentive", numbers)
             if value.numerator < 0:
                 raise WtgParseError(f"negative incentive {value}", line_no, _column(line, 2))
             incentives[vid] = value
@@ -171,13 +252,25 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     if len(tau) != declared_n:
         raise WtgParseError(f"declared n {declared_n} but found {len(tau)} vertex lines", last_line)
 
+    return _build(mode, tau, tails, heads, weight_tokens, numbers, incentives)
+
+
+def _build(mode, tau, tails, heads, weight_tokens, numbers, incentives):
+    """The parse result from thresholds and weights as tokens, each read into `numbers`.
+
+    The scale is the LCM of the distinct tokens' reduced denominators, so it
+    needs no reduction, and `_from_ints` is handed the tokens' Fractions.
+    Incentives stay Fractions and leave the scale alone.
+    """
     tokens = set(weight_tokens).union(tau.values())
-    den = math.lcm(*(ratios[t][1] for t in tokens))
-    ints = {t: ratios[t][0] * (den // ratios[t][1]) for t in tokens}
+    scale = math.lcm(*[numbers[t].denominator for t in tokens])
+    ints = {t: (x := numbers[t]).numerator * (scale // x.denominator) for t in tokens}
     vertices = tuple(sorted(tau))
+    tau_tokens = list(map(tau.__getitem__, vertices))
     return Instance._from_ints(
-        mode, vertices, tails, heads, list(map(ints.__getitem__, weight_tokens)), den,
-        [ints[tau[v]] for v in vertices], den), incentives or None
+        mode, vertices, tails, heads, list(map(ints.__getitem__, weight_tokens)), scale,
+        list(map(ints.__getitem__, tau_tokens)), scale,
+        (map(numbers.__getitem__, weight_tokens), map(numbers.__getitem__, tau_tokens))), incentives or None
 
 
 def serialize_wtg(instance: Instance, incentives: dict[int, Fraction] | None = None) -> str:

@@ -1,8 +1,10 @@
 """Instance model: rational parsing, validation, sums."""
 
+import math
 import pickle
 import random
 import re
+import time
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -253,6 +255,29 @@ def test_integer_constructor_fails_as_the_validating_one(vertices, weights, tau)
         Instance(UNDIRECTED, vertices, ((u, v, Fraction(weights[0], 4)),),
                  {x: Fraction(t, 9) for x, t in zip(vertices, tau)})
     assert caught.value.violation == expected.value.violation
+
+
+def test_integer_constructor_reduces_a_wide_scale_within_budget():
+    # 600 values k/q with 400-bit denominators q, all over six times their LCM (a scale of
+    # about 230,000 bits), so every numerator shares the factor 6 with the scale. Reducing
+    # per distinct value takes about 0.8 s (Python 3.11, 2 cores); one gcd running over every
+    # numerator took 10 s.
+    rng = random.Random(0)
+    n = 200
+    tails = [u for u in range(1, n) for v in range(u + 1, min(u + 2, n) + 1)]
+    heads = [v for u in range(1, n) for v in range(u + 1, min(u + 2, n) + 1)]
+    weights = [Fraction(rng.randint(1, 50), rng.getrandbits(400) | 1) for _ in tails]
+    tau = [Fraction(rng.randint(1, 50), rng.getrandbits(400) | 1) for _ in range(n)]
+    reduced = math.lcm(*(x.denominator for x in weights + tau))
+    scale = 6 * reduced
+    start = time.perf_counter()
+    got = Instance._from_ints(UNDIRECTED, tuple(range(1, n + 1)), tails, heads,
+                              [x.numerator * (scale // x.denominator) for x in weights], scale,
+                              [x.numerator * (scale // x.denominator) for x in tau], scale)
+    elapsed = time.perf_counter() - start
+    assert got.compiled.scale == reduced
+    assert [w for _, _, w in got.edges] == weights and list(got.tau.values()) == tau
+    assert elapsed < 3.0, f"construction took {elapsed:.2f} s"
 
 
 def triangle(tau=1):

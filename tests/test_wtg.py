@@ -1,5 +1,8 @@
 """WTG format: parsing, canonical serialization, and addressed errors."""
 
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,6 +106,51 @@ def test_negative_weight_fails_validation_not_parsing():
 def test_negative_incentive_rejected():
     err = _parse_error("wtg 1\nmode undirected\nn 1\nv 1 1\np 1 -1\n")
     assert "negative incentive" in str(err)
+
+
+_LONG = "7" * 5000  # more digits than CPython converts by default (4300)
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    (f"wtg 1\nmode undirected\nn {_LONG}\nv 1 1\n", 3, 3, "vertex count of 5000 digits is too long"),
+    (f"wtg 1\nmode undirected\nn 1\nv {_LONG} 1\n", 4, 3, "vertex id of 5000 digits is too long"),
+    (f"wtg 1\nmode undirected\nn 1\nv 1 1 # x\ne 1  {_LONG} 1\n", 5, 6, "endpoint of 5000 digits is too long"),
+    (f"wtg 1\nmode undirected\nn 1\nv 1 1\np {_LONG} 1\n", 5, 3, "vertex id of 5000 digits is too long"),
+    (f"wtg 1\nmode undirected\nn 1\nv 1 {_LONG}\n", 4, 5, "bad threshold: integer of 5000 digits is too long"),
+    (f"wtg 1\nmode undirected\nn 2\nv 1 1\nv 2 1\ne 1 2 1/{_LONG}\n", 6, 7,
+     "bad weight: integer of 5000 digits is too long"),
+], ids=["count", "vertex-id", "endpoint", "incentive-id", "threshold", "weight"])
+def test_overlong_integers_are_addressed(text, line, column, message):
+    err = _parse_error(text)
+    assert (err.line, err.column) == (line, column)
+    assert str(err) == f"line {line}, col {column}: {message}"
+
+
+def _wide_denominator_document(n: int, seed: int = 0) -> str:
+    """n vertices and 4n random edges, every value k/q with k <= 50 and q drawn from 1..10**5."""
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < 4 * n:
+        u, v = rng.sample(range(1, n + 1), 2)
+        pairs.add((min(u, v), max(u, v)))
+    lines = ["wtg 1", "mode undirected", f"n {n}"]
+    lines += [f"v {v} {rng.randint(0, 50)}/{rng.randint(1, 10**5)}" for v in range(1, n + 1)]
+    lines += [f"e {u} {v} {rng.randint(0, 50)}/{rng.randint(1, 10**5)}" for u, v in sorted(pairs)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("comment", ["", "# read by the line parser\n"], ids=["bulk", "lines"])
+def test_wide_denominators_parse_within_budget(comment):
+    # n=2000: a scale of about 35,000 bits. Each distinct token is reduced on its own small
+    # integers, so the parse takes about 0.35 s (Python 3.11, 2 cores); one gcd running over
+    # every scaled numerator took over 5 s.
+    text = comment + _wide_denominator_document(2000)
+    start = time.perf_counter()
+    inst, _ = parse_wtg(text)
+    elapsed = time.perf_counter() - start
+    scale = math.lcm(*(x.denominator for x in (*inst.tau.values(), *(w for _, _, w in inst.edges))))
+    assert inst.compiled.scale == scale and scale.bit_length() > 30_000
+    assert elapsed < 2.0, f"parse took {elapsed:.2f} s"
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -4,7 +4,9 @@
 `parse_wtg`, kept verbatim (renamed with a leading underscore) as the
 reference. Hypothesis mutates valid documents token by token and line by
 line, and every document must give the same instance and incentives, or
-the same error with the same message, line and column.
+the same error with the same message, line and column. Some documents keep
+`serialize_wtg`'s layout, so that mutations reach the bulk path, which must
+return nothing or exactly what the line parser returns.
 """
 
 import pickle
@@ -20,9 +22,12 @@ from targetset import (
     Instance,
     ValidationError,
     WtgParseError,
+    build_instance,
     parse_rational,
     parse_wtg,
+    serialize_wtg,
 )
+from targetset.wtg import _parse_bulk, _parse_lines
 
 _TOKEN = re.compile(r"\S+")
 
@@ -181,7 +186,8 @@ def _mutated(draw):
         i = draw(st.integers(0, len(lines) - 1))
         toks = lines[i]
         kind = draw(st.sampled_from(
-            ["drop-token", "dup-token", "add-token", "swap-token", "drop-line", "dup-line", "add-line"]
+            ["drop-token", "dup-token", "add-token", "swap-token", "copy-token", "drop-line", "dup-line",
+             "dup-reversed", "add-line"]
         ))
         k = draw(st.integers(0, max(len(toks) - 1, 0)))
         if kind == "drop-token" and toks:
@@ -192,14 +198,21 @@ def _mutated(draw):
             toks.insert(k, draw(st.sampled_from(_GARBAGE)))
         elif kind == "swap-token" and toks:
             toks[k] = draw(st.sampled_from(_GARBAGE))
+        elif kind == "copy-token" and toks:  # a token of this or another line: self-loops, repeated ids
+            source = toks if draw(st.booleans()) else draw(st.sampled_from(lines))
+            toks[k] = draw(st.sampled_from(source or toks))
         elif kind == "drop-line":
             del lines[i]
         elif kind == "dup-line":
             lines.insert(i, list(toks))
+        elif kind == "dup-reversed" and len(toks) > 2:  # an edge both ways
+            lines.insert(i, [toks[0], toks[2], toks[1], *toks[3:]])
         elif kind == "add-line":
             lines.insert(i, draw(st.lists(st.sampled_from(_GARBAGE), max_size=3)))
         if not lines:
             lines = [[]]
+    if draw(st.booleans()):  # `serialize_wtg`'s layout
+        return "".join(" ".join(toks) + "\n" for toks in lines)
     text = []
     for toks in lines:
         lead = draw(st.sampled_from(["", " ", "\t", "\u3000"]))
@@ -252,6 +265,18 @@ _RARE_CASES = [
     _BASE + "e 1 2 1_0\n",
     _BASE + "e 1 2 ٣/٤\n",
     _BASE + "p 1 -0/5\n",
+    # In `serialize_wtg`'s layout, so the bulk path sees them first.
+    _BASE + "e 1 2 1\ne 2 1 1/2\n",
+    "wtg 1\nmode directed\nn 2\nv 1 0\nv 2 0\ne 2 2 1\n",
+    "wtg 1\nmode directed\nn 2\nv 1 0\nv 2 0\ne 1 2 1\ne 2 1 1/2\n",
+    "wtg 1\nmode directed\nn 2\nv 1 0\nv 2 0\ne 1 2 1\ne 1 2 1/2\n",
+    _BASE + "v 01 1\n",
+    _BASE + "e 1 3 1\n",
+    _BASE + "p 3 1\n",
+    _BASE + "p 2 1\np 1 1/2\np 2 1\n",
+    _BASE + "e 1 2 1\np 2 0\np 1 1/2\n",
+    "wtg 1\nmode undirected\nn 0\n",
+    "wtg 1\nmode undirected\nn 02\nv 2 1\nv 1 2/4\ne 02 1 6/4\n",
 ]
 
 
@@ -287,6 +312,63 @@ def test_parser_view_matches_constructor_view(text):
 @pytest.mark.parametrize("text", _RARE_CASES)
 def test_rare_cases_view_matches_constructor_view(text):
     _assert_view_matches_constructor(text)
+
+
+def _full_outcome(parse, text):
+    """`_outcome`, with the integer view of a parsed instance."""
+    outcome = _outcome(parse, text)
+    return outcome + (_fields(outcome[1].compiled),) if outcome[0] == "ok" else outcome
+
+
+def _assert_bulk_matches_lines(text):
+    """The bulk path returns nothing, or what the line parser returns, view included.
+
+    Returns whether the bulk path read the text."""
+    try:
+        if _parse_bulk(text) is None:
+            return False
+    except ValidationError:
+        pass
+    assert _full_outcome(_parse_bulk, text) == _full_outcome(_parse_lines, text)
+    return True
+
+
+@given(_mutated())
+@settings(max_examples=600, deadline=None)
+def test_bulk_path_matches_line_parser(text):
+    _assert_bulk_matches_lines(text)
+
+
+@pytest.mark.parametrize("text", _RARE_CASES)
+def test_rare_cases_bulk_path_matches_line_parser(text):
+    _assert_bulk_matches_lines(text)
+
+
+@st.composite
+def _serializable(draw):
+    """An instance with gaps between its ids and fractional values, and maybe incentives."""
+    mode = draw(st.sampled_from([UNDIRECTED, DIRECTED]))
+    ids = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=8, unique=True))
+    pairs = [(u, v) for u in ids for v in ids if u != v and (mode == DIRECTED or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    number = st.fractions(min_value=0, max_value=20, max_denominator=12)
+    edges = [(u, v, draw(number)) for u, v in chosen]
+    inst = build_instance(mode, ids, edges, {v: draw(number) for v in ids})
+    incentives = {v: draw(number) for v in ids} if draw(st.booleans()) else None
+    return inst, incentives
+
+
+@given(_serializable())
+@settings(max_examples=300, deadline=None)
+def test_serialized_documents_take_the_bulk_path(drawn):
+    inst, incentives = drawn
+    text = serialize_wtg(inst, incentives)
+    assert _assert_bulk_matches_lines(text)
+    assert _parse_bulk(text) == (inst, incentives)
+    # A comment or CRLF line ends send the document to the line parser, with the same result.
+    for variant in ("# c\n" + text, text.replace("\n", "\r\n")):
+        assert _parse_bulk(variant) is None
+        assert _full_outcome(parse_wtg, variant) == _full_outcome(_parse_bulk, text)
 
 
 def test_incentives_do_not_enter_the_scale():
