@@ -59,7 +59,7 @@ def format_rational(value: Fraction) -> str:
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
@@ -102,51 +102,39 @@ class Instance:
             object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
 
     @classmethod
-    def _from_ints(cls, mode, vertices, tails, heads, weights, weight_den, tau, tau_den,
-                   fractions=None) -> Instance:
-        """The instance with arcs `tails[i]` -> `heads[i]` of weight `weights[i] / weight_den` and
-        thresholds `tau[i] / tau_den` (in vertex order), handed its integer view.
+    def _from_ints(cls, mode, vertices, tails, heads, weights, weight_den, tau, tau_den) -> Instance:
+        """`_from_values` for weights `weights[i] / weight_den` and thresholds `tau[i] / tau_den`.
 
-        The parser's, the generators' and the reductions' constructor: `vertices` ascend and every
-        rule but three holds, and those three fail as in `validate`. Both lists go onto one
-        denominator, which is reduced to the LCM of the distinct values' reduced denominators, the
-        scale `compiled` would find, and each distinct value becomes one Fraction. A caller already
-        on that scale may pass `fractions`, the weights' and the thresholds' Fractions in list
-        order; then nothing is reduced. Endpoints come as flat lists, which callers fill straight
-        from their loops.
+        The generators', the reductions' and the checks' constructor: both lists go onto one
+        denominator, and each distinct value becomes one Fraction.
         """
-        scale = math.lcm(weight_den, tau_den)
-        if scale != weight_den:
-            weights = [k * (scale // weight_den) for k in weights]
-        if scale != tau_den:
-            tau = [t * (scale // tau_den) for t in tau]
-        if fractions is None:
-            keys = {*weights, *tau}
-            # One divisor, two ways. Over a wide scale one gcd running over every value takes many
-            # steps on wide integers, while each value's own gcd with the scale takes few. (A list:
-            # unpacking an iterator resizes the argument tuple, and peak RSS crept up in sweeps.)
-            g = (math.gcd(scale, *keys) if scale.bit_length() <= 64
-                 else scale // math.lcm(*[scale // math.gcd(k, scale) for k in keys]))
-            if g > 1:
-                scale //= g
-                weights = [k // g for k in weights]
-                tau = [t // g for t in tau]
-                keys = {k // g for k in keys}
-            value = {k: _fraction(k, scale) for k in keys}
-            fractions = map(value.__getitem__, weights), map(value.__getitem__, tau)
-        edges = tuple([(u, v, x) for u, v, x in zip(tails, heads, fractions[0])])
-        tau_map = dict(zip(vertices, fractions[1]))
+        den = math.lcm(weight_den, tau_den)
+        weights = weights if den == weight_den else [k * (den // weight_den) for k in weights]
+        tau = tau if den == tau_den else [t * (den // tau_den) for t in tau]
+        return cls._from_values(mode, vertices, tails, heads, weights, tau,
+                                {k: _fraction(k, den) for k in {*weights, *tau}}, den)
+
+    @classmethod
+    def _from_values(cls, mode, vertices, tails, heads, weights, tau, value, den=0) -> Instance:
+        """The instance with arcs `tails[i]` -> `heads[i]` of weight `value[weights[i]]` and
+        thresholds `value[tau[i]]` (in vertex order), handed its integer view (see `_on_scale`).
+
+        `vertices` ascend and every rule but three holds, and those three fail as in `validate`.
+        """
+        scale, scaled_weights, scaled_tau = _on_scale(value, weights, tau, den)
+        edges = tuple([(u, v, value[k]) for u, v, k in zip(tails, heads, weights)])
+        tau_map = dict(zip(vertices, map(value.__getitem__, tau)))
         if vertices and vertices[0] < 1:
             raise ValidationError(Violation("bad-vertex-id", f"vertex id {vertices[0]!r} is not a positive integer"))
-        if weights and min(weights) < 0:
+        if scaled_weights and min(scaled_weights) < 0:
             u, v, w = next(e for e in edges if e[2] < 0)
             raise ValidationError(Violation("negative-weight", f"edge ({u}, {v}) has negative weight {w}"))
-        if tau and min(tau) < 0:
-            v = next(v for v, t in zip(vertices, tau) if t < 0)
+        if scaled_tau and min(scaled_tau) < 0:
+            v = next(v for v in vertices if tau_map[v] < 0)
             raise ValidationError(Violation("negative-threshold", f"vertex {v} has negative threshold {tau_map[v]}"))
         self = object.__new__(cls)
         self.__dict__.update(mode=mode, vertices=vertices, edges=edges, tau=MappingProxyType(tau_map),
-                             compiled=_compile(mode, vertices, edges, weights, tau, scale))
+                             compiled=_compile(mode, vertices, edges, scaled_weights, scaled_tau, scale))
         return self
 
     @cached_property
@@ -194,11 +182,27 @@ class Instance:
     @cached_property
     def compiled(self) -> CompiledInstance:
         """The integer view every activation run and oracle works on."""
-        scale = math.lcm(*(t.denominator for t in self.tau.values()),
-                         *(w.denominator for _, _, w in self.edges))
-        weights = [w.numerator * (scale // w.denominator) for _, _, w in self.edges]
-        tau = [t.numerator * (scale // t.denominator) for t in map(self.tau.__getitem__, self.vertices)]
+        # Keyed by object, not value: a Fraction's hash is worked out in Python on every call.
+        values = [w for _, _, w in self.edges] + list(map(self.tau.__getitem__, self.vertices))
+        keys, m = list(map(id, values)), len(self.edges)
+        scale, weights, tau = _on_scale(dict(zip(keys, values)), keys[:m], keys[m:])
         return _compile(self.mode, self.vertices, self.edges, weights, tau, scale)
+
+
+def _on_scale(value, weights, tau, den=0) -> tuple[int, list[int], list[int]]:
+    """The integer view's scale, and the weights and thresholds on it.
+
+    `weights` and `tau` list keys of `value`, which maps each distinct key to an int or a Fraction.
+    The scale is the LCM of the values' reduced denominators: each distinct value is read once, and
+    no gcd runs over scaled integers. Keys that are integers over the scale already, as the caller
+    says by passing it as `den`, are kept as they are. (A list: unpacking an iterator into
+    `math.lcm` resizes the argument tuple, and peak RSS crept up.)
+    """
+    scale = math.lcm(*[x.denominator for x in value.values()])
+    if scale != den:
+        ints = {k: x.numerator * (scale // x.denominator) for k, x in value.items()}
+        weights, tau = list(map(ints.__getitem__, weights)), list(map(ints.__getitem__, tau))
+    return scale, weights, tau
 
 
 @dataclass(frozen=True)
@@ -331,7 +335,7 @@ def validate(instance: Instance) -> Violation | None:
     tau = instance.tau
     seen_ids = set()
     for v in instance.vertices:
-        if not isinstance(v, int) or v < 1:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             return Violation("bad-vertex-id", f"vertex id {v!r} is not a positive integer")
         if v in seen_ids:
             return Violation("duplicate-vertex", f"vertex {v} listed twice")
@@ -353,12 +357,12 @@ def validate(instance: Instance) -> Violation | None:
         if key in pairs:
             return Violation("duplicate-edge", f"edge ({u}, {v}) appears more than once")
         pairs.add(key)
-        if not isinstance(w, _EXACT):
+        if not isinstance(w, _EXACT) or isinstance(w, bool):
             return Violation("bad-weight", f"edge ({u}, {v}) has weight {w!r}, expected an int or Fraction")
         if w.numerator < 0:
             return Violation("negative-weight", f"edge ({u}, {v}) has negative weight {w}")
     for v in instance.vertices:
-        if not isinstance(tau[v], _EXACT):
+        if not isinstance(tau[v], _EXACT) or isinstance(tau[v], bool):
             return Violation("bad-threshold", f"vertex {v} has threshold {tau[v]!r}, expected an int or Fraction")
         if tau[v].numerator < 0:
             return Violation("negative-threshold", f"vertex {v} has negative threshold {tau[v]}")

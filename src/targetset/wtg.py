@@ -20,14 +20,13 @@ ascending.
 regexes and read in bulk, with every check on whole lists and sets. Any
 other document, and any document that fails a check, goes to the line
 parser, which alone raises `WtgParseError`: a message, its line and its
-column never depend on the path. Both paths end in one tail, which puts the
-distinct numbers on their common denominator and hands them to the integer
-constructor.
+column never depend on the path. Both paths end in one tail, which hands the
+endpoints, the number tokens and each distinct token's Fraction to the
+constructor that puts them on the instance's integer scale.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from operator import eq
@@ -111,16 +110,18 @@ def _parse_bulk(text: str) -> tuple[Instance, dict[int, Fraction] | None] | None
     try:
         declared_n = int(header.group(2))
         (ids,), tau_tokens = _columns(text[start:e_at], _V_LINE, 3)
+        tau = dict(zip(ids, tau_tokens))
+        # The vertex count and duplicate ids fail before the edge block, most of a file, is split.
+        if not 1 <= declared_n == len(ids) == len(tau):
+            return None
         (tails, heads), weight_tokens = _columns(text[e_at:p_at], _E_LINE, 4)
         (pids,), incentive_tokens = _columns(text[p_at:], _P_LINE, 3)
         numbers = {t: parse_rational(t) for t in {*tau_tokens, *weight_tokens, *incentive_tokens}}
     except ValueError:  # a line out of layout, a malformed number or an over-long integer
         return None
-    tau = dict(zip(ids, tau_tokens))
     incentives = dict(zip(pids, map(numbers.__getitem__, incentive_tokens)))
     pairs = set(zip(tails, heads))
-    if (declared_n < 1 or len(ids) != declared_n or len(tau) != declared_n
-            or any(map(eq, tails, heads)) or not tau.keys() >= {*tails, *heads}
+    if (any(map(eq, tails, heads)) or not tau.keys() >= {*tails, *heads}
             or len(pairs) != len(tails) or (mode == UNDIRECTED and not pairs.isdisjoint(zip(heads, tails)))
             or len(incentives) != len(pids) or not tau.keys() >= incentives.keys()
             or min(map(numbers.__getitem__, set(incentive_tokens)), default=0) < 0):
@@ -258,19 +259,13 @@ def _parse_lines(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
 def _build(mode, tau, tails, heads, weight_tokens, numbers, incentives):
     """The parse result from thresholds and weights as tokens, each read into `numbers`.
 
-    The scale is the LCM of the distinct tokens' reduced denominators, so it
-    needs no reduction, and `_from_ints` is handed the tokens' Fractions.
-    Incentives stay Fractions and leave the scale alone.
+    `Instance._from_values` puts the tokens on the scale; incentives stay
+    Fractions and leave the scale alone.
     """
-    tokens = set(weight_tokens).union(tau.values())
-    scale = math.lcm(*[numbers[t].denominator for t in tokens])
-    ints = {t: (x := numbers[t]).numerator * (scale // x.denominator) for t in tokens}
     vertices = tuple(sorted(tau))
     tau_tokens = list(map(tau.__getitem__, vertices))
-    return Instance._from_ints(
-        mode, vertices, tails, heads, list(map(ints.__getitem__, weight_tokens)), scale,
-        list(map(ints.__getitem__, tau_tokens)), scale,
-        (map(numbers.__getitem__, weight_tokens), map(numbers.__getitem__, tau_tokens))), incentives or None
+    value = {t: numbers[t] for t in {*weight_tokens, *tau_tokens}}
+    return Instance._from_values(mode, vertices, tails, heads, weight_tokens, tau_tokens, value), incentives or None
 
 
 def serialize_wtg(instance: Instance, incentives: dict[int, Fraction] | None = None) -> str:

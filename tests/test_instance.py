@@ -149,16 +149,27 @@ def test_list_arguments_are_stored_as_tuples():
     assert inst == same and hash(inst) == hash(same)
 
 
+# A bool is an int to `isinstance`, but the serializer would write it as `True` or `False`.
 @pytest.mark.parametrize("edges, tau, rule", [
     (((1, 2, 0.5),), {1: 1, 2: 1}, "bad-weight"),
     (((1, 2, Fraction(1)),), {1: 1, 2: 0.5}, "bad-threshold"),
+    (((1, 2, True),), {1: False, 2: 1}, "bad-weight"),
+    (((1, 2, Fraction(1)),), {1: 1, 2: False}, "bad-threshold"),
 ])
 def test_float_values_are_validation_errors(edges, tau, rule):
     assert _violated_rule(lambda: Instance(UNDIRECTED, (1, 2), edges, tau)) == rule
 
 
-def test_non_int_vertex_id_is_reported_before_sorting():
-    assert _violated_rule(lambda: Instance(UNDIRECTED, (2, "1"), (), {2: 0, "1": 0})) == "bad-vertex-id"
+@pytest.mark.parametrize("ids", [(2, "1"), (2, True), (False, 2)])
+def test_non_int_vertex_id_is_reported_before_sorting(ids):
+    assert _violated_rule(lambda: Instance(UNDIRECTED, ids, (), dict.fromkeys(ids, 0))) == "bad-vertex-id"
+
+
+def test_build_instance_rejects_bool_values():
+    with pytest.raises(TypeError):
+        build_instance(UNDIRECTED, 2, [(1, 2, True)], 1)
+    with pytest.raises(TypeError):
+        build_instance(UNDIRECTED, 2, [], [1, False])
 
 
 def test_vertices_are_stored_ascending():
@@ -226,6 +237,9 @@ _INTEGER_CASES = [
     (UNDIRECTED, [1, 3], [2, 2], [2, 6], 4, [4, 0, 2], 4, 2),  # every numerator even over 4
     (DIRECTED, [1, 2, 3], [2, 3, 1], [1, 3, 2], 2, [4, 2, 12], 8, 4),  # weights over 2, thresholds over 8
     (UNDIRECTED, [1, 2], [2, 3], [0, 0], 6, [0, 0, 0], 10, 1),  # every numerator 0
+    (UNDIRECTED, [1, 2], [2, 3], [1, 3], 4, [2, 0, 1], 4, 4),  # already on the reduced scale: kept
+    (DIRECTED, [1, 3], [2, 2], [1, 3], 2, [1, 0, 2], 3, 6),  # one denominator of 6 reduces no further
+    (UNDIRECTED, [1, 2], [2, 3], [3, 9], 6, [6, 12, 0], 6, 2),  # over 6, every value a half or whole
 ]
 
 
@@ -240,6 +254,18 @@ def test_integer_constructor_matches_the_validating_one(mode, tails, heads, weig
     assert got.compiled == want.compiled
     assert got.edges == want.edges and dict(got.tau) == dict(want.tau)
     assert got == want and hash(got) == hash(want)
+
+
+def test_equal_int_and_fraction_values_share_one_scaled_value():
+    # The weight 1 and the threshold Fraction(1) are one value, whichever type holds it.
+    mixed = Instance(UNDIRECTED, (1, 2, 3), ((1, 2, 1), (2, 3, Fraction(1, 2))),
+                     {1: Fraction(1), 2: 1, 3: Fraction(3, 2)})
+    exact = Instance(UNDIRECTED, (1, 2, 3), ((1, 2, Fraction(1)), (2, 3, Fraction(1, 2))),
+                     {1: Fraction(1), 2: Fraction(1), 3: Fraction(3, 2)})
+    integers = Instance._from_ints(UNDIRECTED, (1, 2, 3), [1, 2], [2, 3], [2, 1], 2, [2, 2, 3], 2)
+    assert mixed.compiled.scale == 2
+    assert mixed.compiled == exact.compiled == integers.compiled
+    assert mixed.compiled.tau == (2, 2, 3) and mixed.compiled.out[1] == [(0, 2), (2, 1)]
 
 
 @pytest.mark.parametrize("vertices, weights, tau", [
