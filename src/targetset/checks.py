@@ -60,14 +60,12 @@ def _child_seed(rng: random.Random) -> int:
 
 
 def _mixed_spec(rng: random.Random, n: int, **overrides) -> GenSpec:
-    base = GenSpec(
-        family="random",
-        n=n,
-        seed=_child_seed(rng),
-        edge_prob=rng.choice((0.2, 0.4, 0.6, 0.8)),
-        weights=rng.choice(("int", "halves", "unit")),
-    )
-    return dc_replace(base, **overrides)
+    drawn = {  # drawn in this order even where `overrides` replaces them
+        "seed": _child_seed(rng),
+        "edge_prob": rng.choice((0.2, 0.4, 0.6, 0.8)),
+        "weights": rng.choice(("int", "halves", "unit")),
+    }
+    return GenSpec(n=n, **{**drawn, **overrides})
 
 
 def random_tss_instance(rng: random.Random, n: int) -> Instance:

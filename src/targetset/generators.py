@@ -2,11 +2,28 @@
 
 Stream contract: the same GenSpec makes the same random draws, from one
 `random.Random(spec.seed)` consumed in a fixed order, and so builds the
-same instance, down to the bytes `serialize_wtg` writes. A spec the family
-cannot honour raises ValueError. An unknown family, an edge probability
-outside [0, 1] and, for any family but random, a threshold policy other
-than uniform are refused before the first draw; other options a family
-does not read (see `GenSpec`) are ignored.
+same instance, down to the bytes `serialize_wtg` writes. The random and
+degenerate families draw, in this order:
+
+- the spanning tree, if `connected` and n >= 2: one shuffle of the
+  vertices, then one `randrange` for each vertex after the first;
+- the pairs (i, j), i < j, row by row: (1, 2), (1, 3) … (1, n), (2, 3) ….
+  A tree pair takes no draw and is kept. Every other pair takes exactly one
+  `random()` and is kept when that is below `edge_prob`;
+- one weight per kept pair, in the same order;
+- the thresholds' draws, vertex by vertex (degenerate: a shuffled order
+  first, then one slack per vertex along it).
+
+A tournament draws each pair's weight (none on the unit grid) and then its
+orientation, row by row, and then its thresholds.
+
+A spec the family cannot honour raises ValueError. An unknown family, an
+edge probability outside [0, 1], for any family but random a threshold
+policy other than uniform, and a spec over a size limit are refused before
+the first draw; other options a family does not read (see `GenSpec`) are
+ignored. The limits are `MAX_PAIRS` vertex pairs visited (n <= 17,321 for
+the random, degenerate and tournament families) and `MAX_EDGES` expected
+edges.
 
 Weights are drawn as numerators on their grid, and incident sums and
 thresholds are computed on those integers. Each family hands the instance
@@ -50,6 +67,18 @@ class GenSpec:
     max_slack: int = 3
 
 
+# Size limits, checked by `generate` before the first draw. The random,
+# degenerate and tournament families visit every vertex pair: the first two
+# at about 65 ns a pair (Python 3.11, 2 shared cores: 1.15 s for n = 6000),
+# so MAX_PAIRS (n <= 17,321) is about 10 s. An edge costs about 270 bytes of
+# peak RSS in `generate` and 370 in `targetset gen` (146 and 204 MB at
+# n = 1000, p = 1: 499,500 edges), so MAX_EDGES expected edges (the tree's
+# plus edge_prob per other pair; every pair for a tournament, 3n/2 for a
+# cubic graph) is about 0.75 GB.
+MAX_PAIRS = 150_000_000
+MAX_EDGES = 2_000_000
+
+
 # Each weight grid: its denominator and the largest numerator drawn (0: every
 # numerator is 1 and none is drawn).
 _GRIDS = {"int": (1, 10), "halves": (2, 20), "unit": (1, 0)}
@@ -66,24 +95,27 @@ def _random_edges(rng: random.Random, spec: GenSpec) -> tuple[list[int], list[in
     """Sorted edges as endpoint lists, their weight numerators and the grid's denominator.
 
     A pair on the spanning tree (if `connected`) is taken without a draw;
-    every other pair is taken with probability `edge_prob`. The weights are
-    drawn afterwards, in edge order.
+    every other pair takes one draw and is kept with probability
+    `edge_prob`. Pairs are visited row by row, (1, 2) … (1, n), (2, 3) …,
+    and the weights are drawn afterwards, in edge order.
     """
     n = spec.n
-    tree: set[tuple[int, int]] = set()
+    tree: dict[int, set[int]] = {}  # each tree edge's larger end, keyed by its smaller end
     if spec.connected and n >= 2:
         order = list(range(1, n + 1))
         rng.shuffle(order)
         for i in range(1, n):
             a, b = order[rng.randrange(i)], order[i]
-            tree.add((min(a, b), max(a, b)))
+            if a > b:
+                a, b = b, a
+            tree.setdefault(a, set()).add(b)
     draw, p = rng.random, spec.edge_prob
     tails, heads = [], []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) in tree or draw() < p:
-                tails.append(i)
-                heads.append(j)
+    for i in range(1, n):
+        row = tree.get(i, ())
+        js = [j for j in range(i + 1, n + 1) if j in row or draw() < p]
+        tails += [i] * len(js)
+        heads += js
     if not tails:  # no weight is drawn, so the grid is never read
         return tails, heads, [], 1
     den, top = _grid(spec.weights)
@@ -220,6 +252,24 @@ _FAMILIES = {
 }
 
 
+def _check_size(spec: GenSpec) -> None:
+    """Refuse a spec over `MAX_PAIRS` visited pairs or `MAX_EDGES` expected edges."""
+    n = max(spec.n, 0)
+    if spec.family == "cubic":
+        pairs, edges = 0, 1.5 * n
+    else:
+        pairs = n * (n - 1) // 2
+        if spec.family == "tournament":
+            edges = pairs
+        else:
+            tree = n - 1 if spec.connected and n >= 2 else 0
+            edges = tree + (pairs - tree) * spec.edge_prob
+    if pairs > MAX_PAIRS:
+        raise ValueError(f"{n} vertices make {pairs:,} vertex pairs, over the limit of {MAX_PAIRS:,}")
+    if edges > MAX_EDGES:
+        raise ValueError(f"{n} vertices expect {edges:,.0f} edges, over the limit of {MAX_EDGES:,}")
+
+
 def generate(spec: GenSpec) -> Instance:
     """Build the instance described by `spec`."""
     try:
@@ -231,4 +281,5 @@ def generate(spec: GenSpec) -> Instance:
     if spec.family != "random" and spec.tau_policy != GenSpec.tau_policy:
         raise ValueError(f"threshold policy {spec.tau_policy!r} is for the random family;"
                          f" the {spec.family} family sets its own thresholds")
+    _check_size(spec)
     return family(spec)

@@ -292,11 +292,12 @@ def _subset_weights(view: CompiledInstance) -> tuple[int, list[list[int]], list[
 def build_instance(mode: str, vertices, edges=(), tau=0) -> Instance:
     """Assemble an Instance, coercing weights and thresholds to Fraction.
 
-    vertices: an int n (meaning ids 1..n) or an iterable of ids.
+    vertices: an int n (meaning ids 1..n; a bool raises TypeError) or an
+        iterable of ids.
     edges: (u, v) pairs (weight 1) or (u, v, weight) triples.
     tau: one value for every vertex, a sequence in listing order, or a map.
     """
-    if isinstance(vertices, int):
+    if isinstance(vertices, int) and not isinstance(vertices, bool):
         ids = tuple(range(1, vertices + 1))
     else:
         ids = tuple(vertices)

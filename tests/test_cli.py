@@ -276,6 +276,11 @@ def test_gen_is_deterministic(capsys):
     ("--family", "cubic", "--p", "7"),
     ("--family", "cubic", "--tau-policy", "two-level"),
     ("--family", "degenerate", "--tau-policy", "fixed", "--fixed-tau", "-1"),
+    # Over a size limit: refused before the first draw.
+    ("--n", "200000", "--p", "0.00001"),
+    ("--family", "degenerate", "--n", "6000", "--p", "1"),
+    ("--family", "tournament", "--n", "2001"),
+    ("--family", "cubic", "--n", "2000000"),
 ])
 def test_gen_infeasible_spec_is_usage_error(capsys, spec):
     code, out, err = run(capsys, "gen", *spec)

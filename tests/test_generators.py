@@ -14,6 +14,7 @@ from targetset import (
     peel_ordering,
     validate,
 )
+from targetset import generators
 
 
 @pytest.mark.parametrize("family", ["random", "degenerate", "cubic", "tournament"])
@@ -125,3 +126,39 @@ def test_every_draw_builds_or_is_a_bad_spec():
         except ValueError:
             continue
         assert isinstance(instance, Instance)
+
+
+def test_size_limits_admit_the_limit_and_refuse_one_more(monkeypatch):
+    # Lowered, so that a run at each limit is cheap; the refusal comes before any draw.
+    monkeypatch.setattr(generators, "MAX_PAIRS", 45)
+    assert generate(GenSpec(n=10, seed=1, edge_prob=0.0)).n == 10
+    for family in ("random", "degenerate", "tournament"):
+        with pytest.raises(ValueError, match="11 vertices make 55 vertex pairs, over the limit of 45"):
+            generate(GenSpec(family=family, n=11, seed=1, edge_prob=0.0))
+    monkeypatch.setattr(generators, "MAX_PAIRS", 10**6)
+    monkeypatch.setattr(generators, "MAX_EDGES", 10)
+    at_limit = [GenSpec(n=11, seed=1, edge_prob=0.0, connected=True),  # the tree's 10 edges
+                GenSpec(family="degenerate", n=5, seed=1, edge_prob=1.0),
+                GenSpec(family="tournament", n=5, seed=1)]
+    for spec in at_limit:
+        assert len(generate(spec).edges) == 10
+    assert len(generate(GenSpec(family="cubic", n=6, seed=1)).edges) == 9
+    over = [GenSpec(n=12, seed=1, edge_prob=0.0, connected=True),
+            GenSpec(family="degenerate", n=6, seed=1, edge_prob=1.0),
+            GenSpec(family="tournament", n=6, seed=1),
+            GenSpec(family="cubic", n=8, seed=1)]
+    for spec in over:
+        with pytest.raises(ValueError, match="edges, over the limit of 10$"):
+            generate(spec)
+
+
+def test_size_limits_as_stated():
+    generators._check_size(GenSpec(n=17321, edge_prob=0.0))  # 149,999,860 pairs
+    with pytest.raises(ValueError, match="150,017,181 vertex pairs"):
+        generators._check_size(GenSpec(n=17322, edge_prob=0.0))
+    generators._check_size(GenSpec(n=2000, edge_prob=1.0))  # 1,999,000 edges
+    with pytest.raises(ValueError, match="expect 2,001,000 edges"):
+        generators._check_size(GenSpec(n=2001, edge_prob=1.0))
+    # The largest instances measured so far stay admitted.
+    generators._check_size(GenSpec(n=1000, edge_prob=1.0))
+    generators._check_size(GenSpec(family="degenerate", n=8000, edge_prob=8 / 8000, connected=True))

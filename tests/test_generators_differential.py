@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from targetset import (
     DIRECTED,
@@ -216,7 +216,19 @@ def _specs(draw):
     )
 
 
+def _larger(test):
+    """Fixed examples past Hypothesis's n <= 30, where rows hold hundreds of pairs."""
+    for n in (200, 600):
+        for connected in (False, True):
+            for p in (0.0, 1 / n, 0.5):
+                family = "degenerate" if connected else "random"
+                test = example(GenSpec(family=family, n=n, seed=n + int(connected), edge_prob=p,
+                                       weights="halves", connected=connected))(test)
+    return test
+
+
 @given(_specs())
+@_larger
 @settings(max_examples=400, deadline=None)
 def test_generators_match_reference(spec):
     if not 0 <= spec.edge_prob <= 1 or (spec.family != "random" and spec.tau_policy != "uniform"):

@@ -170,6 +170,8 @@ def test_build_instance_rejects_bool_values():
         build_instance(UNDIRECTED, 2, [(1, 2, True)], 1)
     with pytest.raises(TypeError):
         build_instance(UNDIRECTED, 2, [], [1, False])
+    with pytest.raises(TypeError):
+        build_instance(UNDIRECTED, True, [], 1)
 
 
 def test_vertices_are_stored_ascending():
