@@ -26,13 +26,15 @@ TARGET_VECTOR_CEILING = 22
 # The closed-set search gives up for the DP once it stores more than this
 # share of the 2^n sets. Of 200 instances at n = 14 (seeds 1-100 each of
 # the degenerate family and of uniform thresholds on connected graphs, edge
-# probability 0.3, halves weights), 1 falls back; at half this share, 5
-# would. Those that do are sparse graphs with uniform or capped thresholds,
-# where the search expands hundreds of sets at the optimal cost: on the 7
-# such instances among 160 at n = 12 and 14 (edge probability 0.2), search
-# plus DP take a median 1.4 times the DP alone (Python 3.11). Saturated
-# (tau = incident weight) and two-level thresholds, where nearly every set
-# is closed, stay far below it: at n = 22 the search expands 16-19 sets.
+# probability 0.3, halves weights), none falls back, nor at half this
+# share; at a quarter, 5 would. On sparse connected graphs (edge
+# probability 0.2, halves weights) with uniform or capped thresholds,
+# seeds 1-40 at n = 10-14, 1-20 at 16 and 1-10 at 18, none of the 220 at
+# n = 12-18 falls back, expanding at most 350 sets; at n = 10, where the
+# share is 64 sets, 10 of 80 do, and the DP there is 5,120 pairs.
+# Saturated (tau = incident weight), two-level and all-low thresholds,
+# where nearly every set is closed, stay far below it: at n = 22 (seeds
+# 1-3) the search expands 16, 15-19 and 22-96 sets.
 _SEARCH_BUDGET = 1 / 16
 # The largest multiple of 10 at which the slowest of five seeds each of
 # G(n, p), p in {0.1, 0.2, 0.3, 0.5, 0.8}, and the cubic family stays under
@@ -141,6 +143,42 @@ def _close(lo: list[list[int]], hi: list[list[int]], thresholds: tuple[int, ...]
     return active
 
 
+def _waste(lo: list[list[int]], hi: list[list[int]], thresholds: tuple[int, ...],
+           raises: list[int], h: int, inside: int, outside: int) -> int:
+    """A lower bound on the weight `outside` receives past its thresholds once `inside` is active.
+
+    Peels `outside`, the positions not in the bitmask `inside`: a position
+    is dropped while its threshold covers the weight it receives from
+    every position not yet dropped, `inside` included, with `_close`'s
+    worklist. If all of `outside` drops, 0. Otherwise the positions left,
+    R, each receive more than their threshold from `inside` and the rest
+    of R, and the result is the least such excess over R. In any order the
+    last member of R to activate receives at least that weight, so at
+    least this much is wasted.
+    """
+    low_mask = (1 << h) - 1
+    alive = inside | outside
+    todo = outside
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        j = bit.bit_length() - 1
+        if lo[j][alive & low_mask] + hi[j][alive >> h] <= thresholds[j]:
+            alive ^= bit
+            todo |= raises[j] & alive & outside
+    stuck = alive & outside
+    s, t = alive & low_mask, alive >> h
+    least = 0  # every stuck excess is positive, so 0 means none yet
+    while stuck:
+        bit = stuck & -stuck
+        stuck ^= bit
+        j = bit.bit_length() - 1
+        excess = lo[j][s] + hi[j][t] - thresholds[j]
+        if not least or excess < least:
+            least = excess
+    return least
+
+
 def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT) -> OracleResult:
     """Exact minimum-cost incentive vector.
 
@@ -157,13 +195,16 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
     `explored` is n * 2^(n-1), the number of (set, last vertex) pairs.
 
     Above that limit a best-first search over the sets closed under free
-    activation runs first (`_closed_set_search`). Its witness is some
-    optimal vector, in general not the dynamic program's: it pays each
-    vertex on the cheapest path its deficit and gives 0 to every vertex
-    that then activates for free, and `explored` counts the closed sets
-    expanded. If the search stores more than `_SEARCH_BUDGET` of the 2^n
-    sets, it gives up and the dynamic program answers with its own witness;
-    `explored` is then the sets the search expanded plus n * 2^(n-1).
+    activation runs first (`_closed_set_search`). In undirected mode its
+    estimate counts the weight some vertex outside a set must receive past
+    its threshold when the rest does not peel. Its witness is some optimal
+    vector, in general not the dynamic program's: it pays each vertex on
+    the cheapest path its deficit and gives 0 to every vertex that then
+    activates for free, and `explored` counts the closed sets expanded, not
+    the sets pushed again when their estimate rose. If the search stores
+    more than `_SEARCH_BUDGET` of the 2^n sets, it gives up and the dynamic
+    program answers with its own witness; `explored` is then the sets the
+    search expanded plus n * 2^(n-1).
     Either way the witness lists every vertex, in activation order, and is
     checked against the engine.
     """
@@ -268,20 +309,34 @@ def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
 
     - the sum of max(0, tau(i) - total(i)) over the vertices outside S,
       which nothing but payment covers;
-    - in undirected mode, T(S) = tau(V - S) - W + W(S), where W is the
-      total edge weight and W(S) the weight of the edges inside S: each
-      edge left outside S covers at most one of its endpoints. Summed over
-      the vertices that S' adds in the order the closure activates them,
-      the deficits of that order telescope to T(S) - T(S'); the first is
-      what the step pays and the others, those of free vertices, are at
-      most 0, so T(S) <= deficit(i) + T(S'), and T(full set) = 0.
+    - in undirected mode, T(S) + waste(S). Here T(S) = tau(V - S) - W +
+      W(S), where W is the total edge weight and W(S) the weight of the
+      edges inside S. Each edge not inside S gives its weight to the later
+      of its endpoints, so along any order of the vertices outside S the
+      deficits sum to T(S), and the cost, their sum clamped at 0, is T(S)
+      plus the weight the vertices receive past their thresholds.
+      waste(S) (`_waste`) is a least such weight: if the vertices outside
+      S peel, it is 0, and the reverse peeling order wastes nothing, so
+      the estimate is exact; otherwise the last stuck vertex to activate
+      receives at least its weight from S and the other stuck vertices.
 
-    Both are consistent, and so is their maximum: the first time the full
-    set is popped its cost is optimal, and a popped set costlier than its
-    stored cost is stale. W(S') - W(S) is half the sum, over the vertices
-    S' adds, of the weight each receives from S and from S'. In directed
-    mode T(S) would be the sum of tau(i) - total(i) outside S, never above
-    the first bound, so only the first is used.
+    Both bounds are admissible, never above the cheapest cost still to
+    come, so the first time the full set is popped its cost is optimal. The
+    waste term need not be consistent, so a set may be reached again, more
+    cheaply, after it was expanded: it is then stored and pushed again, and
+    a popped set costlier than its stored cost is stale. Successors are
+    pushed with the first bound and T alone. The first time an entry is
+    popped, its waste is computed; if that raises the estimate, the entry
+    is pushed again with it instead of being expanded, so only sets about
+    to be expanded pay for a peel, and `expanded` counts expansions only.
+
+    T is kept incrementally. Summed over the vertices that S' adds in the
+    order the closure activates them, the deficits of that order telescope
+    to T(S) - T(S'). W(S') - W(S) is half the sum, over the vertices S'
+    adds, of the weight each receives from S and from S'. In directed mode
+    T(S) would be the sum of tau(i) - total(i) outside S, never above the
+    first bound, and nothing telescopes, so weight received past a
+    threshold bounds no cost: only the first bound is used.
 
     Returns ((order, cost), expanded) like `_subset_dp`, with every free
     vertex paid 0 right after the payment that activates it. Once it stores
@@ -316,19 +371,25 @@ def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
     gap = sum(thresholds) - sum(view.totals) // 2 - drop(0, start) if undirected else 0
     est = max(rest, gap)
     stored = {start: (0, None, -1)}
-    # (cost + estimate, estimate, set, excess bound, T): of equal totals, the
-    # set with the smaller estimate, so the one nearer the full set, comes first.
-    heap = [(est, est, start, rest, gap)]
+    # (cost + estimate, estimate, set, excess bound, T, waste counted): of
+    # equal totals, the set with the smaller estimate, so the one nearer the
+    # full set, comes first.
+    heap = [(est, est, start, rest, gap, False)]
     expanded = 0
     while heap:
         if len(stored) > budget:
             return None, expanded
-        f, est, mask, rest, gap = heapq.heappop(heap)
+        f, est, mask, rest, gap, counted = heapq.heappop(heap)
         cost = f - est
         if mask == everyone:
             break
         if cost > stored[mask][0]:
             continue
+        if undirected and not counted:
+            raised = gap + _waste(lo, hi, thresholds, raises, h, mask, everyone ^ mask)
+            if raised > est:
+                heapq.heappush(heap, (cost + raised, raised, mask, rest, gap, True))
+                continue
         expanded += 1
         s, t = mask & low_mask, mask >> h
         outside = everyone ^ mask
@@ -349,7 +410,7 @@ def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
             if undirected:
                 after -= d if nxt == mask | bit else d + drop(mask | bit, nxt)
             est = left if left > after else after
-            heapq.heappush(heap, (step + est, est, nxt, left, after))
+            heapq.heappush(heap, (step + est, est, nxt, left, after, False))
     path = [mask]
     while mask != start:
         mask = stored[mask][1]

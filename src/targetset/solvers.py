@@ -109,15 +109,24 @@ def solve_degenerate(instance: Instance) -> SolveReport:
 def target_vector_lower_bound(instance: Instance) -> Fraction:
     """Universal lower bound on incentive cost, in both modes.
 
-    The larger of two bounds: each vertex is paid at least its threshold
-    minus its whole incident (incoming) weight, and the payments sum to at
-    least the thresholds minus the edge weights, since each edge covers one
-    endpoint. The target-vector oracle's closed-set search starts from the
-    same estimate.
+    Each vertex is paid at least its threshold minus its whole incident
+    (incoming) weight. In undirected mode each edge gives its weight to its
+    later endpoint, so the payments sum to the thresholds minus the edge
+    weights plus the weight the vertices receive past their thresholds. If
+    peeling sticks, the last stuck vertex to activate receives at least its
+    weight from the other stuck vertices, so at least the least such excess
+    is wasted. The bound is the larger of the two, the target-vector
+    oracle's closed-set estimate at the empty set. In directed mode the
+    thresholds minus the arc weights never exceed the first bound.
     """
     view = instance.compiled
-    excess = Fraction(sum(t - s for t, s in zip(view.tau, view.totals) if t > s), view.scale)
-    return max(excess, instance.tau_total - instance.total_weight)
+    excess = sum(t - s for t, s in zip(view.tau, view.totals) if t > s)
+    if instance.mode != UNDIRECTED:
+        return Fraction(excess, view.scale)
+    residual, alive = list(view.totals), [True] * instance.n
+    _peel(view, view.tau, residual, alive)
+    waste = min((r - t for r, t, live in zip(residual, view.tau, alive) if live), default=0)
+    return Fraction(max(excess, sum(view.tau) - sum(view.totals) // 2 + waste), view.scale)
 
 
 def _two_level_split(instance: Instance) -> list[int]:

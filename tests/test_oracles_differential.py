@@ -18,7 +18,9 @@ optimum, and a witness that pays every vertex, sums to the optimum and
 passes the engine. When the search gives up, the program's answer comes
 back unchanged. The bidirected image of an undirected instance takes the
 search's directed path, and must reach the same optimum as the undirected
-path.
+path. The search's undirected estimate is checked on every vertex set of
+small instances: its peel against a Fraction reference, and the estimate
+against the cheapest cost still to come, by a plain dynamic program.
 """
 
 import itertools
@@ -39,6 +41,7 @@ from targetset import (
     exact_min_target_vector,
     exact_min_vertex_cover,
     generate,
+    target_vector_lower_bound,
     to_bidirected,
 )
 from targetset import oracles
@@ -380,11 +383,12 @@ def test_exhausted_budget_returns_the_dp_answer(monkeypatch):
     assert list(got.witness.items()) == list(expected.witness.items())
 
 
-def test_search_past_its_budget_falls_back_to_the_dp():
-    # Found by a scan: a sparse graph whose optimum meets the telescoping
-    # bound, yet the search stores more than 2^(n-4) sets on its way there.
+def test_search_past_its_budget_falls_back_to_the_dp(monkeypatch):
+    # The search reaches the full set after 11 expansions here, so a budget
+    # of 2^(n-7) sets runs out after it has expanded a few.
     inst = generate(GenSpec(n=12, seed=7, edge_prob=0.2, weights="halves", tau_policy="uniform",
                             connected=True))
+    monkeypatch.setattr(oracles, "_SEARCH_BUDGET", 1 / 128)
     view = inst.compiled
     found, expanded = _closed_set_search(view, *_subset_weights(view))
     assert found is None and expanded > 0
@@ -393,6 +397,94 @@ def test_search_past_its_budget_falls_back_to_the_dp():
     assert got.optimum == expected.optimum
     assert list(got.witness.items()) == list(expected.witness.items())
     assert got.explored == expanded + 12 * 2**11
+
+
+def _reference_waste(instance: Instance, inside: VertexSet) -> Fraction:
+    """`_waste` on Fractions: peel the vertices outside `inside`, then the least excess left."""
+    into: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in instance.vertices}
+    for u, v, w in instance.edges:
+        into[u].append((v, w))
+        into[v].append((u, w))
+    left = set(instance.vertices) - inside
+
+    def received(v: int) -> Fraction:
+        return sum((w for u, w in into[v] if u in inside or u in left), Fraction(0))
+
+    while True:
+        dropped = next((v for v in sorted(left) if instance.tau[v] >= received(v)), None)
+        if dropped is None:
+            return min((received(v) - instance.tau[v] for v in left), default=Fraction(0))
+        left.remove(dropped)
+
+
+def _cost_to_go(view) -> list[int]:
+    """Per bitmask S, the least scaled cost of activating everything outside S, by a plain DP."""
+    n = len(view.tau)
+    to_go = [0] * (1 << n)
+    for mask in reversed(range((1 << n) - 1)):
+        to_go[mask] = min(
+            max(0, view.tau[i] - sum(w for j, w in view.incoming[i] if mask >> j & 1))
+            + to_go[mask | 1 << i]
+            for i in range(n) if not mask >> i & 1)
+    return to_go
+
+
+@given(_instances(modes=(UNDIRECTED,)))
+@settings(max_examples=150, deadline=None)
+def test_search_estimate_is_admissible_and_exact_where_the_rest_peels(inst):
+    # The estimate of a set S is max(excess outside S, T(S) + waste(S)).
+    # For every S, closed or not, it is at most the optimal cost still to
+    # come, and equal to it when everything outside S peels (waste 0). At S
+    # empty it is the public lower bound.
+    n, verts = inst.n, inst.vertices
+    view = inst.compiled
+    h, lo, hi = _subset_weights(view)
+    raises = oracles._raises(view)
+    everyone = (1 << n) - 1
+    excess = [max(0, t - s) for t, s in zip(view.tau, view.totals)]
+    to_go = _cost_to_go(view)
+    for mask in range(1 << n):
+        outside = everyone ^ mask
+        waste = oracles._waste(lo, hi, view.tau, raises, h, mask, outside)
+        inside = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+        assert Fraction(waste, view.scale) == _reference_waste(inst, inside)
+        low, high = mask & (1 << h) - 1, mask >> h
+        within = sum(lo[i][low] + hi[i][high] for i in range(n) if mask >> i & 1)
+        t = sum(view.tau[i] for i in range(n) if outside >> i & 1) - (sum(view.totals) - within) // 2
+        estimate = max(sum(excess[i] for i in range(n) if outside >> i & 1), t + waste)
+        assert estimate <= to_go[mask]
+        if not waste:
+            assert estimate == to_go[mask]
+        if not mask:
+            assert target_vector_lower_bound(inst) == Fraction(estimate, view.scale)
+
+
+@given(_instances(modes=(DIRECTED,)))
+@settings(max_examples=50, deadline=None)
+def test_directed_lower_bound_is_the_excess_alone(inst):
+    # In directed mode nothing telescopes, so the peel's waste is no bound
+    # on the cost: a 2-cycle of weight 10 and thresholds 1 costs 1, yet
+    # wastes 9.
+    view = inst.compiled
+    excess = sum(max(0, t - s) for t, s in zip(view.tau, view.totals))
+    assert target_vector_lower_bound(inst) == Fraction(excess, view.scale)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_all_low_two_level_answers_without_the_program(n):
+    # Every threshold is the incident sum minus the least weight mu, so no
+    # vertex peels and the last to activate wastes at least mu: the root
+    # estimate is the optimum, sum tau - sum w + mu, and the search needs no
+    # fallback.
+    base = generate(GenSpec(n=n, seed=1, edge_prob=0.4, weights="halves", connected=True))
+    mu = min(w for _, _, w in base.edges)
+    inst = Instance(base.mode, base.vertices, base.edges,
+                    {v: t - mu for v, t in base.incident_totals.items()})
+    got = exact_min_target_vector(inst, limit=n)
+    assert got.explored <= 8 * n
+    assert got.optimum == inst.tau_total - inst.total_weight + mu
+    assert got.optimum == target_vector_lower_bound(inst)
+    assert is_target_vector(inst, got.witness)
 
 
 @pytest.mark.parametrize("n", [9, 10])  # the program's path, then the search's

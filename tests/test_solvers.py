@@ -102,8 +102,10 @@ def test_degenerate_solver_edgeless_pays_thresholds():
 
 def test_lower_bound_examples():
     assert target_vector_lower_bound(path3()) == 1
-    assert target_vector_lower_bound(triangle(1)) == 0
-    assert exact_min_target_vector(triangle(1)).optimum == 1  # bound not tight here
+    # Each vertex receives 2 against a threshold of 1, so none peels and the
+    # last to activate wastes at least 1: the bound meets the optimum.
+    assert target_vector_lower_bound(triangle(1)) == 1
+    assert exact_min_target_vector(triangle(1)).optimum == 1
     assert target_vector_lower_bound(build_instance(UNDIRECTED, 2, [], [2, 3])) == 5
 
 
