@@ -17,6 +17,7 @@ import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
+from operator import ne
 
 from .degeneracy import (
     DegeneracyOrdering,
@@ -109,8 +110,8 @@ def _degeneracy_oracle(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
             yield f"seed {spec.seed}: peel succeeded on a non-degenerate instance"
         if any(s < 0 for s in got.slacks.values()):
             yield f"seed {spec.seed}: negative slack in returned ordering"
-        covered = sum((inst.tau[v] - got.slacks[v] for v in inst.vertices), start=Fraction(0))
-        if covered != inst.total_weight:
+        slack = sum(map(got.slacks.__getitem__, inst.vertices), start=Fraction(0))
+        if inst.tau_total - slack != inst.total_weight:
             yield f"seed {spec.seed}: slack identity broken"
     elif verdict:
         yield f"seed {spec.seed}: peel stuck on a degenerate instance"
@@ -159,7 +160,8 @@ def _two_level(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
         inst = Instance(inst.mode, inst.vertices, inst.edges,
                         {v: totals[v] - mu for v in inst.vertices})
     report = solve_two_level(inst)
-    all_low = all(inst.tau[v] != inst.incident_totals[v] for v in inst.vertices)
+    view = inst.compiled
+    all_low = all(map(ne, view.tau, view.totals))
     expected = inst.tau_total - inst.total_weight + (mu if all_low else 0)
     oracle = exact_min_target_vector(inst, limit=inst.n).optimum
     if report.cost != expected:
@@ -167,7 +169,9 @@ def _two_level(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     if report.cost != oracle:
         yield f"seed {spec.seed}: cost {report.cost} != oracle {oracle}"
     if all_low:
-        pairs = {(min(u, v), max(u, v)) for u, v, w in inst.edges if w == mu}
+        verts, least = inst.vertices, view.min_weight
+        # Positions ascend with ids, so i < j puts the smaller id first.
+        pairs = {(verts[i], verts[j]) for i, adj in enumerate(view.out) for j, w in adj if i < j and w == least}
         for pair in sorted(pairs):
             other = solve_two_level(inst, removed_edge=pair)
             if other.cost != expected:

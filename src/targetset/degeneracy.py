@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain
+from operator import itemgetter
 
 from .errors import OracleLimitError, PreconditionError
 from .instance import (
@@ -53,7 +55,7 @@ def _require_undirected(instance: Instance, what: str) -> None:
 def _non_unit_edge(instance: Instance) -> Edge | None:
     """The first edge, in listing order, whose weight is not 1; None when every weight is 1."""
     view = instance.compiled
-    if all(w == view.scale for pairs in view.out for _, w in pairs):
+    if set(map(itemgetter(1), chain.from_iterable(view.out))) <= {view.scale}:
         return None
     return next(e for e in instance.edges if e[2] != 1)
 
@@ -68,7 +70,7 @@ def _require_degree_thresholds(instance: Instance) -> None:
     for v, pairs, t in zip(instance.vertices, view.incoming, view.tau):
         if t % scale or not scale <= t <= len(pairs) * scale:
             raise PreconditionError(
-                f"vertex {v} needs an integer threshold between 1 and its degree, got {instance.tau[v]}"
+                f"vertex {v} needs an integer threshold between 1 and its degree, got {Fraction(t, scale)}"
             )
 
 

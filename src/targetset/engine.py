@@ -122,7 +122,7 @@ def _incentive_need(instance: Instance, incentives: Mapping[int, Fraction]) -> l
 
 def _trace(instance: Instance, rounds: list[list[int]]) -> ActivationTrace:
     verts = instance.vertices
-    sets = tuple(frozenset(verts[i] for i in r) for r in rounds)
+    sets = tuple([frozenset(map(verts.__getitem__, r)) for r in rounds])
     return ActivationTrace(sets, frozenset().union(*sets), len(sets) - 1)
 
 

@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import gt
+from itertools import chain
+from operator import gt, itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
@@ -75,9 +76,11 @@ class Instance:
     Construction checks every invariant (see `validate`) and raises
     ValidationError on the first violation, so every Instance is valid.
     `vertices` is stored ascending, so position i is the i-th smallest id.
-    `vertices` and `edges` are stored as tuples and `tau` is copied into a
-    read-only mapping, so instances are immutable and hashable, and can be
-    shared freely across workers. Equality and hashing ignore the order the
+    `vertices` and `edges` are tuples and `tau` is a read-only mapping
+    (copied from the caller's), so instances are immutable and hashable, and
+    can be shared freely across workers. Parsed, generated and reduced
+    instances make `edges` and `tau` on the first read of either (see
+    `_from_values`). Equality and hashing ignore the order the
     edges are listed in, and which endpoint of an undirected edge comes first.
     """
 
@@ -120,22 +123,40 @@ class Instance:
         thresholds `value[tau[i]]` (in vertex order), handed its integer view (see `_on_scale`).
 
         `vertices` ascend and every rule but three holds, and those three fail as in `validate`.
+        Only the integer view is built here. The four lists and `value` are kept, not copied, and
+        `edges` and `tau` are made from them on the first read of either (`__getattr__`); from
+        then on both are plain attributes and the lists are dropped.
         """
         scale, scaled_weights, scaled_tau = _on_scale(value, weights, tau, den)
-        edges = tuple([(u, v, value[k]) for u, v, k in zip(tails, heads, weights)])
-        tau_map = dict(zip(vertices, map(value.__getitem__, tau)))
         if vertices and vertices[0] < 1:
             raise ValidationError(Violation("bad-vertex-id", f"vertex id {vertices[0]!r} is not a positive integer"))
         if scaled_weights and min(scaled_weights) < 0:
-            u, v, w = next(e for e in edges if e[2] < 0)
-            raise ValidationError(Violation("negative-weight", f"edge ({u}, {v}) has negative weight {w}"))
+            i = next(i for i, w in enumerate(scaled_weights) if w < 0)
+            raise ValidationError(Violation(
+                "negative-weight", f"edge ({tails[i]}, {heads[i]}) has negative weight {value[weights[i]]}"))
         if scaled_tau and min(scaled_tau) < 0:
-            v = next(v for v in vertices if tau_map[v] < 0)
-            raise ValidationError(Violation("negative-threshold", f"vertex {v} has negative threshold {tau_map[v]}"))
+            i = next(i for i, t in enumerate(scaled_tau) if t < 0)
+            raise ValidationError(Violation(
+                "negative-threshold", f"vertex {vertices[i]} has negative threshold {value[tau[i]]}"))
         self = object.__new__(cls)
-        self.__dict__.update(mode=mode, vertices=vertices, edges=edges, tau=MappingProxyType(tau_map),
-                             compiled=_compile(mode, vertices, edges, scaled_weights, scaled_tau, scale))
+        self.__dict__.update(mode=mode, vertices=vertices, _values=(tails, heads, weights, tau, value),
+                             compiled=_compile(mode, vertices, tails, heads, scaled_weights, scaled_tau, scale))
         return self
+
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: for `edges` and `tau` of an instance from
+        # `_from_values` before their first read, and for names an Instance does not have.
+        state = vars(self)
+        values = state.get("_values")
+        if values is not None and name in ("edges", "tau"):
+            tails, heads, weights, tau, value = values
+            state.update(edges=tuple([(u, v, value[k]) for u, v, k in zip(tails, heads, weights)]),
+                         tau=MappingProxyType(dict(zip(self.vertices, map(value.__getitem__, tau)))))
+            state.pop("_values", None)
+        try:
+            return state[name]
+        except KeyError:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}") from None
 
     @cached_property
     def _key(self) -> tuple:
@@ -183,10 +204,12 @@ class Instance:
     def compiled(self) -> CompiledInstance:
         """The integer view every activation run and oracle works on."""
         # Keyed by object, not value: a Fraction's hash is worked out in Python on every call.
-        values = [w for _, _, w in self.edges] + list(map(self.tau.__getitem__, self.vertices))
-        keys, m = list(map(id, values)), len(self.edges)
+        edges = self.edges
+        values = [w for _, _, w in edges] + list(map(self.tau.__getitem__, self.vertices))
+        keys, m = list(map(id, values)), len(edges)
         scale, weights, tau = _on_scale(dict(zip(keys, values)), keys[:m], keys[m:])
-        return _compile(self.mode, self.vertices, self.edges, weights, tau, scale)
+        return _compile(self.mode, self.vertices, [u for u, _, _ in edges], [v for _, v, _ in edges],
+                        weights, tau, scale)
 
 
 def _on_scale(value, weights, tau, den=0) -> tuple[int, list[int], list[int]]:
@@ -225,22 +248,23 @@ class CompiledInstance:
     @cached_property
     def totals(self) -> tuple[int, ...]:
         """Scaled incident weight sum of each position (incoming in directed mode)."""
-        return tuple([sum(w for _, w in pairs) for pairs in self.incoming])
+        return tuple([sum(map(itemgetter(1), pairs)) for pairs in self.incoming])
 
     @cached_property
     def min_weight(self) -> int:
         """Smallest scaled edge weight; raises ValueError when there are no edges."""
-        return min(w for pairs in self.out for _, w in pairs)
+        return min(map(itemgetter(1), chain.from_iterable(self.out)))
 
 
-def _compile(mode, vertices, edges, weights, tau, scale) -> CompiledInstance:
-    """The integer view from scaled edge weights (in edge order) and thresholds (in vertex order)."""
+def _compile(mode, vertices, tails, heads, weights, tau, scale) -> CompiledInstance:
+    """The integer view from arcs `tails[i]` -> `heads[i]` of scaled weight `weights[i]` and
+    scaled thresholds (in vertex order)."""
     position = {v: i for i, v in enumerate(vertices)}
     out: list[list[tuple[int, int]]] = [[] for _ in vertices]
     # An undirected edge influences both ways, so in and out lists coincide.
     incoming = out if mode == UNDIRECTED else [[] for _ in vertices]
-    for (u, v, _), wi in zip(edges, weights):
-        iu, iv = position[u], position[v]
+    at = position.__getitem__
+    for iu, iv, wi in zip(map(at, tails), map(at, heads), weights):
         out[iu].append((iv, wi))
         incoming[iv].append((iu, wi))
     return CompiledInstance(scale, position, tuple(tau), incoming, out)
@@ -372,9 +396,9 @@ def validate(instance: Instance) -> Violation | None:
 
 def min_edge_weight(instance: Instance) -> Fraction:
     """Exact minimum edge weight; undefined (raises) on edgeless instances."""
-    if not instance.edges:
-        raise ValueError("edgeless instance has no minimum edge weight")
     view = instance.compiled
+    if not any(view.out):
+        raise ValueError("edgeless instance has no minimum edge weight")
     return Fraction(view.min_weight, view.scale)
 
 

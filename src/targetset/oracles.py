@@ -195,8 +195,9 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
     `explored` is n * 2^(n-1), the number of (set, last vertex) pairs.
 
     Above that limit a best-first search over the sets closed under free
-    activation runs first (`_closed_set_search`). In undirected mode its
-    estimate counts the weight some vertex outside a set must receive past
+    activation runs first (`_closed_set_search`). In undirected mode, and
+    on a digraph whose arcs pair up with equal opposite arcs, its estimate
+    counts the weight some vertex outside a set must receive past
     its threshold when the rest does not peel. Its witness is some optimal
     vector, in general not the dynamic program's: it pays each vertex on
     the cheapest path its deficit and gives 0 to every vertex that then
@@ -336,7 +337,14 @@ def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
     adds, of the weight each receives from S and from S'. In directed mode
     T(S) would be the sum of tau(i) - total(i) outside S, never above the
     first bound, and nothing telescopes, so weight received past a
-    threshold bounds no cost: only the first bound is used.
+    threshold bounds no cost: only the first bound is used. A digraph in
+    which every arc u -> v of weight w has an arc v -> u of weight w, such
+    as the bidirected image of an undirected instance, counts as undirected:
+    each vertex receives from every set exactly the weight it receives in
+    the undirected graph with one edge per such pair, so the two activate
+    alike, their deficits, orders and costs coincide, and the total arc
+    weight is twice that graph's W, which is what the totals sum to in
+    undirected mode too.
 
     Returns ((order, cost), expanded) like `_subset_dp`, with every free
     vertex paid 0 right after the payment that activates it. Once it stores
@@ -350,8 +358,9 @@ def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
     budget = int((1 << n) * _SEARCH_BUDGET)
     excess = [t - s if t > s else 0 for t, s in zip(thresholds, view.totals)]
     raises = _raises(view)
-    # An undirected view shares one list for in and out neighbours (`_compile`).
-    undirected = view.incoming is view.out
+    # An undirected view shares one list for in and out neighbours (`_compile`); a symmetric
+    # digraph has equal lists, which takes longer to see.
+    undirected = view.incoming is view.out or list(map(sorted, view.out)) == list(map(sorted, view.incoming))
 
     def drop(before: int, after: int) -> int:
         """T(before) - T(after), for a set `after` that holds `before`."""

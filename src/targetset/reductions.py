@@ -37,7 +37,9 @@ def _complete_edges(source: Instance, what: str) -> tuple[list[int], list[int], 
     if edge is not None:
         u, v, w = edge
         raise PreconditionError(f"{what} needs unit edge weights, edge ({u}, {v}) has {w}")
-    present = {(min(u, v), max(u, v)) for u, v, _ in source.edges}
+    ids = source.vertices
+    # Positions ascend with ids, so i < j puts the smaller id first.
+    present = {(ids[i], ids[j]) for i, pairs in enumerate(source.compiled.out) for j, _ in pairs if i < j}
     pairs = list(combinations(source.vertices, 2))
     weights = [n if pair in present else 1 for pair in pairs]
     return [u for u, _ in pairs], [v for _, v in pairs], weights

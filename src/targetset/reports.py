@@ -16,7 +16,7 @@ from .solvers import ApproxTargetSetResult, SolveReport
 
 
 def _ids(vertices) -> str:
-    return " ".join(str(v) for v in sorted(vertices))
+    return " ".join(map(str, sorted(vertices)))
 
 
 def _finish(lines: list[str]) -> str:

@@ -139,7 +139,7 @@ def _two_level_split(instance: Instance) -> list[int]:
             saturated.append(v)
         elif t != total - mu:
             raise PreconditionError(
-                f"vertex {v} has threshold {instance.tau[v]}, expected its incident sum "
+                f"vertex {v} has threshold {Fraction(t, view.scale)}, expected its incident sum "
                 f"{Fraction(total, view.scale)} or that sum minus {Fraction(mu, view.scale)}"
             )
     return saturated
@@ -160,7 +160,7 @@ def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = N
     """
     if instance.mode != UNDIRECTED:
         raise PreconditionError("the two-level solver handles undirected instances only")
-    if not instance.edges:
+    if not any(instance.compiled.out):
         raise PreconditionError("the two-level solver needs at least one edge")
     if not is_connected(instance):
         raise PreconditionError("the two-level solver requires a connected instance")
@@ -205,7 +205,7 @@ def solve_min_or_full(instance: Instance) -> SolveReport:
     """
     if instance.mode != UNDIRECTED:
         raise PreconditionError("the min-or-full solver handles undirected instances only")
-    if not instance.edges:
+    if not any(instance.compiled.out):
         raise PreconditionError("the min-or-full solver needs at least one edge")
     view, verts, n = instance.compiled, instance.vertices, instance.n
     scale, mu, tau, totals, out = view.scale, view.min_weight, view.tau, view.totals, view.out
@@ -213,7 +213,7 @@ def solve_min_or_full(instance: Instance) -> SolveReport:
     for v, t, total, is_low in zip(verts, tau, totals, low):
         if not is_low and t != total:
             raise PreconditionError(
-                f"vertex {v} has threshold {instance.tau[v]}, expected the minimum "
+                f"vertex {v} has threshold {Fraction(t, scale)}, expected the minimum "
                 f"edge weight {Fraction(mu, scale)} or its incident sum {Fraction(total, scale)}"
             )
     # Components are found in ascending id order, so each starts at its smallest member.

@@ -16,9 +16,10 @@ Above the target-vector oracle's default limit, its closed-set search is
 checked against the subset dynamic program it runs in front of: the same
 optimum, and a witness that pays every vertex, sums to the optimum and
 passes the engine. When the search gives up, the program's answer comes
-back unchanged. The bidirected image of an undirected instance takes the
-search's directed path, and must reach the same optimum as the undirected
-path. The search's undirected estimate is checked on every vertex set of
+back unchanged. A digraph whose arcs pair up with equal opposite arcs, as
+the bidirected image of an undirected instance does, takes the search's
+undirected estimate, and must give the undirected instance's answer; one
+with a single unequal pair must still reach the program's optimum. The search's undirected estimate is checked on every vertex set of
 small instances: its peel against a Fraction reference, and the estimate
 against the cheapest cost still to come, by a plain dynamic program.
 """
@@ -41,6 +42,7 @@ from targetset import (
     exact_min_target_vector,
     exact_min_vertex_cover,
     generate,
+    min_edge_weight,
     target_vector_lower_bound,
     to_bidirected,
 )
@@ -342,17 +344,61 @@ def test_two_level_and_saturated_searches_answer_within_the_budget(kind, seed):
 
 
 @pytest.mark.parametrize("kind", [k for k in _KINDS if k != "tournament"])
-@pytest.mark.parametrize("n", [10, 13])
-def test_directed_search_agrees_with_undirected_search(kind, n):
-    # The bidirected image runs the search's directed path, which keeps the
-    # excess bound alone, against the undirected path's telescoping bound.
+@pytest.mark.parametrize("n", [10, 11, 12, 13])
+def test_bidirected_search_is_the_undirected_search(kind, n):
+    # Each vertex receives from every set what it receives in the source, so
+    # the image takes the undirected estimate and the search runs as on the
+    # source: the same optimum, witness and expansions, and the program's optimum.
     instance = _kind_instance(kind, n, n)
     image = to_bidirected(instance).image
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracles, "_SEARCH_BUDGET", 1)
         directed = exact_min_target_vector(image, limit=n)
         undirected = exact_min_target_vector(instance, limit=n)
-    assert directed.optimum == undirected.optimum
+    assert directed == undirected
+    assert directed.optimum == _dp_result(image).optimum
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_bidirected_all_low_image_answers_without_the_program(n):
+    # The all-low image below fell back to the program at n = 16 (525,059
+    # explored) while its undirected source needs 35 expansions.
+    base = generate(GenSpec(n=n, seed=1, edge_prob=0.4, weights="halves", connected=True))
+    mu = min_edge_weight(base)
+    source = Instance(base.mode, base.vertices, base.edges,
+                      {v: t - mu for v, t in base.incident_totals.items()})
+    image = to_bidirected(source).image
+    got = exact_min_target_vector(image, limit=n)
+    assert got.explored <= 8 * n
+    assert got.optimum == source.tau_total - source.total_weight + mu
+    assert got == exact_min_target_vector(source, limit=n)
+
+
+@st.composite
+def _paired_arcs(draw):
+    # Every arc has an opposite arc, mostly of equal weight: an unequal pair
+    # must keep the directed estimate, whose excess bound alone is admissible.
+    n = draw(st.integers(2, 7))
+    edges = []
+    for u, v in itertools.combinations(range(1, n + 1), 2):
+        if draw(st.booleans()):
+            a = draw(st.integers(0, 4))
+            edges += [(u, v, a), (v, u, draw(st.sampled_from((a, a, draw(st.integers(0, 4))))))]
+    return Instance(DIRECTED, tuple(range(1, n + 1)), edges,
+                    {v: draw(st.integers(0, 6)) for v in range(1, n + 1)})
+
+
+@given(_paired_arcs())
+@settings(max_examples=300, deadline=None)
+def test_search_on_paired_arcs_matches_dp(inst):
+    view = inst.compiled
+    tables = _subset_weights(view)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "_SEARCH_BUDGET", 1)
+        (order, cost), _ = _closed_set_search(view, *tables)
+    assert cost == _subset_dp(view, *tables)[1]
+    assert sorted(i for i, _ in order) == list(range(inst.n))
+    assert sum(d for _, d in order) == cost
 
 
 @st.composite
