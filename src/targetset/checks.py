@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
-from operator import ne
+from operator import le, ne
 
 from .degeneracy import (
     DegeneracyOrdering,
@@ -27,7 +27,7 @@ from .degeneracy import (
 )
 from .engine import is_target_set, is_target_vector, run_activation
 from .generators import GenSpec, generate
-from .instance import UNDIRECTED, Instance, min_edge_weight
+from .instance import UNDIRECTED, Instance, _view_edges, min_edge_weight
 from .oracles import (
     exact_min_target_set,
     exact_min_target_vector,
@@ -87,8 +87,8 @@ def random_degenerate_tss_instance(rng: random.Random, n: int) -> Instance:
     rng.shuffle(order)
     rank = {v: i for i, v in enumerate(order)}
     degree = {v: len(pairs) for v, pairs in zip(base.vertices, base.compiled.incoming)}
-    tails = [u for u, _, _ in base.edges]
-    heads = [v for _, v, _ in base.edges]
+    # The random family lists its edges row by row, which is the view's canonical order.
+    tails, heads, _ = _view_edges(base)
     back = {v: 0 for v in base.vertices}
     for u, v in zip(tails, heads):
         back[u if rank[u] > rank[v] else v] += 1
@@ -97,6 +97,13 @@ def random_degenerate_tss_instance(rng: random.Random, n: int) -> Instance:
     if not isinstance(peel_ordering(inst), DegeneracyOrdering):
         raise RuntimeError("degenerate construction failed to peel")
     return inst
+
+
+def _with_tau(inst: Instance, scaled_tau: Sequence[int]) -> Instance:
+    """`inst` with thresholds `scaled_tau` (in vertex order) on the scale of its integer view."""
+    scale = inst.compiled.scale
+    tails, heads, weights = _view_edges(inst)
+    return Instance._from_ints(inst.mode, inst.vertices, tails, heads, weights, scale, scaled_tau, scale)
 
 
 def _degeneracy_oracle(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
@@ -156,9 +163,8 @@ def _two_level(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     mu = min_edge_weight(inst)
     if i % 3 == 0:
         # force the all-low branch
-        totals = inst.incident_totals
-        inst = Instance(inst.mode, inst.vertices, inst.edges,
-                        {v: totals[v] - mu for v in inst.vertices})
+        view = inst.compiled
+        inst = _with_tau(inst, [t - view.min_weight for t in view.totals])
     report = solve_two_level(inst)
     view = inst.compiled
     all_low = all(map(ne, view.tau, view.totals))
@@ -169,13 +175,9 @@ def _two_level(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     if report.cost != oracle:
         yield f"seed {spec.seed}: cost {report.cost} != oracle {oracle}"
     if all_low:
-        verts, least = inst.vertices, view.min_weight
-        # Positions ascend with ids, so i < j puts the smaller id first.
-        pairs = {(verts[i], verts[j]) for i, adj in enumerate(view.out) for j, w in adj if i < j and w == least}
-        for pair in sorted(pairs):
-            other = solve_two_level(inst, removed_edge=pair)
-            if other.cost != expected:
-                yield f"seed {spec.seed}: removing {pair} changed the cost"
+        for u, v, w in zip(*_view_edges(inst)):
+            if w == view.min_weight and solve_two_level(inst, removed_edge=(u, v)).cost != expected:
+                yield f"seed {spec.seed}: removing {(u, v)} changed the cost"
 
 
 def _min_or_full(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
@@ -188,12 +190,11 @@ def _min_or_full(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
             break
         except ValueError:  # edgeless draw cannot carry this threshold pattern
             spec = dc_replace(spec, seed=_child_seed(rng))
+    view = inst.compiled
     if i % 4 == 0:
-        mu = min_edge_weight(inst)
-        inst = Instance(inst.mode, inst.vertices, inst.edges,
-                        {v: mu for v in inst.vertices})
+        inst = _with_tau(inst, [view.min_weight] * inst.n)
     elif i % 4 == 1:
-        inst = Instance(inst.mode, inst.vertices, inst.edges, inst.incident_totals)
+        inst = _with_tau(inst, view.totals)
     report = solve_min_or_full(inst)
     if not is_target_vector(inst, report.incentives):
         yield f"seed {spec.seed}: vector failed engine verification"
@@ -262,8 +263,8 @@ def _bounds(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     opt = exact_min_target_vector(inst, limit=inst.n).optimum
     if not lb <= opt <= inst.tau_total:
         yield f"seed {spec.seed}: {lb} <= {opt} <= {inst.tau_total} fails"
-    totals = inst.incident_totals
-    if all(inst.tau[v] <= totals[v] for v in inst.vertices):
+    view = inst.compiled
+    if all(map(le, view.tau, view.totals)):
         cover = vertex_cover_target_set(inst)
         if not is_target_set(inst, cover):
             yield f"seed {spec.seed}: cover is not a target set"
@@ -309,13 +310,11 @@ def _otv_grid(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     """
     n = rng.randint(1, max_n)
     ids = tuple(range(1, n + 1))
-    edges = tuple(
-        (u, v, Fraction(rng.randint(0, 3)))
-        for u, v in itertools.combinations(ids, 2)
-        if rng.random() < 0.6
-    )
-    tau = {v: Fraction(rng.randint(0, 3)) for v in ids}
-    yield from _grid_agrees(Instance(UNDIRECTED, ids, edges, tau), f"random {i}")
+    edges = [(u, v, rng.randint(0, 3)) for u, v in itertools.combinations(ids, 2) if rng.random() < 0.6]
+    tails, heads, weights = [u for u, _, _ in edges], [v for _, v, _ in edges], [w for _, _, w in edges]
+    tau = [rng.randint(0, 3) for _ in ids]
+    inst = Instance._from_ints(UNDIRECTED, ids, tails, heads, weights, 1, tau, 1)
+    yield from _grid_agrees(inst, f"random {i}")
 
 
 def _grid_shapes(max_n: int) -> Iterator[tuple[Instance, str]]:
@@ -324,14 +323,10 @@ def _grid_shapes(max_n: int) -> Iterator[tuple[Instance, str]]:
         ids = tuple(range(1, n + 1))
         pairs = list(itertools.combinations(ids, 2))
         for edge_mask in range(1 << len(pairs)):
-            edges = tuple(
-                (u, v, Fraction(1))
-                for b, (u, v) in enumerate(pairs)
-                if edge_mask >> b & 1
-            )
+            edges = [(u, v) for b, (u, v) in enumerate(pairs) if edge_mask >> b & 1]
+            tails, heads, weights = [u for u, _ in edges], [v for _, v in edges], [1] * len(edges)
             for tau_combo in itertools.product(range(4), repeat=n):
-                inst = Instance(UNDIRECTED, ids, edges,
-                                {v: Fraction(t) for v, t in zip(ids, tau_combo)})
+                inst = Instance._from_ints(UNDIRECTED, ids, tails, heads, weights, 1, tau_combo, 1)
                 yield inst, f"n={n} edges={edge_mask} tau={tau_combo}"
 
 

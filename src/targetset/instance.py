@@ -2,8 +2,10 @@
 
 An instance is a simple graph (undirected or directed), a non-negative
 rational weight per edge, and a non-negative rational threshold per vertex.
-All arithmetic uses `fractions.Fraction`; nothing in the package touches
-floating point, so threshold comparisons are exact and reproducible.
+The work runs on one integer view per instance (`Instance.compiled`: every
+value times the LCM of the denominators); Fractions appear only at the
+boundary, in what callers pass in and get back. Nothing in the package
+touches floating point, so threshold comparisons are exact and reproducible.
 """
 
 from __future__ import annotations
@@ -78,10 +80,11 @@ class Instance:
     `vertices` is stored ascending, so position i is the i-th smallest id.
     `vertices` and `edges` are tuples and `tau` is a read-only mapping
     (copied from the caller's), so instances are immutable and hashable, and
-    can be shared freely across workers. Parsed, generated and reduced
-    instances make `edges` and `tau` on the first read of either (see
-    `_from_values`). Equality and hashing ignore the order the
-    edges are listed in, and which endpoint of an undirected edge comes first.
+    can be shared freely across workers. Instances built from integers
+    (parsed, generated, reduced, and the sweeps' own) make `edges` and `tau`
+    on the first read of either (see `_from_values`). Equality and hashing
+    ignore the order the edges are listed in, and which endpoint of an
+    undirected edge comes first.
     """
 
     mode: str
@@ -120,27 +123,16 @@ class Instance:
     @classmethod
     def _from_values(cls, mode, vertices, tails, heads, weights, tau, value, den=0) -> Instance:
         """The instance with arcs `tails[i]` -> `heads[i]` of weight `value[weights[i]]` and
-        thresholds `value[tau[i]]` (in vertex order), handed its integer view (see `_on_scale`).
+        thresholds `value[tau[i]]` (in vertex order).
 
-        `vertices` ascend and every rule but three holds, and those three fail as in `validate`.
-        Only the integer view is built here. The four lists and `value` are kept, not copied, and
+        `vertices` ascend and every rule but the three `_integer_view` checks holds. Only the
+        integer view is built here. The four lists and `value` are kept, not copied, and
         `edges` and `tau` are made from them on the first read of either (`__getattr__`); from
         then on both are plain attributes and the lists are dropped.
         """
-        scale, scaled_weights, scaled_tau = _on_scale(value, weights, tau, den)
-        if vertices and vertices[0] < 1:
-            raise ValidationError(Violation("bad-vertex-id", f"vertex id {vertices[0]!r} is not a positive integer"))
-        if scaled_weights and min(scaled_weights) < 0:
-            i = next(i for i, w in enumerate(scaled_weights) if w < 0)
-            raise ValidationError(Violation(
-                "negative-weight", f"edge ({tails[i]}, {heads[i]}) has negative weight {value[weights[i]]}"))
-        if scaled_tau and min(scaled_tau) < 0:
-            i = next(i for i, t in enumerate(scaled_tau) if t < 0)
-            raise ValidationError(Violation(
-                "negative-threshold", f"vertex {vertices[i]} has negative threshold {value[tau[i]]}"))
         self = object.__new__(cls)
         self.__dict__.update(mode=mode, vertices=vertices, _values=(tails, heads, weights, tau, value),
-                             compiled=_compile(mode, vertices, tails, heads, scaled_weights, scaled_tau, scale))
+                             compiled=_integer_view(mode, vertices, tails, heads, weights, tau, value, den))
         return self
 
     def __getattr__(self, name):
@@ -202,30 +194,13 @@ class Instance:
 
     @cached_property
     def compiled(self) -> CompiledInstance:
-        """The integer view every activation run and oracle works on."""
+        """The integer view every activation run and oracle works on, built on first read."""
         # Keyed by object, not value: a Fraction's hash is worked out in Python on every call.
         edges = self.edges
         values = [w for _, _, w in edges] + list(map(self.tau.__getitem__, self.vertices))
         keys, m = list(map(id, values)), len(edges)
-        scale, weights, tau = _on_scale(dict(zip(keys, values)), keys[:m], keys[m:])
-        return _compile(self.mode, self.vertices, [u for u, _, _ in edges], [v for _, v, _ in edges],
-                        weights, tau, scale)
-
-
-def _on_scale(value, weights, tau, den=0) -> tuple[int, list[int], list[int]]:
-    """The integer view's scale, and the weights and thresholds on it.
-
-    `weights` and `tau` list keys of `value`, which maps each distinct key to an int or a Fraction.
-    The scale is the LCM of the values' reduced denominators: each distinct value is read once, and
-    no gcd runs over scaled integers. Keys that are integers over the scale already, as the caller
-    says by passing it as `den`, are kept as they are. (A list: unpacking an iterator into
-    `math.lcm` resizes the argument tuple, and peak RSS crept up.)
-    """
-    scale = math.lcm(*[x.denominator for x in value.values()])
-    if scale != den:
-        ints = {k: x.numerator * (scale // x.denominator) for k, x in value.items()}
-        weights, tau = list(map(ints.__getitem__, weights)), list(map(ints.__getitem__, tau))
-    return scale, weights, tau
+        return _integer_view(self.mode, self.vertices, [u for u, _, _ in edges], [v for _, v, _ in edges],
+                             keys[:m], keys[m:], dict(zip(keys, values)))
 
 
 @dataclass(frozen=True)
@@ -256,18 +231,41 @@ class CompiledInstance:
         return min(map(itemgetter(1), chain.from_iterable(self.out)))
 
 
-def _compile(mode, vertices, tails, heads, weights, tau, scale) -> CompiledInstance:
-    """The integer view from arcs `tails[i]` -> `heads[i]` of scaled weight `weights[i]` and
-    scaled thresholds (in vertex order)."""
+def _integer_view(mode, vertices, tails, heads, weights, tau, value, den=0) -> CompiledInstance:
+    """The integer view of arcs `tails[i]` -> `heads[i]` of weight `value[weights[i]]` and
+    thresholds `value[tau[i]]` (in vertex order); every constructor builds its view here.
+
+    `value` maps each distinct key to an int or a Fraction. The scale is the LCM of the values'
+    reduced denominators: each distinct value is read once, and no gcd runs over scaled integers.
+    Keys that are integers over the scale already, as the caller says by passing it as `den`, are
+    kept as they are. (A list: unpacking an iterator into `math.lcm` resizes the argument tuple,
+    and peak RSS crept up.) Then the three rules the integers can show fail as in `validate`:
+    vertex ids at least 1, no negative weight, no negative threshold.
+    """
+    scale = math.lcm(*[x.denominator for x in value.values()])
+    scaled_weights, scaled_tau = weights, tau
+    if scale != den:
+        ints = {k: x.numerator * (scale // x.denominator) for k, x in value.items()}
+        scaled_weights, scaled_tau = list(map(ints.__getitem__, weights)), list(map(ints.__getitem__, tau))
+    if vertices and vertices[0] < 1:
+        raise ValidationError(Violation("bad-vertex-id", f"vertex id {vertices[0]!r} is not a positive integer"))
+    if scaled_weights and min(scaled_weights) < 0:
+        i = next(i for i, w in enumerate(scaled_weights) if w < 0)
+        raise ValidationError(Violation(
+            "negative-weight", f"edge ({tails[i]}, {heads[i]}) has negative weight {value[weights[i]]}"))
+    if scaled_tau and min(scaled_tau) < 0:
+        i = next(i for i, t in enumerate(scaled_tau) if t < 0)
+        raise ValidationError(Violation(
+            "negative-threshold", f"vertex {vertices[i]} has negative threshold {value[tau[i]]}"))
     position = {v: i for i, v in enumerate(vertices)}
     out: list[list[tuple[int, int]]] = [[] for _ in vertices]
     # An undirected edge influences both ways, so in and out lists coincide.
     incoming = out if mode == UNDIRECTED else [[] for _ in vertices]
     at = position.__getitem__
-    for iu, iv, wi in zip(map(at, tails), map(at, heads), weights):
+    for iu, iv, wi in zip(map(at, tails), map(at, heads), scaled_weights):
         out[iu].append((iv, wi))
         incoming[iv].append((iu, wi))
-    return CompiledInstance(scale, position, tuple(tau), incoming, out)
+    return CompiledInstance(scale, position, tuple(scaled_tau), incoming, out)
 
 
 # `_subset_weights` refuses instances above this many vertices, so that no
@@ -409,6 +407,16 @@ def canonical_edges(instance: Instance) -> list[Edge]:
     else:
         normalized = list(instance.edges)
     return sorted(normalized)
+
+
+def _view_edges(instance: Instance) -> tuple[list[int], list[int], list[int]]:
+    """The edges in `canonical_edges` order, read off the integer view as tail ids, head ids and
+    scaled weights."""
+    view, ids = instance.compiled, instance.vertices
+    # Positions ascend with ids, so i < j puts the smaller id first; a digraph keeps every arc.
+    edges = [(ids[i], ids[j], w) for i, pairs in enumerate(view.out) for j, w in sorted(pairs)
+             if i < j or view.incoming is not view.out]
+    return [u for u, _, _ in edges], [v for _, v, _ in edges], [w for _, _, w in edges]
 
 
 def _label_components(view: CompiledInstance, starts, inside) -> list[int]:

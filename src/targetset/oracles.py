@@ -358,7 +358,7 @@ def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
     budget = int((1 << n) * _SEARCH_BUDGET)
     excess = [t - s if t > s else 0 for t, s in zip(thresholds, view.totals)]
     raises = _raises(view)
-    # An undirected view shares one list for in and out neighbours (`_compile`); a symmetric
+    # An undirected view shares one list for in and out neighbours (`_integer_view`); a symmetric
     # digraph has equal lists, which takes longer to see.
     undirected = view.incoming is view.out or list(map(sorted, view.out)) == list(map(sorted, view.incoming))
 
@@ -444,14 +444,15 @@ def grid_min_target_vector(instance: Instance) -> OracleResult:
     deliberately independent of the order-based oracle so the two can
     cross-check each other.
     """
-    for v in instance.vertices:
-        if instance.tau[v].denominator != 1:
-            raise ValueError(f"integer thresholds required, vertex {v} has {instance.tau[v]}")
-    for u, v, w in instance.edges:
-        if w.denominator != 1:
-            raise ValueError(f"integer weights required, edge ({u}, {v}) has {w}")
-    n = instance.n
     view = instance.compiled
+    # The scale is the LCM of the reduced denominators, so 1 only when every value is an integer.
+    if view.scale != 1:
+        for v in instance.vertices:
+            if instance.tau[v].denominator != 1:
+                raise ValueError(f"integer thresholds required, vertex {v} has {instance.tau[v]}")
+        u, v, w = next(e for e in instance.edges if e[2].denominator != 1)
+        raise ValueError(f"integer weights required, edge ({u}, {v}) has {w}")
+    n = instance.n
     verts = instance.vertices
     best_cost = None
     best_vec = None
@@ -598,7 +599,7 @@ def exact_min_vertex_cover(instance: Instance, limit: int = VERTEX_COVER_LIMIT) 
             left -= nbrs.bit_count()
             alive &= ~nbrs
     witness: VertexSet = frozenset(v for i, v in enumerate(instance.vertices) if chosen >> i & 1)
-    if len(witness) != optimum or any(u not in witness and v not in witness
-                                      for u, v, _ in instance.edges):
+    # Every position outside the cover has all its neighbours in it.
+    if len(witness) != optimum or any(adj[i] & ~chosen for i in range(n) if not chosen >> i & 1):
         raise VerificationError("oracle witness is not a vertex cover")
     return OracleResult(optimum, witness, explored)

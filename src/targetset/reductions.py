@@ -8,11 +8,11 @@ the construction parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .degeneracy import DegeneracyOrdering, _non_unit_edge, _require_degree_thresholds, peel_ordering
 from .errors import PreconditionError, VerificationError
-from .instance import DIRECTED, UNDIRECTED, Instance
+from .instance import DIRECTED, UNDIRECTED, Instance, _view_edges
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,8 @@ def _complete_edges(source: Instance, what: str) -> tuple[list[int], list[int], 
     if edge is not None:
         u, v, w = edge
         raise PreconditionError(f"{what} needs unit edge weights, edge ({u}, {v}) has {w}")
-    ids = source.vertices
-    # Positions ascend with ids, so i < j puts the smaller id first.
-    present = {(ids[i], ids[j]) for i, pairs in enumerate(source.compiled.out) for j, _ in pairs if i < j}
+    tails, heads, _ = _view_edges(source)
+    present = set(zip(tails, heads))
     pairs = list(combinations(source.vertices, 2))
     weights = [n if pair in present else 1 for pair in pairs]
     return [u for u, _ in pairs], [v for _, v in pairs], weights
@@ -111,17 +110,11 @@ def to_bidirected(source: Instance) -> ReductionReceipt:
     if source.mode != UNDIRECTED:
         raise PreconditionError("already directed; the bi-directed conversion takes undirected input")
     view = source.compiled
-    ids = source.vertices
-    tails, heads, weights = [], [], []
-    # Positions ascend with ids, so this is the canonical edge order.
-    for i, pairs in enumerate(view.out):
-        u = ids[i]
-        for j, k in sorted(pairs):
-            if j > i:
-                v = ids[j]
-                tails += u, v
-                heads += v, u
-                weights += k, k
-    image = Instance._from_ints(DIRECTED, ids, tails, heads, weights, view.scale, view.tau, view.scale)
-    notes = {"kind": "bidirected", "arc_count": str(len(tails))}
+    tails, heads, weights = _view_edges(source)
+    # Each edge's two arcs in a row: u -> v, then v -> u.
+    pair = chain.from_iterable
+    image = Instance._from_ints(DIRECTED, source.vertices, [*pair(zip(tails, heads))],
+                                [*pair(zip(heads, tails))], [*pair(zip(weights, weights))],
+                                view.scale, view.tau, view.scale)
+    notes = {"kind": "bidirected", "arc_count": str(2 * len(tails))}
     return ReductionReceipt(image, notes)

@@ -20,7 +20,7 @@ from .instance import (
     Instance,
     VertexSet,
     _label_components,
-    canonical_edges,
+    _view_edges,
     is_connected,
 )
 
@@ -60,9 +60,10 @@ def approx_target_set(instance: Instance) -> ApproxTargetSetResult:
     seed = frozenset(v for v, slack in zip(instance.vertices, slacks) if slack > 0)
     if not is_target_set(instance, seed):
         raise VerificationError("degenerate seed selection failed engine verification")
-    tau_max = max(instance.tau.values()) if instance.n else Fraction(0)
+    scale = instance.compiled.scale
+    tau_max = Fraction(max(instance.compiled.tau, default=0), scale)
     if seed:
-        c = Fraction(min(slack for slack in slacks if slack > 0), instance.compiled.scale)
+        c = Fraction(min(slack for slack in slacks if slack > 0), scale)
         ratio = tau_max / c
     else:
         c = None
@@ -239,15 +240,15 @@ def vertex_cover_target_set(instance: Instance) -> VertexSet:
     active, so the cover is a target set of size at most twice the minimum
     cover.
     """
-    totals = instance.incident_totals
-    for v in instance.vertices:
-        if instance.tau[v] > totals[v]:
+    view = instance.compiled
+    for v, t, total in zip(instance.vertices, view.tau, view.totals):
+        if t > total:
             raise PreconditionError(
-                f"vertex {v} has threshold {instance.tau[v]} above its incident "
-                f"sum {totals[v]}; a vertex cover cannot be guaranteed to activate it"
+                f"vertex {v} has threshold {Fraction(t, view.scale)} above its incident "
+                f"sum {Fraction(total, view.scale)}; a vertex cover cannot be guaranteed to activate it"
             )
     cover: set[int] = set()
-    for u, v, _ in canonical_edges(instance):
+    for u, v, _ in zip(*_view_edges(instance)):
         if u not in cover and v not in cover:
             cover.add(u)
             cover.add(v)

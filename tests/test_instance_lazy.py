@@ -4,9 +4,10 @@ Parsed, generated and reduced instances come from `Instance._from_values`,
 which builds only the integer view and keeps the lists it was given. The
 Fraction triples and the threshold map appear on the first read of either
 field. These tests pin what that read returns against an eager reference
-made from the same lists, show that the activation engine, the peel and the
-solvers never cause it, and check that the fields stay frozen and that the
-constructor's errors name the same offender as `validate`.
+made from the same lists, show that the activation engine, the peel, the
+solvers and the oracles never cause it, and check that the fields stay
+frozen and that the constructor's errors name the same offender as
+`validate`.
 """
 
 import dataclasses
@@ -28,7 +29,12 @@ from targetset import (
     ValidationError,
     classify_and_solve,
     degenerate_to_complete,
+    exact_min_target_set,
+    exact_min_target_vector,
+    exact_min_vertex_cover,
     generate,
+    grid_min_target_vector,
+    min_edge_weight,
     parse_wtg,
     peel_ordering,
     run_activation,
@@ -36,8 +42,9 @@ from targetset import (
     serialize_wtg,
     to_bidirected,
     tss_to_complete,
+    vertex_cover_target_set,
 )
-from targetset.checks import random_degenerate_tss_instance
+from targetset.checks import _mixed_spec, _with_tau, random_degenerate_tss_instance
 
 _SPECS = [
     GenSpec(family="random", n=12, seed=1, edge_prob=0.4, weights="halves", tau_policy="two-level",
@@ -126,16 +133,50 @@ def test_every_reader_of_the_fields_sees_the_eager_values(read):
     assert "_values" not in vars(lazy)
 
 
+def _parsed_from(spec):
+    return parse_wtg(serialize_wtg(generate(spec)))[0]
+
+
 def test_engine_peel_and_solvers_never_build_the_fields():
     for policy in ("uniform", "two-level", "min-or-full"):
-        base = generate(GenSpec(n=20, seed=9, edge_prob=0.3, weights="halves", tau_policy=policy,
-                                connected=True))
-        inst = parse_wtg(serialize_wtg(base))[0]
+        inst = _parsed_from(GenSpec(n=20, seed=9, edge_prob=0.3, weights="halves", tau_policy=policy,
+                                    connected=True))
         report = classify_and_solve(inst)
         run_activation(inst, {1})
         run_with_incentives(inst, report.incentives if report else {})
         peel_ordering(inst)
-        assert "edges" not in vars(inst) and "tau" not in vars(inst), policy
+        # Thresholds at the incident sums, which the cover bound needs.
+        saturated = _with_tau(inst, inst.compiled.totals)
+        vertex_cover_target_set(saturated)
+        for built in (inst, saturated):
+            assert "edges" not in vars(built) and "tau" not in vars(built), policy
+    small = _parsed_from(GenSpec(n=9, seed=9, edge_prob=0.4, weights="halves", tau_policy="capped"))
+    exact_min_target_set(small)
+    exact_min_target_vector(small)
+    exact_min_vertex_cover(small)
+    integer = _parsed_from(GenSpec(n=5, seed=9, edge_prob=0.5, weights="unit", tau_policy="degree-range"))
+    grid_min_target_vector(integer)
+    for built in (small, integer):
+        assert "edges" not in vars(built) and "tau" not in vars(built)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("policy, rule", [("two-level", "all-low"), ("min-or-full", "mu"),
+                                          ("min-or-full", "full")])
+def test_with_tau_equals_the_public_rebuild(policy, rule, seed):
+    """The three re-thresholdings of the two-level and min-or-full sweeps, on their draws."""
+    rng = random.Random(seed)
+    inst = generate(_mixed_spec(rng, rng.randint(2, 9), tau_policy=policy, connected=True))
+    view, mu, totals = inst.compiled, min_edge_weight(inst), inst.incident_totals
+    scaled, public = {
+        "all-low": ([t - view.min_weight for t in view.totals], {v: totals[v] - mu for v in inst.vertices}),
+        "mu": ([view.min_weight] * inst.n, dict.fromkeys(inst.vertices, mu)),
+        "full": (view.totals, totals),
+    }[rule]
+    got = _with_tau(inst, scaled)
+    expected = Instance(inst.mode, inst.vertices, inst.edges, public)
+    assert got == expected and got.compiled == expected.compiled
+    assert got.edges == expected.edges and dict(got.tau) == dict(expected.tau)
 
 
 def test_threads_reading_one_instance_see_the_same_fields():

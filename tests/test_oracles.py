@@ -10,6 +10,7 @@ from targetset import (
     OracleLimitError,
     OracleResult,
     UNDIRECTED,
+    VerificationError,
     brute_degeneracy_check,
     build_instance,
     exact_min_target_set,
@@ -137,12 +138,19 @@ def test_min_vertex_cover_examples():
 
 
 def test_grid_search_requires_integer_data():
-    halves = build_instance(UNDIRECTED, 2, [(1, 2, "1/2")], 1)
-    with pytest.raises(ValueError):
+    halves = build_instance(UNDIRECTED, 3, [(1, 2), (3, 2, "1/2"), (1, 3, "3/2")], 1)
+    with pytest.raises(ValueError, match=r"^integer weights required, edge \(3, 2\) has 1/2$"):
         grid_min_target_vector(halves)
-    frac_tau = build_instance(UNDIRECTED, 2, [(1, 2)], "1/2")
-    with pytest.raises(ValueError):
+    frac_tau = build_instance(UNDIRECTED, 2, [(1, 2, "1/2")], [1, "1/2"])
+    with pytest.raises(ValueError, match="^integer thresholds required, vertex 2 has 1/2$"):
         grid_min_target_vector(frac_tau)
+
+
+def test_vertex_cover_oracle_rejects_a_witness_that_misses_an_edge(monkeypatch):
+    # A search that wrongly reports the empty set as a minimum cover.
+    monkeypatch.setattr("targetset.oracles._min_cover", lambda *args: (0, 0))
+    with pytest.raises(VerificationError, match="oracle witness is not a vertex cover"):
+        exact_min_vertex_cover(path3())
 
 
 def test_grid_search_matches_order_oracle():

@@ -218,6 +218,10 @@ def test_cover_bound_precondition_names_the_vertex():
     inst = build_instance(UNDIRECTED, 2, [(1, 2)], [1, 9])
     with pytest.raises(PreconditionError, match="vertex 2"):
         vertex_cover_target_set(inst)
+    inst = build_instance(UNDIRECTED, 3, [(1, 2, "1/2"), (2, 3, 2)], ["1/2", 3, "5/2"])
+    with pytest.raises(PreconditionError, match="^vertex 2 has threshold 3 above its incident sum 5/2; "
+                                                "a vertex cover cannot be guaranteed to activate it$"):
+        vertex_cover_target_set(inst)
 
 
 # ----------------------------------------------------------------- classify
