@@ -60,12 +60,14 @@ def _child_seed(rng: random.Random) -> int:
     return rng.randrange(2**32)
 
 
-def _mixed_spec(rng: random.Random, n: int, **overrides) -> GenSpec:
+def _mixed_spec(rng: random.Random, n: int, draw_slack: bool = False, **overrides) -> GenSpec:
     drawn = {  # drawn in this order even where `overrides` replaces them
         "seed": _child_seed(rng),
         "edge_prob": rng.choice((0.2, 0.4, 0.6, 0.8)),
         "weights": rng.choice(("int", "halves", "unit")),
     }
+    if draw_slack:
+        drawn["max_slack"] = rng.randint(0, 3)
     return GenSpec(n=n, **{**drawn, **overrides})
 
 
@@ -126,8 +128,7 @@ def _degeneracy_oracle(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
 
 def _algorithm_one(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     """The positive-slack seed is a target set within tau_max/c of optimal."""
-    spec = _mixed_spec(rng, rng.randint(1, max_n), family="degenerate")
-    spec = dc_replace(spec, max_slack=rng.randint(0, 3))
+    spec = _mixed_spec(rng, rng.randint(1, max_n), draw_slack=True, family="degenerate")
     inst = generate(spec)
     result = approx_target_set(inst)
     if not is_target_set(inst, result.seed):
@@ -144,8 +145,7 @@ def _algorithm_one(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
 
 def _otvw_degenerate(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     """Slack incentives are optimal and cost exactly tau total minus weight total."""
-    spec = _mixed_spec(rng, rng.randint(1, max_n), family="degenerate")
-    spec = dc_replace(spec, max_slack=rng.randint(0, 3))
+    spec = _mixed_spec(rng, rng.randint(1, max_n), draw_slack=True, family="degenerate")
     inst = generate(spec)
     report = solve_degenerate(inst)
     formula = inst.tau_total - inst.total_weight

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import checks, reports
 from .degeneracy import peel_ordering
-from .engine import run_activation, run_with_incentives
+from .engine import _rounds
 from .errors import (
     OracleLimitError,
     PreconditionError,
@@ -92,14 +92,14 @@ def _cmd_simulate(args) -> tuple[str, int]:
         _, p = _load(args.incentives)
         if p is None:
             raise UsageError(f"{args.incentives} carries no incentive lines")
-        trace = run_with_incentives(instance, p)
+        rounds = _rounds(instance, incentives=p)
     elif args.seed_set is not None:
-        trace = run_activation(instance, _seed_set(args.seed_set))
+        rounds = _rounds(instance, _seed_set(args.seed_set))
     elif own_p is not None:
-        trace = run_with_incentives(instance, own_p)
+        rounds = _rounds(instance, incentives=own_p)
     else:
         raise UsageError("need --seed-set, --incentives, or p lines in the instance file")
-    return reports.trace_report(trace, instance.n), EXIT_OK
+    return reports._simulate_text(rounds, list(map(str, instance.vertices)), instance.n), EXIT_OK
 
 
 def _cmd_degeneracy(args) -> tuple[str, int]:

@@ -52,14 +52,6 @@ def build_incentives(instance: Instance, values) -> dict[int, Fraction]:
     return {v: _coerce(values) for v in instance.vertices}
 
 
-def _check_incentives(instance: Instance, p: Mapping[int, Fraction]) -> None:
-    for v, x in p.items():
-        if v not in instance.vertex_set:
-            raise ValueError(f"incentive given for unknown vertex {v}")
-        if x.numerator < 0:
-            raise ValueError(f"negative incentive {x} at vertex {v}")
-
-
 def _spread(view: CompiledInstance, seed, need) -> list[list[int]]:
     """The activation rounds on an integer view, as lists of positions.
 
@@ -101,23 +93,32 @@ def _activates_all(view: CompiledInstance, seed, need) -> bool:
 
 
 def _seed_positions(instance: Instance, seed) -> list[int]:
-    seed = frozenset(seed)
-    stray = seed - instance.vertex_set
+    seed, position = frozenset(seed), instance.compiled.position
+    stray = [v for v in seed if v not in position]
     if stray:
         raise ValueError(f"seed contains unknown vertices: {sorted(stray)}")
-    position = instance.compiled.position
     return [position[v] for v in seed]
 
 
 def _incentive_need(instance: Instance, incentives: Mapping[int, Fraction]) -> list[int]:
     # Received weight is a multiple of 1/scale, so received + p >= tau holds
     # exactly when the scaled received weight reaches tau*scale - floor(p*scale).
-    _check_incentives(instance, incentives)
     view = instance.compiled
-    need = list(view.tau)
+    need, position, scale = list(view.tau), view.position, view.scale
     for v, x in incentives.items():
-        need[view.position[v]] -= x.numerator * view.scale // x.denominator
+        if v not in position:
+            raise ValueError(f"incentive given for unknown vertex {v}")
+        if x.numerator < 0:
+            raise ValueError(f"negative incentive {x} at vertex {v}")
+        need[position[v]] -= x.numerator * scale // x.denominator
     return need
+
+
+def _rounds(instance: Instance, seed=(), incentives=None) -> list[list[int]]:
+    """`_spread`'s rounds from the ids in `seed`, or else driven by an incentive map."""
+    view = instance.compiled
+    need = view.tau if incentives is None else _incentive_need(instance, incentives)
+    return _spread(view, _seed_positions(instance, seed), need)
 
 
 def _trace(instance: Instance, rounds: list[list[int]]) -> ActivationTrace:
@@ -132,8 +133,7 @@ def run_activation(instance: Instance, seed) -> ActivationTrace:
     Round 0 activates the seed plus every vertex whose threshold is already
     met with no help (tau <= 0); later rounds follow the threshold rule.
     """
-    view = instance.compiled
-    return _trace(instance, _spread(view, _seed_positions(instance, seed), view.tau))
+    return _trace(instance, _rounds(instance, seed))
 
 
 def run_with_incentives(instance: Instance, incentives: Mapping[int, Fraction]) -> ActivationTrace:
@@ -143,18 +143,17 @@ def run_with_incentives(instance: Instance, incentives: Mapping[int, Fraction]) 
     vertex activates when active-neighbor weight plus its incentive reaches
     its threshold.
     """
-    return _trace(instance, _spread(instance.compiled, (), _incentive_need(instance, incentives)))
+    return _trace(instance, _rounds(instance, incentives=incentives))
 
 
 def is_target_set(instance: Instance, seed) -> bool:
     """True iff activating `seed` ends with every vertex active."""
-    view = instance.compiled
-    return _activates_all(view, _seed_positions(instance, seed), view.tau)
+    return sum(map(len, _rounds(instance, seed))) == instance.n
 
 
 def is_target_vector(instance: Instance, incentives: Mapping[int, Fraction]) -> bool:
     """True iff the incentive vector activates every vertex."""
-    return _activates_all(instance.compiled, (), _incentive_need(instance, incentives))
+    return sum(map(len, _rounds(instance, incentives=incentives))) == instance.n
 
 
 def incentive_cost(incentives: Mapping[int, Fraction]) -> Fraction:

@@ -41,6 +41,11 @@ def parse_rational(text: str) -> Fraction:
     Decimal notation is rejected on purpose: values written as "3/2" must
     survive a round trip without ever becoming "1.5".
     """
+    return _fraction(*_rational_pair(text))
+
+
+def _rational_pair(text: str) -> tuple[int, int]:
+    """`parse_rational(text)` as its numerator and denominator, with the same ValueErrors."""
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ValueError(f"not an integer or integer/integer rational: {text!r}")
@@ -52,7 +57,12 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"integer of {digits} digits is too long") from None
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return _fraction(num, den)
+    return _reduced(num, den)
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def format_rational(value: Fraction) -> str:
@@ -109,26 +119,25 @@ class Instance:
 
     @classmethod
     def _from_ints(cls, mode, vertices, tails, heads, weights, weight_den, tau, tau_den) -> Instance:
-        """`_from_values` for weights `weights[i] / weight_den` and thresholds `tau[i] / tau_den`.
-
-        The generators', the reductions' and the checks' constructor: both lists go onto one
-        denominator, and each distinct value becomes one Fraction.
-        """
+        """`_from_values` for arcs between ids, weights `weights[i] / weight_den` and thresholds
+        `tau[i] / tau_den`. The generators', the reductions' and the checks' constructor: the ids
+        become positions, and both lists go onto one denominator."""
         den = math.lcm(weight_den, tau_den)
         weights = weights if den == weight_den else [k * (den // weight_den) for k in weights]
         tau = tau if den == tau_den else [t * (den // tau_den) for t in tau]
-        return cls._from_values(mode, vertices, tails, heads, weights, tau,
-                                {k: _fraction(k, den) for k in {*weights, *tau}}, den)
+        at = dict(zip(vertices, range(len(vertices)))).__getitem__
+        return cls._from_values(mode, vertices, list(map(at, tails)), list(map(at, heads)), weights, tau,
+                                {k: _reduced(k, den) for k in {*weights, *tau}}, den)
 
     @classmethod
     def _from_values(cls, mode, vertices, tails, heads, weights, tau, value, den=0) -> Instance:
-        """The instance with arcs `tails[i]` -> `heads[i]` of weight `value[weights[i]]` and
-        thresholds `value[tau[i]]` (in vertex order).
+        """The instance with arcs from position `tails[i]` to position `heads[i]` of weight
+        `value[weights[i]]` and thresholds `value[tau[i]]` (in vertex order).
 
-        `vertices` ascend and every rule but the three `_integer_view` checks holds. Only the
-        integer view is built here. The four lists and `value` are kept, not copied, and
-        `edges` and `tau` are made from them on the first read of either (`__getattr__`); from
-        then on both are plain attributes and the lists are dropped.
+        `value` maps each key to a reduced (numerator, denominator) pair; `vertices` ascend and
+        every rule but the three `_integer_view` checks holds. Only the integer view is built
+        here. The lists are kept, not copied, and `edges` and `tau`, in ids and Fractions, are
+        made from them on the first read of either (`__getattr__`); then the lists are dropped.
         """
         self = object.__new__(cls)
         self.__dict__.update(mode=mode, vertices=vertices, _values=(tails, heads, weights, tau, value),
@@ -142,8 +151,9 @@ class Instance:
         values = state.get("_values")
         if values is not None and name in ("edges", "tau"):
             tails, heads, weights, tau, value = values
-            state.update(edges=tuple([(u, v, value[k]) for u, v, k in zip(tails, heads, weights)]),
-                         tau=MappingProxyType(dict(zip(self.vertices, map(value.__getitem__, tau)))))
+            ids, value = self.vertices, {k: _fraction(*pair) for k, pair in value.items()}
+            state.update(edges=tuple([(ids[u], ids[v], value[k]) for u, v, k in zip(tails, heads, weights)]),
+                         tau=MappingProxyType(dict(zip(ids, map(value.__getitem__, tau)))))
             state.pop("_values", None)
         try:
             return state[name]
@@ -196,11 +206,11 @@ class Instance:
     def compiled(self) -> CompiledInstance:
         """The integer view every activation run and oracle works on, built on first read."""
         # Keyed by object, not value: a Fraction's hash is worked out in Python on every call.
-        edges = self.edges
+        edges, at = self.edges, dict(zip(self.vertices, range(self.n))).__getitem__
         values = [w for _, _, w in edges] + list(map(self.tau.__getitem__, self.vertices))
         keys, m = list(map(id, values)), len(edges)
-        return _integer_view(self.mode, self.vertices, [u for u, _, _ in edges], [v for _, v, _ in edges],
-                             keys[:m], keys[m:], dict(zip(keys, values)))
+        return _integer_view(self.mode, self.vertices, [at(u) for u, _, _ in edges], [at(v) for _, v, _ in edges],
+                             keys[:m], keys[m:], {k: (x.numerator, x.denominator) for k, x in zip(keys, values)})
 
 
 @dataclass(frozen=True)
@@ -232,40 +242,39 @@ class CompiledInstance:
 
 
 def _integer_view(mode, vertices, tails, heads, weights, tau, value, den=0) -> CompiledInstance:
-    """The integer view of arcs `tails[i]` -> `heads[i]` of weight `value[weights[i]]` and
-    thresholds `value[tau[i]]` (in vertex order); every constructor builds its view here.
+    """The integer view of arcs from position `tails[i]` to position `heads[i]` of weight
+    `value[weights[i]]` and thresholds `value[tau[i]]` (in vertex order); every constructor builds
+    its view here.
 
-    `value` maps each distinct key to an int or a Fraction. The scale is the LCM of the values'
-    reduced denominators: each distinct value is read once, and no gcd runs over scaled integers.
-    Keys that are integers over the scale already, as the caller says by passing it as `den`, are
-    kept as they are. (A list: unpacking an iterator into `math.lcm` resizes the argument tuple,
-    and peak RSS crept up.) Then the three rules the integers can show fail as in `validate`:
-    vertex ids at least 1, no negative weight, no negative threshold.
+    `value` maps each distinct key to a reduced (numerator, denominator) pair. The scale is the LCM
+    of the denominators, and no gcd runs over scaled integers. Keys that are integers over the
+    scale already, as the caller says by passing it as `den`, are kept as they are. (A list:
+    unpacking an iterator into `math.lcm` resizes the argument tuple, and peak RSS crept up.) Then
+    the three rules the integers can show fail as in `validate`: vertex ids at least 1, no
+    negative weight, no negative threshold.
     """
-    scale = math.lcm(*[x.denominator for x in value.values()])
+    scale = math.lcm(*[d for _, d in value.values()])
     scaled_weights, scaled_tau = weights, tau
     if scale != den:
-        ints = {k: x.numerator * (scale // x.denominator) for k, x in value.items()}
+        ints = {k: num * (scale // d) for k, (num, d) in value.items()}
         scaled_weights, scaled_tau = list(map(ints.__getitem__, weights)), list(map(ints.__getitem__, tau))
     if vertices and vertices[0] < 1:
         raise ValidationError(Violation("bad-vertex-id", f"vertex id {vertices[0]!r} is not a positive integer"))
     if scaled_weights and min(scaled_weights) < 0:
         i = next(i for i, w in enumerate(scaled_weights) if w < 0)
-        raise ValidationError(Violation(
-            "negative-weight", f"edge ({tails[i]}, {heads[i]}) has negative weight {value[weights[i]]}"))
+        raise ValidationError(Violation("negative-weight", f"edge ({vertices[tails[i]]}, {vertices[heads[i]]}) "
+                                                           f"has negative weight {Fraction(*value[weights[i]])}"))
     if scaled_tau and min(scaled_tau) < 0:
         i = next(i for i, t in enumerate(scaled_tau) if t < 0)
         raise ValidationError(Violation(
-            "negative-threshold", f"vertex {vertices[i]} has negative threshold {value[tau[i]]}"))
-    position = {v: i for i, v in enumerate(vertices)}
+            "negative-threshold", f"vertex {vertices[i]} has negative threshold {Fraction(*value[tau[i]])}"))
     out: list[list[tuple[int, int]]] = [[] for _ in vertices]
     # An undirected edge influences both ways, so in and out lists coincide.
     incoming = out if mode == UNDIRECTED else [[] for _ in vertices]
-    at = position.__getitem__
-    for iu, iv, wi in zip(map(at, tails), map(at, heads), scaled_weights):
+    for iu, iv, wi in zip(tails, heads, scaled_weights):
         out[iu].append((iv, wi))
         incoming[iv].append((iu, wi))
-    return CompiledInstance(scale, position, tuple(scaled_tau), incoming, out)
+    return CompiledInstance(scale, dict(zip(vertices, range(len(vertices)))), tuple(scaled_tau), incoming, out)
 
 
 # `_subset_weights` refuses instances above this many vertices, so that no

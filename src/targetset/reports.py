@@ -24,16 +24,20 @@ def _finish(lines: list[str]) -> str:
 
 
 def trace_report(trace: ActivationTrace, total_vertices: int) -> str:
-    done = len(trace.final_active) == total_vertices
-    lines = [
-        "report simulate",
-        f"activated_all {'true' if done else 'false'}",
-        f"rounds {trace.num_rounds}",
-    ]
-    for t, members in enumerate(trace.rounds):
-        lines.append(f"round {t} {_ids(members)}".rstrip())
-    lines.append(f"final {_ids(trace.final_active)}".rstrip())
-    return _finish(lines)
+    ids = sorted(trace.final_active)
+    at = dict(zip(ids, range(len(ids)))).__getitem__
+    return _simulate_text([list(map(at, r)) for r in trace.rounds], list(map(str, ids)), total_vertices)
+
+
+def _simulate_text(rounds: list[list[int]], names: list[str], total_vertices: int) -> str:
+    """The simulate report of disjoint `rounds` of positions; `names[i]` is the id at position i as
+    text, ascending, and the rounds cover every position when they cover `len(names)` of them."""
+    at, reached = names.__getitem__, sum(map(len, rounds))
+    final = names if reached == len(names) else map(at, sorted([i for r in rounds for i in r]))
+    lines = ["report simulate", f"activated_all {'true' if reached == total_vertices else 'false'}",
+             f"rounds {len(rounds) - 1}"]
+    lines += [f"round {t} {' '.join(map(at, sorted(r)))}".rstrip() for t, r in enumerate(rounds)]
+    return _finish(lines + [f"final {' '.join(final)}".rstrip()])
 
 
 def solve_report_text(report: SolveReport) -> str:

@@ -21,8 +21,9 @@ regexes and read in bulk, with every check on whole lists and sets. Any
 other document, and any document that fails a check, goes to the line
 parser, which alone raises `WtgParseError`: a message, its line and its
 column never depend on the path. Both paths end in one tail, which hands the
-endpoints, the number tokens and each distinct token's Fraction to the
-constructor that puts them on the instance's integer scale.
+endpoints as vertex positions, the number tokens and each distinct token's
+reduced (numerator, denominator) pair to the constructor that puts them on
+the instance's integer scale. Only incentives become Fractions.
 """
 
 from __future__ import annotations
@@ -37,16 +38,18 @@ from .instance import (
     UNDIRECTED,
     Instance,
     canonical_edges,
+    _fraction,
+    _rational_pair,
     format_rational,
-    parse_rational,
 )
 
 _TOKEN = re.compile(r"\S+")
 # `serialize_wtg`'s layout: this header, then `v`, `e` and `p` lines, single-spaced, with ASCII
-# ids and `\n` line ends. Each line is matched on its own: a regex repeating a group over every
-# line would keep a backtracking frame per line until the match ends, tens of bytes per byte.
+# ids (`v` ids without a leading zero, so `str` gives each back) and `\n` line ends. Each line is
+# matched on its own: a regex repeating a group over every line would keep a backtracking frame
+# per line until the match ends, tens of bytes per byte.
 _HEADER = re.compile(r"wtg 1\nmode (undirected|directed)\nn ([0-9]+)\n")
-_V_LINE = re.compile(r"v [0-9]+ \S+\n")
+_V_LINE = re.compile(r"v [1-9][0-9]* \S+\n")
 _E_LINE = re.compile(r"e [0-9]+ [0-9]+ \S+\n")
 _P_LINE = re.compile(r"p [0-9]+ \S+\n")
 
@@ -66,13 +69,13 @@ def _int_token(toks, k, line, line_no, what) -> int:
         raise WtgParseError(f"{what} of {len(tok)} digits is too long", line_no, _column(line, k)) from None
 
 
-def _number_token(toks, k, line, line_no, what, numbers) -> Fraction:
-    """Token k as a Fraction, parsed once per distinct token: `numbers` keeps each result."""
+def _number_token(toks, k, line, line_no, what, numbers) -> tuple[int, int]:
+    """Token k as a reduced (numerator, denominator) pair, parsed once: `numbers` keeps each."""
     tok = toks[k]
     value = numbers.get(tok)
     if value is None:
         try:
-            value = parse_rational(tok)
+            value = _rational_pair(tok)
         except ValueError as exc:
             raise WtgParseError(f"bad {what}: {exc}", line_no, _column(line, k)) from None
         numbers[tok] = value
@@ -85,7 +88,7 @@ def parse_wtg(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     A document in `serialize_wtg`'s layout that passes every check is read in
     bulk (`_parse_bulk`); every other document goes through the line parser
     (`_parse_lines`), which raises the first error with its line and column.
-    Both parse each distinct number once and build the instance in `_build`.
+    Both parse each distinct number once, and keep incentives off the scale.
     """
     return _parse_bulk(text) or _parse_lines(text)
 
@@ -94,7 +97,8 @@ def _parse_bulk(text: str) -> tuple[Instance, dict[int, Fraction] | None] | None
     """The parse of a document in `serialize_wtg`'s layout that passes every check, else None.
 
     Regexes check the layout; the tokens are stride slices of each block's
-    `str.split()`, and every check runs on whole lists, sets and maps.
+    `str.split()`, and every check runs on whole lists, sets and maps. Each id
+    token becomes a position through one map from the `v` lines' id tokens.
     """
     if "#" in text or "\r" in text:
         return None
@@ -114,33 +118,36 @@ def _parse_bulk(text: str) -> tuple[Instance, dict[int, Fraction] | None] | None
         # The vertex count and duplicate ids fail before the edge block, most of a file, is split.
         if not 1 <= declared_n == len(ids) == len(tau):
             return None
+        vertices = sorted(map(int, ids))
+        at = dict(zip(map(str, vertices), range(declared_n))).__getitem__
         (tails, heads), weight_tokens = _columns(text[e_at:p_at], _E_LINE, 4)
         (pids,), incentive_tokens = _columns(text[p_at:], _P_LINE, 3)
-        numbers = {t: parse_rational(t) for t in {*tau_tokens, *weight_tokens, *incentive_tokens}}
-    except ValueError:  # a line out of layout, a malformed number or an over-long integer
+        tails, heads, pids = [list(map(at, column)) for column in (tails, heads, pids)]
+        numbers = {t: _rational_pair(t) for t in {*tau_tokens, *weight_tokens}}
+        paid = {t: _rational_pair(t) for t in set(incentive_tokens)}
+    except (ValueError, KeyError):  # a line out of layout, an undeclared id, a malformed number or an over-long id
         return None
-    incentives = dict(zip(pids, map(numbers.__getitem__, incentive_tokens)))
     pairs = set(zip(tails, heads))
-    if (any(map(eq, tails, heads)) or not tau.keys() >= {*tails, *heads}
-            or len(pairs) != len(tails) or (mode == UNDIRECTED and not pairs.isdisjoint(zip(heads, tails)))
-            or len(incentives) != len(pids) or not tau.keys() >= incentives.keys()
-            or min(map(numbers.__getitem__, set(incentive_tokens)), default=0) < 0):
+    if (any(map(eq, tails, heads)) or len(pairs) != len(tails)
+            or (mode == UNDIRECTED and not pairs.isdisjoint(zip(heads, tails)))
+            or len(set(pids)) != len(pids) or any(num < 0 for num, _ in paid.values())):
         return None
+    incentives = {vertices[i]: _fraction(*paid[t]) for i, t in zip(pids, incentive_tokens)}
     del ids, pids, pairs  # before the view is built
-    return _build(mode, tau, tails, heads, weight_tokens, numbers, incentives)
+    return (Instance._from_values(mode, tuple(vertices), tails, heads, weight_tokens,
+                                  list(map(tau.__getitem__, map(str, vertices))), numbers), incentives or None)
 
 
-def _columns(block: str, line: re.Pattern, width: int) -> tuple[list[list[int]], list[str]]:
-    """The id columns, as ints, and the number tokens of a block of `width`-token lines.
+def _columns(block: str, line: re.Pattern, width: int) -> tuple[list[list[str]], list[str]]:
+    """The id columns and the number tokens of a block of `width`-token lines.
 
-    Raises ValueError when a line of the block does not match `line`, or an
-    id has more digits than the interpreter converts. The block's token list
-    lives only for this call.
+    Raises ValueError when a line of the block does not match `line`. The
+    block's token list lives only for this call.
     """
     if line.sub("", block):
         raise ValueError("a line out of layout")
     toks = block.split()
-    return [list(map(int, toks[k::width])) for k in range(1, width - 1)], toks[width - 1::width]
+    return [toks[k::width] for k in range(1, width - 1)], toks[width - 1::width]
 
 
 def _parse_lines(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
@@ -159,7 +166,8 @@ def _parse_lines(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     weight_tokens: list[str] = []
     seen_pairs: set[tuple[int, int]] = set()
     incentives: dict[int, Fraction] = {}
-    numbers: dict[str, Fraction] = {}
+    numbers: dict[str, tuple[int, int]] = {}  # threshold and weight tokens, the scale's values
+    paid: dict[str, tuple[int, int]] = {}  # incentive tokens
     lines = text.splitlines()
     last_line = len(lines)
 
@@ -234,7 +242,7 @@ def _parse_lines(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
                 raise WtgParseError(f"incentive for undeclared vertex {vid}", line_no, _column(line, 1))
             if vid in incentives:
                 raise WtgParseError(f"duplicate incentive for vertex {vid}", line_no, _column(line, 1))
-            value = _number_token(toks, 2, line, line_no, "incentive", numbers)
+            value = _fraction(*_number_token(toks, 2, line, line_no, "incentive", paid))
             if value.numerator < 0:
                 raise WtgParseError(f"negative incentive {value}", line_no, _column(line, 2))
             incentives[vid] = value
@@ -253,19 +261,10 @@ def _parse_lines(text: str) -> tuple[Instance, dict[int, Fraction] | None]:
     if len(tau) != declared_n:
         raise WtgParseError(f"declared n {declared_n} but found {len(tau)} vertex lines", last_line)
 
-    return _build(mode, tau, tails, heads, weight_tokens, numbers, incentives)
-
-
-def _build(mode, tau, tails, heads, weight_tokens, numbers, incentives):
-    """The parse result from thresholds and weights as tokens, each read into `numbers`.
-
-    `Instance._from_values` puts the tokens on the scale; incentives stay
-    Fractions and leave the scale alone.
-    """
     vertices = tuple(sorted(tau))
-    tau_tokens = list(map(tau.__getitem__, vertices))
-    value = {t: numbers[t] for t in {*weight_tokens, *tau_tokens}}
-    return Instance._from_values(mode, vertices, tails, heads, weight_tokens, tau_tokens, value), incentives or None
+    at = dict(zip(vertices, range(declared_n))).__getitem__
+    return (Instance._from_values(mode, vertices, list(map(at, tails)), list(map(at, heads)), weight_tokens,
+                                  list(map(tau.__getitem__, vertices)), numbers), incentives or None)
 
 
 def serialize_wtg(instance: Instance, incentives: dict[int, Fraction] | None = None) -> str:

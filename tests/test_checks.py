@@ -11,6 +11,7 @@ intended change to the failure text, run
 import dataclasses
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -77,6 +78,42 @@ def test_record_covers_every_sweep_and_faults_show(expected):
         assert not any(expected[f"none {name} {s}"]["failures"] for s in SEEDS), name
         assert any(expected[f"all {name} {s}"]["failures"] for s in SEEDS), name
 
+
+def _old_slack_spec(rng, n, **overrides):
+    """`_algorithm_one`'s and `_otvw_degenerate`'s former draw: `_mixed_spec`, then `max_slack`."""
+    drawn = {"seed": checks._child_seed(rng), "edge_prob": rng.choice((0.2, 0.4, 0.6, 0.8)),
+             "weights": rng.choice(("int", "halves", "unit"))}
+    spec = checks.GenSpec(n=n, **{**drawn, **overrides})
+    return dataclasses.replace(spec, max_slack=rng.randint(0, 3))
+
+
+class _Recording(random.Random):
+    """A Random that records each draw with the state after it."""
+
+    def __init__(self, seed):
+        self.draws = []
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        return self._record(super().randrange(*args))
+
+    def choice(self, seq):
+        return self._record(super().choice(seq))
+
+    def _record(self, x):
+        self.draws.append((x, self.getstate()))
+        return x
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_drawn_slack_keeps_the_former_stream(seed):
+    old, new = _Recording(seed), _Recording(seed)
+    for _ in range(4):
+        n = old.randint(1, 12)
+        assert new.randint(1, 12) == n
+        spec = _old_slack_spec(old, n, family="degenerate")
+        assert checks._mixed_spec(new, n, draw_slack=True, family="degenerate") == spec
+    assert len(new.draws) == 4 * 5 and new.draws == old.draws
 
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps(_record(), indent=1, sort_keys=True) + "\n")

@@ -1,14 +1,28 @@
 """Command line interface: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import itertools
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from targetset import checks, solvers
+from targetset import checks, engine, solvers
 from targetset.cli import main
 from targetset.instance import SUBSET_TABLE_CEILING
-from targetset import parse_wtg, serialize_wtg, build_instance, UNDIRECTED
+from targetset.reports import trace_report
+from targetset import (
+    DIRECTED,
+    UNDIRECTED,
+    build_instance,
+    parse_wtg,
+    run_activation,
+    run_with_incentives,
+    serialize_wtg,
+)
 
 
 def run(capsys, *argv):
@@ -75,6 +89,75 @@ def test_simulate_without_any_drive_is_usage_error(fixtures, capsys):
     code, _, err = run(capsys, "simulate", str(fixtures / "p3.wtg"))
     assert code == 1
     assert "seed-set" in err
+
+
+@st.composite
+def _simulate_cases(draw):
+    """An instance with gaps between its ids, a drive for `simulate` and the library's report."""
+    mode = draw(st.sampled_from([UNDIRECTED, DIRECTED]))
+    ids = draw(st.lists(st.integers(1, 60), min_size=1, max_size=9, unique=True))
+    pairs = [(u, v) for u in ids for v in ids if u != v and (mode == DIRECTED or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    number = st.fractions(min_value=0, max_value=4, max_denominator=3)
+    # Positive thresholds let a run stop short, or spread nothing with an empty seed.
+    tau = {v: draw(st.fractions(min_value=0, max_value=6, max_denominator=3)) for v in ids}
+    inst = build_instance(mode, ids, [(u, v, draw(number)) for u, v in chosen], tau)
+    drive = draw(st.sampled_from(["seed-set", "own-p", "incentives-file"]))
+    if drive == "seed-set":
+        seed = draw(st.lists(st.sampled_from(ids), unique=True, max_size=3))
+        return inst, drive, seed, trace_report(run_activation(inst, seed), inst.n)
+    p = {v: draw(number) for v in draw(st.lists(st.sampled_from(ids), unique=True))}
+    return inst, drive, p, trace_report(run_with_incentives(inst, p), inst.n)
+
+
+def _simulate_cli(inst, drive, arg) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.wtg"
+        path.write_text(serialize_wtg(inst, arg if drive == "own-p" else None))
+        argv = ["simulate", str(path), "--deterministic"]
+        if drive == "seed-set":
+            argv += ["--seed-set", ",".join(map(str, arg))]
+        elif drive == "incentives-file":
+            p_path = Path(tmp) / "p.wtg"
+            p_path.write_text(serialize_wtg(inst, arg))
+            argv += ["--incentives", str(p_path)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+    return out.getvalue()
+
+
+@given(_simulate_cases())
+@settings(max_examples=200, deadline=None)
+def test_simulate_prints_the_library_trace_report(case):
+    inst, drive, arg, expected = case
+    assert _simulate_cli(inst, drive, arg) == expected
+
+
+@pytest.mark.parametrize("drive, arg, tail", [
+    ("seed-set", [], "rounds 0\nround 0\nfinal\n"),  # nothing spreads: no trailing space on either line
+    ("seed-set", [7], "rounds 1\nround 0 7\nround 1 3\nfinal 3 7\n"),  # stops short of vertex 12
+    ("own-p", {3: Fraction(2)}, "rounds 1\nround 0 3\nround 1 7\nfinal 3 7\n"),
+    ("incentives-file", {12: Fraction(5, 2), 7: Fraction(1, 3)}, "rounds 0\nround 0 12\nfinal 12\n"),
+])
+def test_simulate_report_lines(drive, arg, tail):
+    inst = build_instance(UNDIRECTED, [3, 7, 12], [(3, 7, "3/2"), (7, 12, "1/2")], ["3/2", 1, "5/2"])
+    out = _simulate_cli(inst, drive, arg)
+    assert out == "report simulate\nactivated_all false\n" + tail
+    assert out == trace_report(run_with_incentives(inst, arg) if isinstance(arg, dict)
+                               else run_activation(inst, arg), inst.n)
+
+
+def test_simulate_never_builds_an_activation_trace(fixtures, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("simulate built an ActivationTrace")
+
+    monkeypatch.setattr(engine, "_trace", refuse)
+    for drive in (("--seed-set", "1"), ("--incentives", str(fixtures / "p3_incentives.wtg"))):
+        code, out, _ = run(capsys, "simulate", str(fixtures / "p3.wtg"), *drive, "--deterministic")
+        assert code == 0 and "activated_all true" in out
+    code, out, _ = run(capsys, "simulate", str(fixtures / "p3_incentives.wtg"), "--deterministic")
+    assert code == 0 and "activated_all true" in out
 
 
 def test_degeneracy_report(fixtures, capsys):

@@ -96,10 +96,12 @@ def _cases():
 def test_lazy_fields_match_an_eager_reference(case):
     _, inst = _cases()[case]
     assert "edges" not in vars(inst) and "tau" not in vars(inst)
-    # The lists `_from_values` was handed, made eagerly as the constructor did before.
+    # The lists `_from_values` was handed, made eagerly as the constructor did before: endpoint
+    # positions map through `inst.vertices`, and each (numerator, denominator) pair is a Fraction.
     tails, heads, weights, tau, value = vars(inst)["_values"]
-    edges = tuple([(u, v, value[k]) for u, v, k in zip(tails, heads, weights)])
-    thresholds = dict(zip(inst.vertices, map(value.__getitem__, tau)))
+    ids, value = inst.vertices, {k: Fraction(*pair) for k, pair in value.items()}
+    edges = tuple([(ids[u], ids[v], value[k]) for u, v, k in zip(tails, heads, weights)])
+    thresholds = dict(zip(ids, map(value.__getitem__, tau)))
     eager = Instance(inst.mode, inst.vertices, edges, thresholds)
     assert inst.edges == edges
     assert all(type(w) is Fraction for _, _, w in inst.edges)

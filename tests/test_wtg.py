@@ -115,11 +115,12 @@ _LONG = "7" * 5000  # more digits than CPython converts by default (4300)
     (f"wtg 1\nmode undirected\nn {_LONG}\nv 1 1\n", 3, 3, "vertex count of 5000 digits is too long"),
     (f"wtg 1\nmode undirected\nn 1\nv {_LONG} 1\n", 4, 3, "vertex id of 5000 digits is too long"),
     (f"wtg 1\nmode undirected\nn 1\nv 1 1 # x\ne 1  {_LONG} 1\n", 5, 6, "endpoint of 5000 digits is too long"),
+    (f"wtg 1\nmode undirected\nn 1\nv 1 1\ne 1 {_LONG} 1\n", 5, 5, "endpoint of 5000 digits is too long"),
     (f"wtg 1\nmode undirected\nn 1\nv 1 1\np {_LONG} 1\n", 5, 3, "vertex id of 5000 digits is too long"),
     (f"wtg 1\nmode undirected\nn 1\nv 1 {_LONG}\n", 4, 5, "bad threshold: integer of 5000 digits is too long"),
     (f"wtg 1\nmode undirected\nn 2\nv 1 1\nv 2 1\ne 1 2 1/{_LONG}\n", 6, 7,
      "bad weight: integer of 5000 digits is too long"),
-], ids=["count", "vertex-id", "endpoint", "incentive-id", "threshold", "weight"])
+], ids=["count", "vertex-id", "endpoint", "endpoint-in-layout", "incentive-id", "threshold", "weight"])
 def test_overlong_integers_are_addressed(text, line, column, message):
     err = _parse_error(text)
     assert (err.line, err.column) == (line, column)

@@ -278,6 +278,22 @@ _RARE_CASES = [
     "wtg 1\nmode undirected\nn 0\n",
     "wtg 1\nmode undirected\nn 02\nv 2 1\nv 1 2/4\ne 02 1 6/4\n",
 ]
+# In `serialize_wtg`'s layout, yet each one goes to the line parser: the bulk reader maps every
+# endpoint and incentive id token through the `v` lines' id tokens, and checks pairs of positions.
+_BULK_FALLBACKS = [
+    "wtg 1\nmode undirected\nn 2\nv 01 1\nv 2 1/2\ne 01 2 3/2\n",  # `v 01`: vertex 1
+    "wtg 1\nmode undirected\nn 2\nv 01 1\nv 1 1/2\n",
+    "wtg 1\nmode undirected\nn 2\nv 1 1\nv 2 1/2\ne 01 2 3/2\n",
+    "wtg 1\nmode directed\nn 2\nv 0 1\nv 2 1\ne 2 0 1\n",  # id 0
+    "wtg 1\nmode undirected\nn 2\nv 1 1\nv 0 1\n",
+    _BASE + "e 2 5 1\n",  # an undeclared endpoint
+    "wtg 1\nmode undirected\nn 3\nv 3 0\nv 1 0\nv 2 0\ne 3 1 1\ne 1 2 1\ne 1 3 1/2\n",  # reversed pair
+    "wtg 1\nmode directed\nn 3\nv 5 0\nv 7 0\nv 9 1\ne 9 5 1\ne 5 9 1\ne 9 5 2\n",  # repeated arc
+    _BASE + "e 1 2 1\np 01 1\n",  # incentives for unknown ids
+    _BASE + "p 2 0\np 0 1\n",
+    _BASE + "p 1 1\np 2 1/2\np 1 1\n",  # a repeated id
+]
+_RARE_CASES += _BULK_FALLBACKS
 
 
 @pytest.mark.parametrize("text", _RARE_CASES)
@@ -342,6 +358,12 @@ def test_bulk_path_matches_line_parser(text):
 @pytest.mark.parametrize("text", _RARE_CASES)
 def test_rare_cases_bulk_path_matches_line_parser(text):
     _assert_bulk_matches_lines(text)
+
+
+@pytest.mark.parametrize("text", _BULK_FALLBACKS)
+def test_bulk_fallbacks_take_the_line_parsers_outcome(text):
+    assert _parse_bulk(text) is None
+    assert _full_outcome(parse_wtg, text) == _full_outcome(_parse_lines, text)
 
 
 @st.composite
