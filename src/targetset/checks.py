@@ -25,7 +25,7 @@ from .degeneracy import (
     kappa_complement_check,
     peel_ordering,
 )
-from .engine import is_target_set, is_target_vector, run_activation
+from .engine import _activates_all, _rounds, is_target_set, is_target_vector
 from .generators import GenSpec, generate
 from .instance import UNDIRECTED, Instance, _view_edges, min_edge_weight
 from .oracles import (
@@ -206,14 +206,16 @@ def _min_or_full(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
 def _tss_preservation(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
     """Complete-graph embedding preserves target sets subset by subset.
 
-    Seeds go by size, then in lexicographic order. Activation is monotone in
-    the seed on any instance with non-negative weights, and the source and
-    its image are both such instances, even when the embedding is wrong. So
-    a superset of a seed that activates both activates both again: it cannot
-    disagree and is skipped. Every other seed is put to the engine, source
-    first, which leaves the first disagreeing subset as in a full sweep. Once
-    every subset agrees, the first seed that activates both is a smallest
-    target set of each, and the oracle must find its size on the source.
+    Seeds go by size, then in lexicographic order, as tuples of positions:
+    the embedding keeps the ids, so a position names one vertex in both
+    integer views, and ids are made only for a failure message. Activation
+    is monotone in the seed on both instances, whose weights are
+    non-negative even when the embedding is wrong, so a superset of a seed
+    that activates both activates both again: it cannot disagree and is
+    skipped. Every other seed is put to the engine, source first, which
+    leaves the first disagreeing subset as in a full sweep. Once every
+    subset agrees, the first seed that activates both is a smallest target
+    set of each, and the oracle must find its size on the source.
     """
     if i % 5 == 0:
         spec = GenSpec(family="cubic", n=rng.choice((4, 6)), seed=_child_seed(rng))
@@ -223,7 +225,9 @@ def _tss_preservation(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
         inst = random_tss_instance(rng, rng.randint(2, max_n))
         label = f"instance {i}"
     image = tss_to_complete(inst).image
-    verts = inst.vertices
+    if image.vertices != inst.vertices:
+        raise RuntimeError("reduction image changed the vertex ids")
+    source_view, image_view = inst.compiled, image.compiled
     both: list[int] = []  # position masks of the seeds that activate both
     for size in range(inst.n + 1):
         for combo in itertools.combinations(range(inst.n), size):
@@ -232,10 +236,9 @@ def _tss_preservation(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
                 mask |= 1 << p
             if any(mask & m == m for m in both):
                 continue
-            seed_set = frozenset(map(verts.__getitem__, combo))
-            activates = is_target_set(inst, seed_set)
-            if activates != is_target_set(image, seed_set):
-                yield f"{label}: subset {sorted(seed_set)} disagrees"
+            activates = _activates_all(source_view, combo, source_view.tau)
+            if activates != _activates_all(image_view, combo, image_view.tau):
+                yield f"{label}: subset {sorted(map(inst.vertices.__getitem__, combo))} disagrees"
                 return
             if activates:
                 both.append(mask)
@@ -275,15 +278,21 @@ def _bounds(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
 
 
 def _bidirected(rng: random.Random, i: int, max_n: int) -> Iterator[str]:
-    """Doubling each edge into opposite arcs changes nothing observable."""
+    """Doubling each edge into opposite arcs changes nothing observable.
+
+    The image keeps the ids, so two runs agree when their rounds, as sorted
+    positions, do: exactly when their `run_activation` traces would.
+    """
     spec = _mixed_spec(rng, rng.randint(1, max_n))
     inst = generate(spec)
     image = to_bidirected(inst).image
+    if image.vertices != inst.vertices:
+        raise RuntimeError("reduction image changed the vertex ids")
     seeds = [frozenset((v,)) for v in inst.vertices]
     for _ in range(3):
         seeds.append(frozenset(v for v in inst.vertices if rng.random() < 0.4))
     for seed_set in seeds:
-        if run_activation(inst, seed_set) != run_activation(image, seed_set):
+        if list(map(sorted, _rounds(inst, seed_set))) != list(map(sorted, _rounds(image, seed_set))):
             yield f"seed {spec.seed}: trace differs for {sorted(seed_set)}"
             break
     if exact_min_target_set(inst, limit=inst.n).optimum != exact_min_target_set(image, limit=image.n).optimum:

@@ -94,10 +94,10 @@ def _activates_all(view: CompiledInstance, seed, need) -> bool:
 
 def _seed_positions(instance: Instance, seed) -> list[int]:
     seed, position = frozenset(seed), instance.compiled.position
-    stray = [v for v in seed if v not in position]
-    if stray:
-        raise ValueError(f"seed contains unknown vertices: {sorted(stray)}")
-    return [position[v] for v in seed]
+    positions = list(map(position.get, seed))
+    if None in positions:
+        raise ValueError(f"seed contains unknown vertices: {sorted(v for v in seed if v not in position)}")
+    return positions
 
 
 def _incentive_need(instance: Instance, incentives: Mapping[int, Fraction]) -> list[int]:

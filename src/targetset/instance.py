@@ -460,4 +460,4 @@ def connected_components(instance: Instance) -> list[VertexSet]:
 
 
 def is_connected(instance: Instance) -> bool:
-    return len(connected_components(instance)) <= 1
+    return -1 not in _label_components(instance.compiled, range(min(instance.n, 1)), [True] * instance.n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OracleLimitError, VerificationError
-from .engine import _activates_all, incentive_cost, is_target_set, is_target_vector
+from .engine import _activates_all
 from .instance import CompiledInstance, Instance, VertexSet, _subset_weights
 
 TARGET_SET_LIMIT = 20
@@ -76,7 +76,7 @@ def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> O
     lexicographic order, and the size bound keeps only strictly smaller
     seeds once one is found, so the witness is the lexicographically
     smallest minimum seed. `explored` counts the nodes popped from the
-    stack.
+    stack. The engine checks the witness's positions on the integer view.
     """
     n = instance.n
     if n > limit:
@@ -111,9 +111,9 @@ def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> O
             stack.append((i + 1, seed, closed, size))
         stack.append((i + 1, seed | bit, _close(lo, hi, thresholds, raises, h, closed | bit,
                                                 raises[i] & ~closed), size + 1))
-    witness = frozenset(v for i, v in enumerate(instance.vertices) if found >> i & 1)
-    if not is_target_set(instance, witness):
+    if not _activates_all(view, [i for i in range(n) if found >> i & 1], thresholds):
         raise VerificationError("oracle witness failed engine verification")
+    witness = frozenset(v for i, v in enumerate(instance.vertices) if found >> i & 1)
     return OracleResult(best, witness, explored)
 
 
@@ -206,8 +206,8 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
     more than `_SEARCH_BUDGET` of the 2^n sets, it gives up and the dynamic
     program answers with its own witness; `explored` is then the sets the
     search expanded plus n * 2^(n-1).
-    Either way the witness lists every vertex, in activation order, and is
-    checked against the engine.
+    Either way the witness lists every vertex, in activation order; its
+    scaled payments are checked against the optimum and the engine first.
     """
     n = instance.n
     limit = min(limit, TARGET_VECTOR_CEILING)
@@ -222,12 +222,12 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
         found = _subset_dp(view, *tables)
         explored += n << (n - 1)
     order, cost = found
+    paid = dict(order)
+    if sum(paid.values()) != cost or not _activates_all(view, (), [t - paid.get(i, 0) for i, t in enumerate(view.tau)]):
+        raise VerificationError("oracle witness failed engine verification")
     verts = instance.vertices
     witness = {verts[i]: Fraction(d, view.scale) for i, d in order}
-    optimum = Fraction(cost, view.scale)
-    if incentive_cost(witness) != optimum or not is_target_vector(instance, witness):
-        raise VerificationError("oracle witness failed engine verification")
-    return OracleResult(optimum, witness, explored)
+    return OracleResult(Fraction(cost, view.scale), witness, explored)
 
 
 def _subset_dp(view: CompiledInstance, h: int, lo: list[list[int]],
@@ -465,10 +465,10 @@ def grid_min_target_vector(instance: Instance) -> OracleResult:
         if _activates_all(view, (), [t - b for t, b in zip(view.tau, combo)]):
             best_cost = cost
             best_vec = combo
-    assert best_cost is not None and best_vec is not None  # p = tau always works
-    witness = {verts[i]: Fraction(best_vec[i]) for i in range(n)}
-    if not is_target_vector(instance, witness):
+    # Each kept combination passed the engine, and p = tau always does: none means a faulty engine.
+    if best_vec is None:
         raise VerificationError("grid witness failed engine verification")
+    witness = {verts[i]: Fraction(best_vec[i]) for i in range(n)}
     return OracleResult(Fraction(best_cost), witness, explored)
 
 

@@ -20,13 +20,15 @@ from targetset import checks
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "check_failures.json"
 ORACLES = ("exact_min_target_set", "exact_min_target_vector")
 # fault setting -> {patched name: k}; kappa's k differs from is_target_set's
-# so that its sweep, which compares the two, sees the flips.
+# so that its sweep, which compares the two, sees the flips. prop1-preservation
+# asks the engine through `_activates_all` on positions, the others through
+# `is_target_set` on ids; both get the same k.
 FAULTS = {
     "none": {},
     "oracles": dict.fromkeys(ORACLES, 3),
-    "predicates": {"is_target_set": 3, "is_target_vector": 3,
+    "predicates": {"is_target_set": 3, "_activates_all": 3, "is_target_vector": 3,
                    "kappa_complement_check": 5, "brute_degeneracy_check": 3},
-    "all": {**dict.fromkeys(ORACLES, 2), "is_target_set": 2, "is_target_vector": 2,
+    "all": {**dict.fromkeys(ORACLES, 2), "is_target_set": 2, "_activates_all": 2, "is_target_vector": 2,
             "kappa_complement_check": 3, "brute_degeneracy_check": 2},
 }
 SEEDS = range(4)

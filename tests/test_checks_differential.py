@@ -11,12 +11,13 @@ the engine is asked about exactly the subsets that contain no such seed.
 import itertools
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from targetset import Instance, checks, reductions
-from targetset.engine import is_target_set as engine_is_target_set
+from targetset.engine import _activates_all as engine_activates_all, is_target_set as engine_is_target_set
 from targetset.checks import (
     GenSpec,
     _child_seed,
@@ -81,15 +82,29 @@ def _patched(mp: pytest.MonkeyPatch, embedding) -> None:
 
 
 def _counted(mp: pytest.MonkeyPatch) -> list:
-    """Route both sweeps' engine calls through one recorder of (instance, seed, result)."""
+    """Route both sweeps' engine calls through one recorder of (instance, seed, result).
+
+    The reference asks `is_target_set` on ids. The sweep asks `_activates_all` on an integer view
+    and positions; such a call is recorded with one stand-in per view that lists the view's ids as
+    its `vertices`, and with the seed's positions mapped to those ids.
+    """
     calls = []
+    # id of a view -> (the view, kept so that its id is not reused; its stand-in)
+    stand_ins = {}
 
     def recorded(instance, seed):
         result = engine_is_target_set(instance, seed)
         calls.append((instance, seed, result))
         return result
 
+    def recorded_view(view, seed, need):
+        result = engine_activates_all(view, seed, need)
+        _, source = stand_ins.setdefault(id(view), (view, SimpleNamespace(vertices=tuple(view.position))))
+        calls.append((source, frozenset(map(source.vertices.__getitem__, seed)), result))
+        return result
+
     mp.setattr(checks, "is_target_set", recorded)
+    mp.setattr(checks, "_activates_all", recorded_view)
     mp.setattr(sys.modules[__name__], "is_target_set", recorded)
     return calls
 

@@ -8,6 +8,7 @@ here instead of a cached `Instance` property.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from targetset import (
@@ -122,3 +123,19 @@ def test_incentive_runs_match_reference(data):
     assert run_with_incentives(inst, p) == reference
     assert is_target_vector(inst, p) == (_closure_size(inst, start, p) == inst.n)
     assert is_target_vector(inst, p) == (reference.final_active == inst.vertex_set)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_unknown_seed_ids_raise_like_the_reference(data):
+    # The seed mixes known and unknown ids; the message lists only the unknown ones, sorted.
+    inst = data.draw(_instances())
+    known = data.draw(st.frozensets(st.sampled_from(inst.vertices), min_size=1))
+    unknown = data.draw(st.frozensets(st.integers(-5, 80).filter(lambda v: v not in inst.vertex_set),
+                                      min_size=1))
+    with pytest.raises(ValueError) as reference:
+        _initial_from_seed(inst, known | unknown)
+    for run in (run_activation, is_target_set):
+        with pytest.raises(ValueError) as got:
+            run(inst, known | unknown)
+        assert str(got.value) == str(reference.value) == f"seed contains unknown vertices: {sorted(unknown)}"

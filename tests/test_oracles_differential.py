@@ -42,6 +42,7 @@ from targetset import (
     exact_min_target_vector,
     exact_min_vertex_cover,
     generate,
+    grid_min_target_vector,
     min_edge_weight,
     target_vector_lower_bound,
     to_bidirected,
@@ -536,6 +537,37 @@ def test_all_low_two_level_answers_without_the_program(n):
 @pytest.mark.parametrize("n", [9, 10])  # the program's path, then the search's
 def test_failed_engine_check_raises_on_both_paths(monkeypatch, n):
     inst = generate(GenSpec(family="degenerate", n=n, seed=4, edge_prob=0.3))
-    monkeypatch.setattr(oracles, "is_target_vector", lambda instance, vector: False)
+    monkeypatch.setattr(oracles, "_activates_all", lambda view, seed, need: False)
     with pytest.raises(VerificationError):
+        exact_min_target_vector(inst, limit=n)
+
+
+def test_failed_engine_check_raises_in_the_other_oracles(monkeypatch):
+    inst = Instance(UNDIRECTED, (1, 2, 3), ((1, 2, Fraction(1)), (2, 3, Fraction(2))),
+                    {1: Fraction(1), 2: Fraction(2), 3: Fraction(2)})
+    assert exact_min_target_set(inst).optimum == 1 and grid_min_target_vector(inst).optimum == 2
+    monkeypatch.setattr(oracles, "_activates_all", lambda view, seed, need: False)
+    with pytest.raises(VerificationError, match="oracle witness failed engine verification"):
+        exact_min_target_set(inst)
+    with pytest.raises(VerificationError, match="grid witness failed engine verification"):
+        grid_min_target_vector(inst)
+
+
+@pytest.mark.parametrize("n, path", [(9, "_subset_dp"), (10, "_closed_set_search")])
+def test_cost_off_by_one_unit_raises(monkeypatch, n, path):
+    # The payments still activate everything; only the claimed scaled cost is wrong.
+    inst = generate(GenSpec(family="degenerate", n=n, seed=4, edge_prob=0.3, weights="halves"))
+    exact_min_target_vector(inst, limit=n)
+    search = getattr(oracles, path)
+
+    def off_by_one(view, *tables):
+        found = search(view, *tables)
+        if path == "_subset_dp":
+            order, cost = found
+            return order, cost + 1
+        (order, cost), expanded = found
+        return (order, cost + 1), expanded
+
+    monkeypatch.setattr(oracles, path, off_by_one)
+    with pytest.raises(VerificationError, match="oracle witness failed engine verification"):
         exact_min_target_vector(inst, limit=n)
