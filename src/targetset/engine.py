@@ -7,7 +7,8 @@ threshold. Activation within a round is simultaneous and irreversible.
 Every run, trace or predicate, goes through one round loop on the
 instance's integer view (`Instance.compiled`). Each round examines only the
 out-neighbours of the vertices activated in the round before, so a run
-costs O(n + m).
+costs O(n + m). The public functions take seed ids as ints and incentives
+as ints or Fractions; a bool, float or str raises TypeError.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .instance import CompiledInstance, Instance, VertexSet, _coerce
+from .instance import _EXACT, CompiledInstance, Instance, VertexSet, _coerce
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,23 @@ def _rounds(instance: Instance, seed=(), incentives=None) -> list[list[int]]:
     return _spread(view, _seed_positions(instance, seed), need)
 
 
+def _exact_seed(seed) -> frozenset:
+    """`seed` as a frozenset of ints. Any other id raises TypeError: True or 1.0 would match vertex 1."""
+    seed = frozenset(seed)
+    for v in seed:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise TypeError(f"seed id {v!r} is a {type(v).__name__}, expected an int")
+    return seed
+
+
+def _exact_incentives(incentives: Mapping[int, Fraction]) -> Mapping[int, Fraction]:
+    """`incentives`, once every value is an int or a Fraction; anything else raises TypeError."""
+    for v, x in incentives.items():
+        if not isinstance(x, _EXACT) or isinstance(x, bool):
+            raise TypeError(f"incentive {x!r} at vertex {v} is a {type(x).__name__}, expected an int or Fraction")
+    return incentives
+
+
 def _trace(instance: Instance, rounds: list[list[int]]) -> ActivationTrace:
     verts = instance.vertices
     sets = tuple([frozenset(map(verts.__getitem__, r)) for r in rounds])
@@ -133,7 +151,7 @@ def run_activation(instance: Instance, seed) -> ActivationTrace:
     Round 0 activates the seed plus every vertex whose threshold is already
     met with no help (tau <= 0); later rounds follow the threshold rule.
     """
-    return _trace(instance, _rounds(instance, seed))
+    return _trace(instance, _rounds(instance, _exact_seed(seed)))
 
 
 def run_with_incentives(instance: Instance, incentives: Mapping[int, Fraction]) -> ActivationTrace:
@@ -143,17 +161,17 @@ def run_with_incentives(instance: Instance, incentives: Mapping[int, Fraction]) 
     vertex activates when active-neighbor weight plus its incentive reaches
     its threshold.
     """
-    return _trace(instance, _rounds(instance, incentives=incentives))
+    return _trace(instance, _rounds(instance, incentives=_exact_incentives(incentives)))
 
 
 def is_target_set(instance: Instance, seed) -> bool:
     """True iff activating `seed` ends with every vertex active."""
-    return sum(map(len, _rounds(instance, seed))) == instance.n
+    return sum(map(len, _rounds(instance, _exact_seed(seed)))) == instance.n
 
 
 def is_target_vector(instance: Instance, incentives: Mapping[int, Fraction]) -> bool:
     """True iff the incentive vector activates every vertex."""
-    return sum(map(len, _rounds(instance, incentives=incentives))) == instance.n
+    return sum(map(len, _rounds(instance, incentives=_exact_incentives(incentives)))) == instance.n
 
 
 def incentive_cost(incentives: Mapping[int, Fraction]) -> Fraction:

@@ -3,7 +3,9 @@
 `checks._bidirected` compares the two runs from each seed as rounds of
 positions, each round sorted, where it formerly compared the two
 `run_activation` traces. `_reference` below is the former sweep, kept
-verbatim. The image keeps the source's vertex ids, so both comparisons must
+verbatim: a model of the definitions cannot state the sweep's random
+stream, which seeds it draws from which rng calls, nor its failure lines.
+The image keeps the source's vertex ids, so both comparisons must
 agree on the true bi-directed image and on images broken on purpose: one
 arc dropped, or one threshold raised by one unit of the image's integer
 view, with the same vertices. This sweep and prop1-preservation, which also
@@ -22,7 +24,10 @@ from targetset.checks import exact_min_target_set, generate
 from targetset.engine import _rounds
 from targetset.reductions import ReductionReceipt
 
+import model
+
 NAME = "bidirected"
+_VALUES = model.rationals(8, (1, 2, 3))
 
 
 def _reference(rng, i, max_n):
@@ -55,23 +60,12 @@ def _broken(image: Instance, fault: str, pick: int) -> Instance:
     return Instance(image.mode, image.vertices, tuple(edges), tau)
 
 
-_values = st.builds(Fraction, st.integers(0, 8), st.sampled_from([1, 2, 3]))
-
-
-@st.composite
-def _instances(draw):
-    ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True))
-    pairs = [(u, v) for u in ids for v in ids if u < v]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Instance(UNDIRECTED, tuple(ids), tuple((u, v, draw(_values)) for u, v in chosen),
-                    {v: draw(_values) for v in ids})
-
-
 def _sorted_rounds(instance, seed):
     return list(map(sorted, _rounds(instance, seed)))
 
 
-@given(_instances(), st.sampled_from([None, "drop", "raise"]), st.integers(0, 99), st.data())
+@given(model.instances(modes=(UNDIRECTED,), min_n=1, max_n=8, weights=_VALUES, thresholds=_VALUES),
+       st.sampled_from([None, "drop", "raise"]), st.integers(0, 99), st.data())
 @settings(max_examples=200, deadline=None)
 def test_sorted_rounds_agree_exactly_when_traces_agree(inst, fault, pick, data):
     image = reductions.to_bidirected(inst).image

@@ -2,7 +2,9 @@
 
 `_reference` below is the former `checks._tss_preservation`, kept verbatim:
 it puts every subset of the source's vertices to the engine, on the source
-and on its complete-graph image. The sweep now skips each superset of a seed
+and on its complete-graph image. A model of the definitions cannot state
+what it pins: the sweep's random stream, its failure lines and the order
+of its engine calls. The sweep now skips each superset of a seed
 that activates both, so the tests require the same failures and the same
 random stream from both, also under embeddings broken on purpose, and that
 the engine is asked about exactly the subsets that contain no such seed.

@@ -15,7 +15,6 @@ from targetset.cli import main
 from targetset.instance import SUBSET_TABLE_CEILING
 from targetset.reports import trace_report
 from targetset import (
-    DIRECTED,
     UNDIRECTED,
     build_instance,
     parse_wtg,
@@ -23,6 +22,8 @@ from targetset import (
     run_with_incentives,
     serialize_wtg,
 )
+
+import model
 
 
 def run(capsys, *argv):
@@ -93,21 +94,18 @@ def test_simulate_without_any_drive_is_usage_error(fixtures, capsys):
 
 @st.composite
 def _simulate_cases(draw):
-    """An instance with gaps between its ids, a drive for `simulate` and the library's report."""
-    mode = draw(st.sampled_from([UNDIRECTED, DIRECTED]))
-    ids = draw(st.lists(st.integers(1, 60), min_size=1, max_size=9, unique=True))
-    pairs = [(u, v) for u in ids for v in ids if u != v and (mode == DIRECTED or u < v)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    """An instance with gaps between its ids, a drive for `simulate` and the model's report."""
     number = st.fractions(min_value=0, max_value=4, max_denominator=3)
     # Positive thresholds let a run stop short, or spread nothing with an empty seed.
-    tau = {v: draw(st.fractions(min_value=0, max_value=6, max_denominator=3)) for v in ids}
-    inst = build_instance(mode, ids, [(u, v, draw(number)) for u, v in chosen], tau)
+    inst = draw(model.instances(min_n=1, weights=number, density=st.integers(0, 3),
+                                thresholds=st.fractions(min_value=0, max_value=6, max_denominator=3)))
+    ids = inst.vertices
     drive = draw(st.sampled_from(["seed-set", "own-p", "incentives-file"]))
     if drive == "seed-set":
         seed = draw(st.lists(st.sampled_from(ids), unique=True, max_size=3))
-        return inst, drive, seed, trace_report(run_activation(inst, seed), inst.n)
+        return inst, drive, seed, trace_report(model.activation(inst, seed), inst.n)
     p = {v: draw(number) for v in draw(st.lists(st.sampled_from(ids), unique=True))}
-    return inst, drive, p, trace_report(run_with_incentives(inst, p), inst.n)
+    return inst, drive, p, trace_report(model.activation(inst, incentives=p), inst.n)
 
 
 def _simulate_cli(inst, drive, arg) -> str:
@@ -129,7 +127,7 @@ def _simulate_cli(inst, drive, arg) -> str:
 
 @given(_simulate_cases())
 @settings(max_examples=200, deadline=None)
-def test_simulate_prints_the_library_trace_report(case):
+def test_simulate_prints_the_model_trace_report(case):
     inst, drive, arg, expected = case
     assert _simulate_cli(inst, drive, arg) == expected
 

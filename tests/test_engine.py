@@ -110,6 +110,22 @@ def test_bad_incentive_vectors_rejected():
         run_with_incentives(inst, {1: Fraction(-1)})
 
 
+@pytest.mark.parametrize("value", [1.0, "1", True])
+def test_inexact_incentives_raise_type_error(value):
+    # A float or str used to fail on `.numerator`, and True counted as a payment of 1.
+    for run in (run_with_incentives, is_target_vector):
+        with pytest.raises(TypeError, match=f"incentive {value!r} at vertex 1 is a {type(value).__name__}"):
+            run(path3(), {1: value})
+
+
+@pytest.mark.parametrize("seed", [{True}, {1.0}, {"1"}, {1, 2.0}])
+def test_inexact_seed_ids_raise_type_error(seed):
+    # True and 1.0 used to seed vertex 1, and "1" to be reported as an unknown vertex.
+    for run in (run_activation, is_target_set):
+        with pytest.raises(TypeError, match="expected an int"):
+            run(path3(), seed)
+
+
 def _random_instance_and_seeds(seed):
     rng = random.Random(seed)
     inst = generate(GenSpec(n=rng.randint(1, 8), seed=seed,

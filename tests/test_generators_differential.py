@@ -3,7 +3,8 @@
 `_gen_random_weighted`, `_gen_degenerate`, `_gen_cubic_t12`, `_gen_tournament`
 and their helpers below are the former Fraction implementations of the
 families, kept verbatim (the families renamed with a leading underscore) as
-the reference. Hypothesis draws whole specs, and every spec must give the
+the reference: a model of the definitions cannot state the random stream
+each family draws, value by value. Hypothesis draws whole specs, and every spec must give the
 same instance, down to its WTG bytes, its edge order and its integer view,
 or the same exception with the same message.
 """

@@ -2,7 +2,8 @@
 
 `_parse_wtg` and its helpers below are the former regex implementation of
 `parse_wtg`, kept verbatim (renamed with a leading underscore) as the
-reference. Hypothesis mutates valid documents token by token and line by
+reference: a model of the definitions cannot state the parser's error
+messages with their line and column. Hypothesis mutates valid documents token by token and line by
 line, and every document must give the same instance and incentives, or
 the same error with the same message, line and column. Some documents keep
 `serialize_wtg`'s layout, so that mutations reach the bulk path, which must
