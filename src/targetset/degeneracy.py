@@ -22,6 +22,7 @@ from .instance import (
     Edge,
     Instance,
     VertexSet,
+    _positions,
     _subset_weights,
 )
 
@@ -74,11 +75,10 @@ def _require_degree_thresholds(instance: Instance) -> None:
             )
 
 
-def _peel(view: CompiledInstance, tau, residual, alive, masked=(-1, -1)) -> dict[int, int]:
+def _peel(view: CompiledInstance, tau, residual, alive) -> dict[int, int]:
     """Greedy reverse peeling of the `alive` positions, smallest position (so id) first.
 
-    `residual[i]` is the weight position i receives from live positions; the
-    edge between the two `masked` positions, if any, counts as deleted. Both
+    `residual[i]` is the weight position i receives from live positions. Both
     lists are updated in place, so the positions left alive are the stuck
     set. Returns each peeled position's slack, keyed in deletion order.
     A deletion only lowers other residuals, so the greedy choice never loses
@@ -88,15 +88,13 @@ def _peel(view: CompiledInstance, tau, residual, alive, masked=(-1, -1)) -> dict
     incoming = view.incoming
     queued = [live and t >= r for live, t, r in zip(alive, tau, residual)]
     eligible = [i for i, q in enumerate(queued) if q]  # ascending, so already a heap
-    a, b = masked
     slacks: dict[int, int] = {}
     while eligible:
         pick = heappop(eligible)
         slacks[pick] = tau[pick] - residual[pick]
         alive[pick] = False
-        skip = b if pick == a else a if pick == b else -1
         for j, w in incoming[pick]:
-            if alive[j] and j != skip:
+            if alive[j]:
                 residual[j] -= w
                 if not queued[j] and tau[j] >= residual[j]:
                     queued[j] = True
@@ -160,12 +158,10 @@ def kappa_complement_check(instance: Instance, target) -> bool:
         raise PreconditionError(f"unit edge weights required, found {edge[2]}")
     _require_degree_thresholds(instance)
     view = instance.compiled
-    target = frozenset(target)
-    stray = target - instance.vertex_set
-    if stray:
-        raise ValueError(f"unknown vertices in target set: {sorted(stray)}")
     # Peel the complement on the instance's own view, thresholds d(v) - tau(v).
-    alive = [v not in target for v in instance.vertices]
+    alive = [True] * instance.n
+    for i in _positions(instance, frozenset(target), "unknown vertices in target set: {}"):
+        alive[i] = False
     kappa = [len(pairs) * view.scale - t for pairs, t in zip(view.incoming, view.tau)]
     residual = [sum(w for j, w in pairs if alive[j]) for pairs in view.incoming]
     _peel(view, kappa, residual, alive)

@@ -7,8 +7,8 @@ threshold. Activation within a round is simultaneous and irreversible.
 Every run, trace or predicate, goes through one round loop on the
 instance's integer view (`Instance.compiled`). Each round examines only the
 out-neighbours of the vertices activated in the round before, so a run
-costs O(n + m). The public functions take seed ids as ints and incentives
-as ints or Fractions; a bool, float or str raises TypeError.
+costs O(n + m). Seed ids must be ints and incentives ints or Fractions
+(`instance._positions`, `_check_incentives`): a bool, float or str raises TypeError.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .instance import _EXACT, CompiledInstance, Instance, VertexSet, _coerce
+from .instance import CompiledInstance, Instance, VertexSet, _check_incentives, _coerce, _positions
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,12 @@ def build_incentives(instance: Instance, values) -> dict[int, Fraction]:
     """Coerce `values` into a full per-vertex incentive map.
 
     Accepts a map (missing vertices get 0), a sequence in ascending id order,
-    or a single value broadcast to every vertex.
+    or a single value broadcast to every vertex; a map must pass `_check_incentives`.
     """
     if isinstance(values, Mapping):
-        p = {v: Fraction(0) for v in instance.vertices}
-        for v, x in values.items():
-            p[v] = _coerce(x)
-        return p
+        given = {v: _coerce(x) for v, x in values.items()}
+        _check_incentives(instance, given)
+        return {v: given.get(v, Fraction(0)) for v in instance.vertices}
     if isinstance(values, (list, tuple)):
         if len(values) != instance.n:
             raise ValueError(f"{len(values)} incentives for {instance.n} vertices")
@@ -93,50 +92,17 @@ def _activates_all(view: CompiledInstance, seed, need) -> bool:
     return sum(map(len, _spread(view, seed, need))) == len(need)
 
 
-def _seed_positions(instance: Instance, seed) -> list[int]:
-    seed, position = frozenset(seed), instance.compiled.position
-    positions = list(map(position.get, seed))
-    if None in positions:
-        raise ValueError(f"seed contains unknown vertices: {sorted(v for v in seed if v not in position)}")
-    return positions
-
-
-def _incentive_need(instance: Instance, incentives: Mapping[int, Fraction]) -> list[int]:
-    # Received weight is a multiple of 1/scale, so received + p >= tau holds
-    # exactly when the scaled received weight reaches tau*scale - floor(p*scale).
-    view = instance.compiled
-    need, position, scale = list(view.tau), view.position, view.scale
-    for v, x in incentives.items():
-        if v not in position:
-            raise ValueError(f"incentive given for unknown vertex {v}")
-        if x.numerator < 0:
-            raise ValueError(f"negative incentive {x} at vertex {v}")
-        need[position[v]] -= x.numerator * scale // x.denominator
-    return need
-
-
 def _rounds(instance: Instance, seed=(), incentives=None) -> list[list[int]]:
     """`_spread`'s rounds from the ids in `seed`, or else driven by an incentive map."""
     view = instance.compiled
-    need = view.tau if incentives is None else _incentive_need(instance, incentives)
-    return _spread(view, _seed_positions(instance, seed), need)
-
-
-def _exact_seed(seed) -> frozenset:
-    """`seed` as a frozenset of ints. Any other id raises TypeError: True or 1.0 would match vertex 1."""
-    seed = frozenset(seed)
-    for v in seed:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise TypeError(f"seed id {v!r} is a {type(v).__name__}, expected an int")
-    return seed
-
-
-def _exact_incentives(incentives: Mapping[int, Fraction]) -> Mapping[int, Fraction]:
-    """`incentives`, once every value is an int or a Fraction; anything else raises TypeError."""
-    for v, x in incentives.items():
-        if not isinstance(x, _EXACT) or isinstance(x, bool):
-            raise TypeError(f"incentive {x!r} at vertex {v} is a {type(x).__name__}, expected an int or Fraction")
-    return incentives
+    need = view.tau
+    if incentives is not None:
+        _check_incentives(instance, incentives)
+        # Received weight is a multiple of 1/scale, so p counts as floor(p*scale) scaled units.
+        need, position, scale = list(view.tau), view.position, view.scale
+        for v, x in incentives.items():
+            need[position[v]] -= x.numerator * scale // x.denominator
+    return _spread(view, _positions(instance, frozenset(seed), "seed contains unknown vertices: {}"), need)
 
 
 def _trace(instance: Instance, rounds: list[list[int]]) -> ActivationTrace:
@@ -151,7 +117,7 @@ def run_activation(instance: Instance, seed) -> ActivationTrace:
     Round 0 activates the seed plus every vertex whose threshold is already
     met with no help (tau <= 0); later rounds follow the threshold rule.
     """
-    return _trace(instance, _rounds(instance, _exact_seed(seed)))
+    return _trace(instance, _rounds(instance, seed))
 
 
 def run_with_incentives(instance: Instance, incentives: Mapping[int, Fraction]) -> ActivationTrace:
@@ -161,17 +127,17 @@ def run_with_incentives(instance: Instance, incentives: Mapping[int, Fraction]) 
     vertex activates when active-neighbor weight plus its incentive reaches
     its threshold.
     """
-    return _trace(instance, _rounds(instance, incentives=_exact_incentives(incentives)))
+    return _trace(instance, _rounds(instance, incentives=incentives))
 
 
 def is_target_set(instance: Instance, seed) -> bool:
     """True iff activating `seed` ends with every vertex active."""
-    return sum(map(len, _rounds(instance, _exact_seed(seed)))) == instance.n
+    return sum(map(len, _rounds(instance, seed))) == instance.n
 
 
 def is_target_vector(instance: Instance, incentives: Mapping[int, Fraction]) -> bool:
     """True iff the incentive vector activates every vertex."""
-    return sum(map(len, _rounds(instance, incentives=_exact_incentives(incentives)))) == instance.n
+    return sum(map(len, _rounds(instance, incentives=incentives))) == instance.n
 
 
 def incentive_cost(incentives: Mapping[int, Fraction]) -> Fraction:

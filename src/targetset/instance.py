@@ -277,6 +277,39 @@ def _integer_view(mode, vertices, tails, heads, weights, tau, value, den=0) -> C
     return CompiledInstance(scale, dict(zip(vertices, range(len(vertices)))), tuple(scaled_tau), incoming, out)
 
 
+def _check_id(v) -> None:
+    # The slow half of the id test on what callers hand in; `type(v) is int` passes first. True or 1.0 would match 1.
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"vertex id {v!r} is a {type(v).__name__}, expected an int")
+
+
+def _positions(instance: Instance, ids, unknown: str) -> list[int]:
+    """The positions of the collection `ids`, in its order. A non-int id raises TypeError; unknown
+    ids raise ValueError(`unknown`, its `{}` replaced by those ids, sorted)."""
+    for v in ids:
+        if type(v) is not int:
+            _check_id(v)
+    positions = list(map(instance.compiled.position.get, ids))
+    if None in positions:
+        raise ValueError(unknown.format(sorted({v for v, i in zip(ids, positions) if i is None})))
+    return positions
+
+
+def _check_incentives(instance: Instance, incentives: Mapping[int, Fraction]) -> None:
+    """Raise unless every key is an id of `instance` and every value a non-negative int or Fraction:
+    TypeError for a wrong type, ValueError for the rest. Builds no integer view."""
+    ids = instance.vertex_set
+    for v, x in incentives.items():
+        if type(v) is not int:
+            _check_id(v)
+        if v not in ids:
+            raise ValueError(f"incentive given for unknown vertex {v}")
+        if type(x) is not Fraction and type(x) is not int and (not isinstance(x, _EXACT) or isinstance(x, bool)):
+            raise TypeError(f"incentive {x!r} at vertex {v} is a {type(x).__name__}, expected an int or Fraction")
+        if x.numerator < 0:
+            raise ValueError(f"negative incentive {x} at vertex {v}")
+
+
 # `_subset_weights` refuses instances above this many vertices, so that no
 # `--limit-n` can make an exhaustive oracle exhaust memory. Its tables hold
 # 4.2 M entries at n = 32: +32 MB peak RSS on an edgeless graph and +154 MB

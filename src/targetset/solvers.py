@@ -20,6 +20,7 @@ from .instance import (
     Instance,
     VertexSet,
     _label_components,
+    _positions,
     _view_edges,
     is_connected,
 )
@@ -56,7 +57,7 @@ def approx_target_set(instance: Instance) -> ApproxTargetSetResult:
     seeding the rest always works; the seed size is within tau_max / c of
     optimal, where c is the smallest positive slack.
     """
-    slacks, _ = _peel_or_fail(instance, list(instance.compiled.totals))
+    slacks, _ = _peel_or_fail(instance, instance.compiled)
     seed = frozenset(v for v, slack in zip(instance.vertices, slacks) if slack > 0)
     if not is_target_set(instance, seed):
         raise VerificationError("degenerate seed selection failed engine verification")
@@ -85,12 +86,12 @@ def _certified_report(instance: Instance, paid: list[int], method: str, cert: di
     return SolveReport(p, Fraction(sum(paid), view.scale), method, cert)
 
 
-def _peel_or_fail(instance: Instance, residual: list[int], masked=(-1, -1)) -> tuple[list[int], str]:
-    """Peel the whole instance; return the slacks by position and the ordering certificate."""
+def _peel_or_fail(instance: Instance, view: CompiledInstance) -> tuple[list[int], str]:
+    """Peel all of `view`, the instance's or a spanning subgraph's; return the slacks by position and the ordering."""
     _require_undirected(instance, "degeneracy")
-    view, verts = instance.compiled, instance.vertices
+    verts = instance.vertices
     alive = [True] * instance.n
-    slacks = _peel(view, view.tau, residual, alive, masked)
+    slacks = _peel(view, view.tau, list(view.totals), alive)
     if len(slacks) < instance.n:
         stuck = [v for v, live in zip(verts, alive) if live]
         raise PreconditionError(f"thresholds are not degenerate; peeling sticks on {stuck}")
@@ -103,7 +104,7 @@ def solve_degenerate(instance: Instance) -> SolveReport:
     The cost telescopes to (sum of thresholds) - (sum of edge weights), which
     matches the universal lower bound, so the vector is optimal.
     """
-    paid, order = _peel_or_fail(instance, list(instance.compiled.totals))
+    paid, order = _peel_or_fail(instance, instance.compiled)
     return _certified_report(instance, paid, "degenerate", {"ordering": order})
 
 
@@ -156,8 +157,8 @@ def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = N
     same for every choice of removed edge. `removed_edge` overrides the
     default (smallest endpoint pair), mainly so tests can sweep all choices.
 
-    The deletion is a mask on the integer view: both endpoints start peeling
-    from their incident sums minus the minimum weight, and skip each other.
+    The reduced graph is an integer view without the edge, peeled like any
+    other; the engine verifies the vector on it and on the instance.
     """
     if instance.mode != UNDIRECTED:
         raise PreconditionError("the two-level solver handles undirected instances only")
@@ -170,21 +171,21 @@ def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = N
         cert = {"branch": "degenerate", **base.certificate}
         return SolveReport(base.incentives, base.cost, "two-level", cert)
     view, verts = instance.compiled, instance.vertices
-    m, out, position = view.min_weight, view.out, view.position
+    m, out = view.min_weight, view.out
     if removed_edge is None:
         a, b = min((i, j) for i, pairs in enumerate(out) for j, w in pairs if w == m and i < j)
     else:
         chosen = (min(removed_edge), max(removed_edge))
-        a, b = position.get(chosen[0]), position.get(chosen[1])
-        if a is None or (b, m) not in out[a]:
-            raise ValueError(f"edge {chosen} is not a minimum-weight edge")
-    residual = [r - m if i in (a, b) else r for i, r in enumerate(view.totals)]
-    paid, ordering = _peel_or_fail(instance, residual, (a, b))
-    reduced = list(out)
-    reduced[a] = [(j, w) for j, w in out[a] if j != b]
-    reduced[b] = [(j, w) for j, w in out[b] if j != a]
-    need = [t - x for t, x in zip(view.tau, paid)]
-    if not _activates_all(CompiledInstance(view.scale, position, view.tau, reduced, reduced), (), need):
+        not_edge = f"edge {chosen} is not a minimum-weight edge"
+        a, b = _positions(instance, chosen, not_edge)
+        if (b, m) not in out[a]:
+            raise ValueError(not_edge)
+    adjacency = list(out)
+    adjacency[a] = [(j, w) for j, w in out[a] if j != b]
+    adjacency[b] = [(j, w) for j, w in out[b] if j != a]
+    reduced = CompiledInstance(view.scale, view.position, view.tau, adjacency, adjacency)
+    paid, ordering = _peel_or_fail(instance, reduced)
+    if not _activates_all(reduced, (), [t - x for t, x in zip(view.tau, paid)]):
         raise VerificationError("degenerate incentive vector failed engine verification")
     cert = {"branch": "split", "removed_edge": f"{verts[a]} {verts[b]}", "ordering": ordering}
     return _certified_report(instance, paid, "two-level", cert)

@@ -38,6 +38,7 @@ from .instance import (
     UNDIRECTED,
     Instance,
     canonical_edges,
+    _check_incentives,
     _fraction,
     _rational_pair,
     format_rational,
@@ -272,6 +273,7 @@ def serialize_wtg(instance: Instance, incentives: dict[int, Fraction] | None = N
 
     parse(serialize(x)) keeps x's mode, vertices, thresholds and edge set and
     serializes to the same bytes, but lists the edges in canonical order.
+    Incentives that `parse_wtg` would refuse raise as in `_check_incentives`.
     """
     lines = ["wtg 1", f"mode {instance.mode}", f"n {instance.n}"]
     for v in instance.vertices:
@@ -279,6 +281,7 @@ def serialize_wtg(instance: Instance, incentives: dict[int, Fraction] | None = N
     for u, v, w in canonical_edges(instance):
         lines.append(f"e {u} {v} {format_rational(w)}")
     if incentives is not None:
+        _check_incentives(instance, incentives)
         for v in instance.vertices:
             lines.append(f"p {v} {format_rational(incentives.get(v, Fraction(0)))}")
     return "\n".join(lines) + "\n"

@@ -214,11 +214,13 @@ def test_failed_self_verification_exits_5(fixtures, capsys, monkeypatch, path, p
     (("validate", "DIR"), False, 2, "error: [Errno 21]"),
     (("gen", "-o", "DIR"), False, 2, "error: [Errno 21]"),
     (("simulate", "fixtures/p3.wtg", "--seed-set", "9"), False, 2, "error: "),
+    (("simulate", "fixtures/p3.wtg", "--incentives", "golden/inputs/incentives_halves.wtg"), False, 2,
+     "error: incentive given for unknown vertex 4\n"),
     (("solve", "--method", "two-level", "fixtures/k3_weighted.wtg"), False, 3, "precondition not met: "),
     (("oracle", "target-set", "fixtures/p3.wtg", "--limit-n", "2"), False, 4, "oracle limit: "),
     (("solve", "fixtures/p3.wtg"), True, 5, "verification failed: "),
 ], ids=["usage", "parse", "validation", "missing-file", "directory", "output-directory",
-        "unknown-seed-vertex", "precondition", "limit", "verification"])
+        "unknown-seed-vertex", "unknown-incentive-vertex", "precondition", "limit", "verification"])
 def test_each_exit_table_row(fixtures, tmp_path, capsys, monkeypatch,
                              argv, broken_verification, code, prefix):
     (tmp_path / "garbage.wtg").write_text("garbage\n")

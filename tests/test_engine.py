@@ -17,8 +17,10 @@ from targetset import (
     incentive_cost,
     is_target_set,
     is_target_vector,
+    kappa_complement_check,
     run_activation,
     run_with_incentives,
+    solve_two_level,
     tss_to_complete,
 )
 
@@ -124,6 +126,18 @@ def test_inexact_seed_ids_raise_type_error(seed):
     for run in (run_activation, is_target_set):
         with pytest.raises(TypeError, match="expected an int"):
             run(path3(), seed)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_with_incentives(path3(), {True: Fraction(1)}),
+    lambda: kappa_complement_check(path3(), {True}),
+    lambda: build_incentives(path3(), {True: 1, 1: 2}),
+    lambda: solve_two_level(triangle(), removed_edge=(True, 2)),
+], ids=["incentive-key", "kappa-target", "build-incentives-key", "removed-edge"])
+def test_bool_vertex_ids_raise_type_error(call):
+    # Each used to answer for vertex 1.
+    with pytest.raises(TypeError, match="vertex id True is a bool, expected an int"):
+        call()
 
 
 def _random_instance_and_seeds(seed):

@@ -108,6 +108,29 @@ def test_negative_incentive_rejected():
     assert "negative incentive" in str(err)
 
 
+@pytest.mark.parametrize("incentives, error, message", [
+    ({1: 0.5}, TypeError, "incentive 0.5 at vertex 1 is a float, expected an int or Fraction"),
+    ({1: -1}, ValueError, "negative incentive -1 at vertex 1"),
+    ({9: 1}, ValueError, "incentive given for unknown vertex 9"),
+    ({True: Fraction(1, 2)}, TypeError, "vertex id True is a bool, expected an int"),
+], ids=["float", "negative", "unknown-vertex", "bool-id"])
+def test_serialize_refuses_incentives_the_parser_refuses(incentives, error, message):
+    # These used to be written as `p` lines the parser rejects, dropped, or written for vertex 1.
+    p3 = build_instance(UNDIRECTED, 3, [(1, 2), (2, 3)], 1)
+    with pytest.raises(error) as got:
+        serialize_wtg(p3, incentives)
+    assert str(got.value) == message
+
+
+def test_serialized_incentives_round_trip():
+    p3 = build_instance(UNDIRECTED, 3, [(1, 2), (2, 3)], 1)
+    text = serialize_wtg(p3, {3: 2, 1: Fraction(1, 2)})
+    parsed, incentives = parse_wtg(text)
+    assert parsed == p3
+    assert incentives == {1: Fraction(1, 2), 2: 0, 3: 2} and list(incentives) == [1, 2, 3]
+    assert serialize_wtg(parsed, incentives) == text
+
+
 _LONG = "7" * 5000  # more digits than CPython converts by default (4300)
 
 
