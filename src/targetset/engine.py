@@ -39,17 +39,18 @@ def build_incentives(instance: Instance, values) -> dict[int, Fraction]:
     """Coerce `values` into a full per-vertex incentive map.
 
     Accepts a map (missing vertices get 0), a sequence in ascending id order,
-    or a single value broadcast to every vertex; a map must pass `_check_incentives`.
+    or a single value broadcast to every vertex; each form must pass `_check_incentives`.
     """
     if isinstance(values, Mapping):
         given = {v: _coerce(x) for v, x in values.items()}
-        _check_incentives(instance, given)
-        return {v: given.get(v, Fraction(0)) for v in instance.vertices}
-    if isinstance(values, (list, tuple)):
+    elif isinstance(values, (list, tuple)):
         if len(values) != instance.n:
             raise ValueError(f"{len(values)} incentives for {instance.n} vertices")
-        return {v: _coerce(x) for v, x in zip(instance.vertices, values)}
-    return {v: _coerce(values) for v in instance.vertices}
+        given = {v: _coerce(x) for v, x in zip(instance.vertices, values)}
+    else:
+        given = dict.fromkeys(instance.vertices, _coerce(values))
+    _check_incentives(instance, given)
+    return {v: given.get(v, Fraction(0)) for v in instance.vertices}
 
 
 def _spread(view: CompiledInstance, seed, need) -> list[list[int]]:

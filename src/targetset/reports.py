@@ -36,7 +36,9 @@ def _simulate_text(rounds: list[list[int]], names: list[str], total_vertices: in
     final = names if reached == len(names) else map(at, sorted([i for r in rounds for i in r]))
     lines = ["report simulate", f"activated_all {'true' if reached == total_vertices else 'false'}",
              f"rounds {len(rounds) - 1}"]
-    lines += [f"round {t} {' '.join(map(at, sorted(r)))}".rstrip() for t, r in enumerate(rounds)]
+    # Most rounds of a deep cascade hold one position; only round 0 can be empty.
+    lines += [f"round {t} {at(r[0])}" if len(r) == 1 else f"round {t} {' '.join(map(at, sorted(r)))}".rstrip()
+              for t, r in enumerate(rounds)]
     return _finish(lines + [f"final {' '.join(final)}".rstrip()])
 
 

@@ -16,8 +16,9 @@ ascending.
 
 `parse_wtg` has two paths. A document in the layout `serialize_wtg` writes
 (single spaces, `\n` line ends, no comment or blank line; `v` lines, then
-`e` lines, then `p` lines, in any order within each block) is checked by
-regexes and read in bulk, with every check on whole lists and sets. Any
+`e` lines, then `p` lines, in any order within each block; in undirected
+mode every edge written low id first) is checked by regexes and read in
+bulk, with every check on whole lists and sets. Any
 other document, and any document that fails a check, goes to the line
 parser, which alone raises `WtgParseError`: a message, its line and its
 column never depend on the path. Both paths end in one tail, which hands the
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import eq
+from operator import eq, gt, lt
 
 from .errors import WtgParseError
 from .instance import (
@@ -119,24 +120,32 @@ def _parse_bulk(text: str) -> tuple[Instance, dict[int, Fraction] | None] | None
         # The vertex count and duplicate ids fail before the edge block, most of a file, is split.
         if not 1 <= declared_n == len(ids) == len(tau):
             return None
-        vertices = sorted(map(int, ids))
-        at = dict(zip(map(str, vertices), range(declared_n))).__getitem__
+        vertices = list(map(int, ids))
+        # An id token has no leading zero, so it is `str` of its id; ascending ids, as `serialize_wtg`
+        # writes them, keep their tokens and thresholds in the order read.
+        if any(map(gt, vertices, vertices[1:])):
+            vertices.sort()
+            ids = list(map(str, vertices))
+            tau_tokens = list(map(tau.__getitem__, ids))
+        at = dict(zip(ids, range(declared_n))).__getitem__
         (tails, heads), weight_tokens = _columns(text[e_at:p_at], _E_LINE, 4)
         (pids,), incentive_tokens = _columns(text[p_at:], _P_LINE, 3)
         tails, heads, pids = [list(map(at, column)) for column in (tails, heads, pids)]
         numbers = {t: _rational_pair(t) for t in {*tau_tokens, *weight_tokens}}
-        paid = {t: _rational_pair(t) for t in set(incentive_tokens)}
+        paid = {t: _fraction(*_rational_pair(t)) for t in set(incentive_tokens)}
     except (ValueError, KeyError):  # a line out of layout, an undeclared id, a malformed number or an over-long id
         return None
-    pairs = set(zip(tails, heads))
-    if (any(map(eq, tails, heads)) or len(pairs) != len(tails)
-            or (mode == UNDIRECTED and not pairs.isdisjoint(zip(heads, tails)))
-            or len(set(pids)) != len(pids) or any(num < 0 for num, _ in paid.values())):
+    # Positions ascend with ids. Undirected edges come low id first, which rules out self-loops and
+    # a pair written both ways; an edge written high id first goes to the line parser.
+    if not all(map(lt, tails, heads)) if mode == UNDIRECTED else any(map(eq, tails, heads)):
         return None
-    incentives = {vertices[i]: _fraction(*paid[t]) for i, t in zip(pids, incentive_tokens)}
-    del ids, pids, pairs  # before the view is built
-    return (Instance._from_values(mode, tuple(vertices), tails, heads, weight_tokens,
-                                  list(map(tau.__getitem__, map(str, vertices))), numbers), incentives or None)
+    if (len(set(zip(tails, heads))) != len(tails) or len(set(pids)) != len(pids)
+            or any(x.numerator < 0 for x in paid.values())):
+        return None
+    incentives = dict(zip(map(vertices.__getitem__, pids), map(paid.__getitem__, incentive_tokens)))
+    del ids, tau, pids  # before the view is built
+    return (Instance._from_values(mode, tuple(vertices), tails, heads, weight_tokens, tau_tokens, numbers),
+            incentives or None)
 
 
 def _columns(block: str, line: re.Pattern, width: int) -> tuple[list[list[str]], list[str]]:

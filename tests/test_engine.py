@@ -128,6 +128,16 @@ def test_inexact_seed_ids_raise_type_error(seed):
             run(path3(), seed)
 
 
+@pytest.mark.parametrize("values, message", [
+    (-1, "negative incentive -1 at vertex 1"),
+    ([0, -2, "1/2"], "negative incentive -2 at vertex 2"),
+], ids=["broadcast", "sequence"])
+def test_build_incentives_refuses_negative_values_in_every_form(values, message):
+    # The map form already went through `_check_incentives`; these two used to pay the negative value.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_incentives(path3(), values)
+
+
 @pytest.mark.parametrize("call", [
     lambda: run_with_incentives(path3(), {True: Fraction(1)}),
     lambda: kappa_complement_check(path3(), {True}),

@@ -9,7 +9,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from targetset import (
     DIRECTED,
@@ -69,6 +69,23 @@ def _rational_outcome(parse, text):
                                   "0", "+0/7", "1.5", "", "3/", "/3", "+-1", " 1"])
 def test_parse_rational_matches_fraction_reference(text):
     assert _rational_outcome(parse_rational, text) == _rational_outcome(_reference_parse_rational, text)
+
+
+# Unsigned tokens skip the regex, so draw signs, separators and both scripts' digits around them.
+@given(st.text(alphabet="0123456789٠١٢٣٤٥٦٧٨٩+-/_ .", max_size=12))
+@example("١/٠")
+@example("3/00")
+@example("-0")
+@example("7" * 4400)
+@example("1/" + "٧" * 4400)
+@settings(max_examples=500, deadline=None)
+def test_parse_rational_matches_fraction_reference_on_drawn_tokens(text):
+    expected = _rational_outcome(_reference_parse_rational, text)
+    if expected[0] == "error" and expected[1].startswith("Exceeds the limit"):
+        # Past `int`'s digit limit `Fraction` repeats the interpreter's message; the library names the length.
+        digits = max(len(part.lstrip("+-")) for part in text.split("/"))
+        expected = ("error", f"integer of {digits} digits is too long")
+    assert _rational_outcome(parse_rational, text) == expected
 
 
 def test_validate_minimal_instance_ok():
