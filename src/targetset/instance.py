@@ -46,18 +46,6 @@ def parse_rational(text: str) -> Fraction:
 
 def _rational_pair(text: str) -> tuple[int, int]:
     """`parse_rational(text)` as its numerator and denominator, with the same ValueErrors."""
-    # Unsigned digits need no regex: `str.isdecimal` takes the Unicode Nd digits that `\d` and `int`
-    # take. A sign, a zero denominator and a token past `int`'s digit limit go on to the regex
-    # below, which words every message.
-    num, slash, den = text.partition("/")
-    if num.isdecimal() and (not slash or den.isdecimal()):
-        try:
-            pair = int(num), int(den) if slash else 1
-        except ValueError:
-            pass
-        else:
-            if pair[1]:
-                return _reduced(*pair)
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ValueError(f"not an integer or integer/integer rational: {text!r}")

@@ -15,10 +15,10 @@ sorted with undirected endpoints written low id first, then incentives
 ascending.
 
 `parse_wtg` has two paths. A document in the layout `serialize_wtg` writes
-(single spaces, `\n` line ends, no comment or blank line; `v` lines, then
-`e` lines, then `p` lines, in any order within each block; in undirected
-mode every edge written low id first) is checked by regexes and read in
-bulk, with every check on whole lists and sets. Any
+(single spaces, `\n` line ends, no comment or blank line; `v` lines with
+ids ascending, then `e` lines, then `p` lines, each of these two blocks in
+any order; in undirected mode every edge written low id first) is checked
+by regexes and read in bulk, with every check on whole lists and sets. Any
 other document, and any document that fails a check, goes to the line
 parser, which alone raises `WtgParseError`: a message, its line and its
 column never depend on the path. Both paths end in one tail, which hands the
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import eq, gt, lt
+from operator import eq, lt
 
 from .errors import WtgParseError
 from .instance import (
@@ -116,17 +116,11 @@ def _parse_bulk(text: str) -> tuple[Instance, dict[int, Fraction] | None] | None
     try:
         declared_n = int(header.group(2))
         (ids,), tau_tokens = _columns(text[start:e_at], _V_LINE, 3)
-        tau = dict(zip(ids, tau_tokens))
-        # The vertex count and duplicate ids fail before the edge block, most of a file, is split.
-        if not 1 <= declared_n == len(ids) == len(tau):
-            return None
         vertices = list(map(int, ids))
-        # An id token has no leading zero, so it is `str` of its id; ascending ids, as `serialize_wtg`
-        # writes them, keep their tokens and thresholds in the order read.
-        if any(map(gt, vertices, vertices[1:])):
-            vertices.sort()
-            ids = list(map(str, vertices))
-            tau_tokens = list(map(tau.__getitem__, ids))
+        # The vertex count, and ids out of `serialize_wtg`'s strictly ascending order (a duplicate
+        # among them), fail before the edge block, most of a file, is split.
+        if not 1 <= declared_n == len(ids) or not all(map(lt, vertices, vertices[1:])):
+            return None
         at = dict(zip(ids, range(declared_n))).__getitem__
         (tails, heads), weight_tokens = _columns(text[e_at:p_at], _E_LINE, 4)
         (pids,), incentive_tokens = _columns(text[p_at:], _P_LINE, 3)
@@ -143,7 +137,7 @@ def _parse_bulk(text: str) -> tuple[Instance, dict[int, Fraction] | None] | None
             or any(x.numerator < 0 for x in paid.values())):
         return None
     incentives = dict(zip(map(vertices.__getitem__, pids), map(paid.__getitem__, incentive_tokens)))
-    del ids, tau, pids  # before the view is built
+    del ids, pids  # before the view is built
     return (Instance._from_values(mode, tuple(vertices), tails, heads, weight_tokens, tau_tokens, numbers),
             incentives or None)
 

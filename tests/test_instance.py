@@ -71,7 +71,7 @@ def test_parse_rational_matches_fraction_reference(text):
     assert _rational_outcome(parse_rational, text) == _rational_outcome(_reference_parse_rational, text)
 
 
-# Unsigned tokens skip the regex, so draw signs, separators and both scripts' digits around them.
+# Signs, separators and both scripts' digits, with zero denominators and tokens past `int`'s digit limit.
 @given(st.text(alphabet="0123456789٠١٢٣٤٥٦٧٨٩+-/_ .", max_size=12))
 @example("١/٠")
 @example("3/00")

@@ -294,15 +294,11 @@ _BULK_FALLBACKS = [
     _BASE + "p 2 0\np 0 1\n",
     _BASE + "p 1 1\np 2 1/2\np 1 1\n",  # a repeated id
     "wtg 1\nmode undirected\nn 3\nv 1 0\nv 2 1\nv 3 1/2\ne 1 2 1\ne 3 2 1/2\n",  # an edge high id first
-]
-_RARE_CASES += _BULK_FALLBACKS
-# Read in bulk, though `serialize_wtg` writes neither: `v` lines in descending order, and `e` lines
-# out of order within their block.
-_BULK_READS = [
+    # `v` lines in descending order, undirected and directed
     "wtg 1\nmode undirected\nn 3\nv 30 1\nv 20 1/3\nv 10 0\ne 20 30 1\ne 10 30 2/3\n",
     "wtg 1\nmode directed\nn 3\nv 9 1\nv 5 0\nv 1 1/2\ne 9 5 1\ne 5 1 1/2\ne 1 9 3\np 9 1\np 1 1/2\n",
 ]
-_RARE_CASES += _BULK_READS
+_RARE_CASES += _BULK_FALLBACKS
 
 
 @pytest.mark.parametrize("text", _RARE_CASES)
@@ -373,12 +369,6 @@ def test_rare_cases_bulk_path_matches_line_parser(text):
 def test_bulk_fallbacks_take_the_line_parsers_outcome(text):
     assert _parse_bulk(text) is None
     assert _full_outcome(parse_wtg, text) == _full_outcome(_parse_lines, text)
-
-
-@pytest.mark.parametrize("text", _BULK_READS)
-def test_bulk_reads_match_reference(text):
-    assert _assert_bulk_matches_lines(text)
-    assert _outcome(_parse_bulk, text) == _outcome(_parse_wtg, text)
 
 
 @st.composite
