@@ -233,7 +233,8 @@ class CompiledInstance:
     @cached_property
     def totals(self) -> tuple[int, ...]:
         """Scaled incident weight sum of each position (incoming in directed mode)."""
-        return tuple([sum(map(itemgetter(1), pairs)) for pairs in self.incoming])
+        weight = itemgetter(1)  # one getter for every list
+        return tuple([sum(map(weight, pairs)) for pairs in self.incoming])
 
     @cached_property
     def min_weight(self) -> int:

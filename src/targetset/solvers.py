@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .degeneracy import _peel, _require_undirected
 from .engine import _activates_all, is_target_set
@@ -57,14 +58,15 @@ def approx_target_set(instance: Instance) -> ApproxTargetSetResult:
     seeding the rest always works; the seed size is within tau_max / c of
     optimal, where c is the smallest positive slack.
     """
-    slacks, _ = _peel_or_fail(instance, instance.compiled)
-    seed = frozenset(v for v, slack in zip(instance.vertices, slacks) if slack > 0)
+    view = instance.compiled
+    slacks = _peel_or_fail(instance, view, list(view.totals))
+    seed = frozenset(instance.vertices[i] for i, slack in slacks.items() if slack > 0)
     if not is_target_set(instance, seed):
         raise VerificationError("degenerate seed selection failed engine verification")
-    scale = instance.compiled.scale
-    tau_max = Fraction(max(instance.compiled.tau, default=0), scale)
+    scale = view.scale
+    tau_max = Fraction(max(view.tau, default=0), scale)
     if seed:
-        c = Fraction(min(slack for slack in slacks if slack > 0), scale)
+        c = Fraction(min(slack for slack in slacks.values() if slack > 0), scale)
         ratio = tau_max / c
     else:
         c = None
@@ -75,27 +77,38 @@ def approx_target_set(instance: Instance) -> ApproxTargetSetResult:
 def _certified_report(instance: Instance, paid: list[int], method: str, cert: dict[str, str]) -> SolveReport:
     """Certify the scaled incentives `paid` with the engine, then make the report's Fractions."""
     view = instance.compiled
-    for v, x in zip(instance.vertices, paid):
-        if x < 0:
-            raise ValueError(f"negative incentive {Fraction(x, view.scale)} at vertex {v}")
+    if min(paid, default=0) < 0:
+        v, x = next((v, x) for v, x in zip(instance.vertices, paid) if x < 0)
+        raise ValueError(f"negative incentive {Fraction(x, view.scale)} at vertex {v}")
     # Each payment is a whole number of 1/scale units, so the need is exact.
-    if not _activates_all(view, (), [t - x for t, x in zip(view.tau, paid)]):
+    if not _activates_all(view, (), list(map(sub, view.tau, paid))):
         raise VerificationError(f"{method} incentive vector failed engine verification")
     value = {x: Fraction(x, view.scale) for x in set(paid)}  # one Fraction per distinct payment
-    p = {v: value[x] for v, x in zip(instance.vertices, paid)}
+    p = dict(zip(instance.vertices, map(value.__getitem__, paid)))
     return SolveReport(p, Fraction(sum(paid), view.scale), method, cert)
 
 
-def _peel_or_fail(instance: Instance, view: CompiledInstance) -> tuple[list[int], str]:
-    """Peel all of `view`, the instance's or a spanning subgraph's; return the slacks by position and the ordering."""
+def _peel_or_fail(instance: Instance, view: CompiledInstance, residual: list[int]) -> dict[int, int]:
+    """Peel all of `view`, the instance's or a spanning subgraph's, from the weights `residual` each
+    position receives in it; return the slacks by position, in deletion order."""
     _require_undirected(instance, "degeneracy")
-    verts = instance.vertices
     alive = [True] * instance.n
-    slacks = _peel(view, view.tau, list(view.totals), alive)
+    slacks = _peel(view, view.tau, residual, alive)
     if len(slacks) < instance.n:
-        stuck = [v for v, live in zip(verts, alive) if live]
+        stuck = [v for v, live in zip(instance.vertices, alive) if live]
         raise PreconditionError(f"thresholds are not degenerate; peeling sticks on {stuck}")
-    return [slacks[i] for i in range(instance.n)], " ".join(str(verts[i]) for i in reversed(slacks))
+    return slacks
+
+
+def _ordering(instance: Instance, slacks: dict[int, int]) -> str:
+    """The certifying ordering of a complete peel: its deletion order reversed, as ids."""
+    return " ".join(map(str, map(instance.vertices.__getitem__, reversed(slacks))))
+
+
+def _degenerate_report(instance: Instance, slacks: dict[int, int]) -> SolveReport:
+    """Each vertex paid its slack from a complete peel of the instance."""
+    paid = list(map(slacks.__getitem__, range(instance.n)))
+    return _certified_report(instance, paid, "degenerate", {"ordering": _ordering(instance, slacks)})
 
 
 def solve_degenerate(instance: Instance) -> SolveReport:
@@ -104,8 +117,8 @@ def solve_degenerate(instance: Instance) -> SolveReport:
     The cost telescopes to (sum of thresholds) - (sum of edge weights), which
     matches the universal lower bound, so the vector is optimal.
     """
-    paid, order = _peel_or_fail(instance, instance.compiled)
-    return _certified_report(instance, paid, "degenerate", {"ordering": order})
+    view = instance.compiled
+    return _degenerate_report(instance, _peel_or_fail(instance, view, list(view.totals)))
 
 
 def target_vector_lower_bound(instance: Instance) -> Fraction:
@@ -156,9 +169,6 @@ def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = N
     for the original, since extra edges only add influence. The cost is the
     same for every choice of removed edge. `removed_edge` overrides the
     default (smallest endpoint pair), mainly so tests can sweep all choices.
-
-    The reduced graph is an integer view without the edge, peeled like any
-    other; the engine verifies the vector on it and on the instance.
     """
     if instance.mode != UNDIRECTED:
         raise PreconditionError("the two-level solver handles undirected instances only")
@@ -170,24 +180,46 @@ def solve_two_level(instance: Instance, removed_edge: tuple[int, int] | None = N
         base = solve_degenerate(instance)
         cert = {"branch": "degenerate", **base.certificate}
         return SolveReport(base.incentives, base.cost, "two-level", cert)
-    view, verts = instance.compiled, instance.vertices
-    m, out = view.min_weight, view.out
+    view = instance.compiled
     if removed_edge is None:
-        a, b = min((i, j) for i, pairs in enumerate(out) for j, w in pairs if w == m and i < j)
-    else:
-        chosen = (min(removed_edge), max(removed_edge))
-        not_edge = f"edge {chosen} is not a minimum-weight edge"
-        a, b = _positions(instance, chosen, not_edge)
-        if (b, m) not in out[a]:
-            raise ValueError(not_edge)
+        return _split_report(instance, *_first_min_edge(view))
+    chosen = (min(removed_edge), max(removed_edge))
+    not_edge = f"edge {chosen} is not a minimum-weight edge"
+    a, b = _positions(instance, chosen, not_edge)
+    if (b, view.min_weight) not in view.out[a]:
+        raise ValueError(not_edge)
+    return _split_report(instance, a, b)
+
+
+def _first_min_edge(view: CompiledInstance) -> tuple[int, int]:
+    """The smallest position pair (a, b), a < b, joined by a minimum-weight edge."""
+    m, out = view.min_weight, view.out
+    a = next(i for i, pairs in enumerate(out) if any(w == m and i < j for j, w in pairs))
+    return a, min(j for j, w in out[a] if w == m and a < j)
+
+
+def _split_report(instance: Instance, a: int, b: int) -> SolveReport:
+    """Two-level's split branch for an all-low instance: each vertex paid its slack once the
+    minimum-weight edge between positions a and b is gone.
+
+    The reduced graph is an integer view without the edge, peeled like any
+    other; the engine verifies the vector on it and on the instance.
+    """
+    view, out = instance.compiled, instance.compiled.out
     adjacency = list(out)
     adjacency[a] = [(j, w) for j, w in out[a] if j != b]
     adjacency[b] = [(j, w) for j, w in out[b] if j != a]
     reduced = CompiledInstance(view.scale, view.position, view.tau, adjacency, adjacency)
-    paid, ordering = _peel_or_fail(instance, reduced)
-    if not _activates_all(reduced, (), [t - x for t, x in zip(view.tau, paid)]):
+    # Only the two endpoints lose weight: the edge's, the minimum.
+    residual = list(view.totals)
+    residual[a] -= view.min_weight
+    residual[b] -= view.min_weight
+    slacks = _peel_or_fail(instance, reduced, residual)
+    paid = list(map(slacks.__getitem__, range(instance.n)))
+    if not _activates_all(reduced, (), list(map(sub, view.tau, paid))):
         raise VerificationError("degenerate incentive vector failed engine verification")
-    cert = {"branch": "split", "removed_edge": f"{verts[a]} {verts[b]}", "ordering": ordering}
+    verts = instance.vertices
+    cert = {"branch": "split", "removed_edge": f"{verts[a]} {verts[b]}", "ordering": _ordering(instance, slacks)}
     return _certified_report(instance, paid, "two-level", cert)
 
 
@@ -209,25 +241,32 @@ def solve_min_or_full(instance: Instance) -> SolveReport:
         raise PreconditionError("the min-or-full solver handles undirected instances only")
     if not any(instance.compiled.out):
         raise PreconditionError("the min-or-full solver needs at least one edge")
-    view, verts, n = instance.compiled, instance.vertices, instance.n
-    scale, mu, tau, totals, out = view.scale, view.min_weight, view.tau, view.totals, view.out
-    low = [t == mu for t in tau]
-    for v, t, total, is_low in zip(verts, tau, totals, low):
-        if not is_low and t != total:
+    view = instance.compiled
+    scale, mu = view.scale, view.min_weight
+    for v, t, total in zip(instance.vertices, view.tau, view.totals):
+        if t != mu and t != total:
             raise PreconditionError(
                 f"vertex {v} has threshold {Fraction(t, scale)}, expected the minimum "
                 f"edge weight {Fraction(mu, scale)} or its incident sum {Fraction(total, scale)}"
             )
+    return _min_or_full_report(instance)
+
+
+def _min_or_full_report(instance: Instance) -> SolveReport:
+    """Min-or-full's closed-form payments, for an instance with an edge whose thresholds fit the pattern."""
+    view, n = instance.compiled, instance.n
+    mu, out = view.min_weight, view.out
+    low = [t == mu for t in view.tau]
     # Components are found in ascending id order, so each starts at its smallest member.
     label = _label_components(view, [i for i in range(n) if low[i]], low)
     paid = [mu if label[i] == i else 0 for i in range(n)]
-    subdivisions = 0
+    inside = 0  # twice the edges inside the low part; every other edge is subdivided
     for u, pairs in enumerate(out):
-        for v, w in pairs:
-            if u < v and not (low[u] and low[v]):
-                subdivisions += 1
-                if not (low[u] or low[v]):
-                    paid[u] += w  # u < v, so u is the smaller endpoint
+        if low[u]:
+            inside += sum([low[v] for v, _ in pairs])
+        else:
+            paid[u] += sum([w for v, w in pairs if u < v and not low[v]])  # u is the smaller endpoint
+    subdivisions = (sum(map(len, out)) - inside) // 2
     k = sum(label[i] == i for i in range(n))
     cert = {"low_components": str(k), "subdivisions": str(subdivisions), "high_vertices": str(low.count(False))}
     return _certified_report(instance, paid, "min-or-full", cert)
@@ -260,15 +299,29 @@ def vertex_cover_target_set(instance: Instance) -> VertexSet:
 
 
 def classify_and_solve(instance: Instance) -> SolveReport | None:
-    """The class solvers tried in order: degenerate, two-level, min-or-full.
+    """The report of the first class solver whose class holds: degenerate, two-level, min-or-full.
 
-    Returns the first report; a solver that raises PreconditionError is
-    skipped, while ValueError and VerificationError propagate. Returns None
-    when no class applies (callers may fall back to the exhaustive oracle).
+    Gives what trying `solve_degenerate`, `solve_two_level` and
+    `solve_min_or_full` in that order gives, with the work done once. The
+    instance is peeled once; a complete peel is the degenerate report.
+    Otherwise two-level's degenerate branch would fail on the same peel, so
+    only its split remains: every threshold its incident sum minus the
+    minimum weight, on a connected instance. Failing that, the min-or-full
+    pattern is tested. Directed instances fit no class. Returns None when no
+    class applies (callers may fall back to the exhaustive oracle);
+    ValueError and VerificationError propagate.
     """
-    for solve in (solve_degenerate, solve_two_level, solve_min_or_full):
-        try:
-            return solve(instance)
-        except PreconditionError:
-            pass  # not this class
+    if instance.mode != UNDIRECTED:
+        return None
+    view, n = instance.compiled, instance.n
+    slacks = _peel(view, view.tau, list(view.totals), [True] * n)
+    if len(slacks) == n:
+        return _degenerate_report(instance, slacks)
+    # An edgeless instance always peels, so there is an edge. So does one with every vertex at its
+    # incident sum, so a two-level instance here has mu > 0 and no vertex at its sum.
+    mu, tau, totals = view.min_weight, view.tau, view.totals
+    if tau == tuple([total - mu for total in totals]) and is_connected(instance):
+        return _split_report(instance, *_first_min_edge(view))
+    if {t for t, total in zip(tau, totals) if t != total} <= {mu}:
+        return _min_or_full_report(instance)
     return None

@@ -1,10 +1,14 @@
 """Polynomial solvers against frozen examples and the exhaustive oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import model
+import targetset.instance as instance_module
+from targetset import solvers
 from targetset import (
     DIRECTED,
     GenSpec,
@@ -256,6 +260,54 @@ def test_classify_unsupported_patterns():
     )
     assert classify_and_solve(k4) is None
     assert classify_and_solve(build_instance(DIRECTED, 2, [(1, 2)], 1)) is None
+
+
+def _unit_triangle_and(extra_edges, extra_tau):
+    """The stuck all-low unit triangle on 1, 2, 3 plus further edges and thresholds."""
+    tau = {1: 1, 2: 1, 3: 1, **extra_tau}
+    return build_instance(UNDIRECTED, len(tau), [(1, 2), (1, 3), (2, 3), *extra_edges], tau)
+
+
+@pytest.mark.parametrize("inst, method", [
+    # A saturated vertex peels at once and frees its neighbours on the all-low side, so a two-level
+    # instance that does not peel is disconnected, and two-level refuses it: min-or-full or nothing.
+    (_unit_triangle_and([(4, 5)], {4: 1, 5: 1}), "min-or-full"),
+    (_unit_triangle_and([(4, 5)], {4: 1, 5: 0}), None),
+    # All-low but disconnected: min-or-full when every threshold is also mu, else nothing.
+    (_unit_triangle_and([(4, 5), (4, 6), (5, 6)], {4: 1, 5: 1, 6: 1}), "min-or-full"),
+    (_unit_triangle_and([(4, 5, 2), (4, 6, 2), (5, 6, 2)], {4: 3, 5: 3, 6: 3}), None),
+    # mu = 0: all-low would be saturated, so only min-or-full can hold.
+    (build_instance(UNDIRECTED, 3, [(1, 2, 1), (2, 3, 0)], 0), "min-or-full"),
+    (_unit_triangle_and([(3, 4, 0)], {4: 0}), None),
+], ids=["saturated-min-or-full", "saturated-none", "disconnected-min-or-full", "disconnected-none",
+        "zero-weight-min-or-full", "zero-weight-none"])
+def test_classify_falls_through_as_trying_each_solver_does(inst, method):
+    report = classify_and_solve(inst)
+    assert report == model.outcome(model.classify_and_solve, inst)
+    assert (report and report.method) == method
+
+
+@pytest.mark.parametrize("inst, peels, passes", [
+    (path3(), 1, 0),
+    (triangle(1), 2, 1),  # the instance's peel, then the split's peel without the removed edge
+    (build_instance(UNDIRECTED, 3, [(1, 2, 1), (1, 3, 2), (2, 3, 2)], 1), 1, 1),
+    (build_instance(UNDIRECTED, 4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], "5/2"), 1, 0),
+], ids=["degenerate", "all-low-two-level", "min-or-full", "no-class"])
+def test_classify_peels_once_and_labels_components_only_when_needed(monkeypatch, inst, peels, passes):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(solvers, "_peel", counted("peel", solvers._peel))
+    label = counted("components", instance_module._label_components)
+    monkeypatch.setattr(instance_module, "_label_components", label)
+    monkeypatch.setattr(solvers, "_label_components", label)
+    classify_and_solve(inst)
+    assert (calls["peel"], calls["components"]) == (peels, passes)
 
 
 # ------------------------------------------------- random oracle spot sweep

@@ -7,7 +7,8 @@ vertex its slack from its own peel, removes the edge from the peel, finds
 components by merging edge by edge and states min-or-full's closed form
 over Fractions. Every solver, `classify_and_solve` and each choice of
 removed edge must give the same report (values, vertex order, cost,
-certificate) or the same refusal with the same message. Components, the
+certificate) or the same refusal with the same message; the dispatcher
+and the three solvers are also run on directed instances. Components, the
 connectivity test and the complement-ordering check are compared in the
 same way.
 """
@@ -48,6 +49,17 @@ def _outcome(call, *args):
 @given(_instances)
 @settings(max_examples=600, deadline=None)
 def test_solvers_match_the_model(instance):
+    assert _outcome(classify_and_solve, instance) == _outcome(model.classify_and_solve, instance)
+    assert _outcome(solve_degenerate, instance) == _outcome(model.solve_degenerate, instance)
+    assert _outcome(solve_two_level, instance) == _outcome(model.solve_two_level, instance)
+    assert _outcome(solve_min_or_full, instance) == _outcome(model.solve_min_or_full, instance)
+
+
+@given(model.patterned(("two-level", "all-low", "min-or-full", "mixed"), modes=(model.UNDIRECTED, model.DIRECTED),
+                       weights=_WEIGHTS))
+@settings(max_examples=300, deadline=None)
+def test_the_dispatcher_matches_the_model_in_both_modes(instance):
+    # The dispatcher answers None on a directed instance without asking the solvers, which refuse it.
     assert _outcome(classify_and_solve, instance) == _outcome(model.classify_and_solve, instance)
     assert _outcome(solve_degenerate, instance) == _outcome(model.solve_degenerate, instance)
     assert _outcome(solve_two_level, instance) == _outcome(model.solve_two_level, instance)
