@@ -26,6 +26,7 @@ from .degeneracy import (
     peel_ordering,
 )
 from .engine import _activates_all, _rounds, is_target_set, is_target_vector
+from .errors import OracleLimitError
 from .generators import GenSpec, generate
 from .instance import UNDIRECTED, Instance, _view_edges, min_edge_weight
 from .oracles import (
@@ -364,15 +365,56 @@ CHECKS: dict[str, tuple[_Sweep, int, int]] = {
 }
 
 
+# Worst-case work of the sweeps whose work grows without bound in max_n, as a function of
+# (instances, max_n), with its unit and the time per unit in microseconds. Measured on one core of
+# a shared 2-core host, Python 3.11, every drawn instance at the top size:
+# - prop1-preservation visits up to 2^n seed subsets of each instance, where n is at most max_n,
+#   or 6 for its cubic draws: 4.2, 4.6 and 5.9 us a seed at n = 10, 12 and 14.
+# - otv-grid compares every labelled shape, 2^(k(k-1)/2) * 4^k of each size k up to max_n, then
+#   each drawn instance: 0.10 ms a shape at 4 vertices, 0.22 ms at 5, and 0.12-0.25 ms a drawn
+#   instance at 4-6.
+_WORK: dict[str, tuple[Callable[[int, int], int], str, int]] = {
+    "prop1-preservation": (lambda instances, n: instances << max(n, 6), "seeds", 6),
+    "otv-grid": (lambda instances, n: instances + sum(2 ** (k * (k - 1) // 2) * 4 ** k for k in range(1, n + 1)),
+                 "shapes and instances", 200),
+}
+# `run_check` refuses a sweep of `_WORK` whose worst case takes longer than this many seconds.
+WORK_BUDGET_S = 60
+# Every max_n past this is over the budget for both sweeps, so the estimate stops here.
+_WORK_MAX_N = 64
+
+
+def _check_work(name: str, instances: int, max_n: int) -> None:
+    """Raise OracleLimitError, naming the estimate, if sweep `name` may take longer than the budget."""
+    if name not in _WORK:
+        return
+    estimate, unit, us = _WORK[name]
+    n = min(max_n, _WORK_MAX_N)
+    work = estimate(instances, n)
+    if work * us > WORK_BUDGET_S * 10**6:
+        # Decimal formats integers of any size; imported here, as every other run needs none of it.
+        from decimal import Decimal
+        at_least = "at least " if n < max_n else ""
+        raise OracleLimitError(
+            f"check {name} (instances {instances}, max_n {max_n}) may visit {at_least}"
+            f"{Decimal(work):.3g} {unit}, about {Decimal(work * us) / 10**6:.3g} s at {us} us each, "
+            f"over the budget of {WORK_BUDGET_S} s")
+
+
 def run_check(name: str, instances: int | None = None, max_n: int | None = None,
               seed: int | None = None) -> CheckResult:
-    """Run a named sweep; omitted parameters use the sweep's own defaults."""
+    """Run a named sweep; omitted parameters use the sweep's own defaults.
+
+    A sweep of `_WORK` whose worst-case work exceeds `WORK_BUDGET_S` raises
+    OracleLimitError before the first instance.
+    """
     try:
         sweep, default_instances, default_max_n = CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}") from None
     instances = default_instances if instances is None else instances
     max_n = default_max_n if max_n is None else max_n
+    _check_work(name, instances, max_n)
     failures: list[str] = []
     checked = instances
     if sweep is _otv_grid:

@@ -222,6 +222,9 @@ class CompiledInstance:
     for `instance.vertices[i]`, the i-th smallest id; `incoming[i]` lists
     the (position, weight) pairs that can influence it and `out[i]` those
     it can influence. The lists are shared and must be treated as read-only.
+    What the solvers ask of every instance is worked out once per view, on
+    first read: `totals`, `min_weight` and `connected`, the one component
+    pass behind `is_connected`.
     """
 
     scale: int
@@ -240,6 +243,12 @@ class CompiledInstance:
     def min_weight(self) -> int:
         """Smallest scaled edge weight; raises ValueError when there are no edges."""
         return min(map(itemgetter(1), chain.from_iterable(self.out)))
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether the underlying undirected graph is connected; true with fewer than two positions."""
+        n = len(self.tau)
+        return -1 not in _label_components(self, range(min(n, 1)), [True] * n)
 
 
 def _integer_view(mode, vertices, tails, heads, weights, tau, value, den=0) -> CompiledInstance:
@@ -319,26 +328,35 @@ def _check_incentives(instance: Instance, incentives: Mapping[int, Fraction]) ->
 SUBSET_TABLE_CEILING = 32
 
 
-def _subset_weights(view: CompiledInstance) -> tuple[int, list[list[int]], list[list[int]]]:
+def _subset_weights(view: CompiledInstance, h: int | None = None) -> tuple[int, list[list[int]], list[list[int]]]:
     """The weight each position receives from every set of positions, in two halves.
 
-    Returns (h, lo, hi) with h = n // 2. Bit j of a low mask s stands for
-    position j < h, and bit k of a high mask t for position h + k; `lo[i][s]`
-    and `hi[i][t]` are the weights position i receives from those sets. So i
-    receives lo[i][mask & (2**h - 1)] + hi[i][mask >> h] from the positions
-    in a full bitmask `mask`. Each half table doubles once per position of
-    its half, the new entries adding that position's weight to the old ones:
-    n * (2**h + 2**(n - h)) entries in all. Not cached on the view, which
-    would keep them alive after the oracle that built them returns. Raises
-    OracleLimitError above `SUBSET_TABLE_CEILING` positions, before any table
-    is built.
+    Returns (h, lo, hi), the low half holding the first h positions. Bit j of
+    a low mask s stands for position j < h, and bit k of a high mask t for
+    position h + k; `lo[i][s]` and `hi[i][t]` are the weights position i
+    receives from those sets. So i receives lo[i][mask & (2**h - 1)] +
+    hi[i][mask >> h] from the positions in a full bitmask `mask`. Each half
+    table doubles once per position of its half, the new entries adding that
+    position's weight to the old ones: n * (2**h + 2**(n - h)) entries in all.
+
+    The caller picks h. The default, n // 2, gives the smallest tables, and
+    the target-set search, the degeneracy check and the target-vector
+    search (with its fallback dynamic program) use it: they read single
+    entries, and they run where the tables are large (at n = 22, n // 2
+    gives about 90k entries and n - 3 would give 11.5 M). The target-vector
+    dynamic program run alone (n <= `TARGET_VECTOR_LIMIT`) passes
+    `oracles._dp_split(n)`, a wider low half, since it pays per row of 2**h
+    sets (see `_subset_dp`). Not cached on the view, which would keep them
+    alive after the oracle that built them returns. Raises OracleLimitError
+    above `SUBSET_TABLE_CEILING` positions, before any table is built.
     """
     n = len(view.tau)
     if n > SUBSET_TABLE_CEILING:
         raise OracleLimitError(
             f"{n} vertices exceeds the subset-table ceiling of {SUBSET_TABLE_CEILING}"
         )
-    h = n // 2
+    if h is None:
+        h = n // 2
     lo, hi = [], []
     for pairs in view.incoming:
         weights = [0] * n
@@ -494,4 +512,4 @@ def connected_components(instance: Instance) -> list[VertexSet]:
 
 
 def is_connected(instance: Instance) -> bool:
-    return -1 not in _label_components(instance.compiled, range(min(instance.n, 1)), [True] * instance.n)
+    return instance.compiled.connected

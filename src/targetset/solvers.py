@@ -20,6 +20,7 @@ from .instance import (
     CompiledInstance,
     Instance,
     VertexSet,
+    _fraction,
     _label_components,
     _positions,
     _view_edges,
@@ -83,7 +84,7 @@ def _certified_report(instance: Instance, paid: list[int], method: str, cert: di
     # Each payment is a whole number of 1/scale units, so the need is exact.
     if not _activates_all(view, (), list(map(sub, view.tau, paid))):
         raise VerificationError(f"{method} incentive vector failed engine verification")
-    value = {x: Fraction(x, view.scale) for x in set(paid)}  # one Fraction per distinct payment
+    value = {x: _fraction(x, view.scale) for x in set(paid)}  # one Fraction per distinct payment
     p = dict(zip(instance.vertices, map(value.__getitem__, paid)))
     return SolveReport(p, Fraction(sum(paid), view.scale), method, cert)
 

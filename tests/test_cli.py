@@ -414,6 +414,34 @@ def test_check_lifts_the_oracle_limit_for_hub_images(capsys):
     assert "pass true" in out
 
 
+@pytest.mark.parametrize("argv, estimate", [
+    (("otv-grid", "--limit-n", "6", "--instances", "1"), "1.35e+8 shapes and instances, about 2.71e+4 s"),
+    (("prop1-preservation", "--limit-n", "26", "--instances", "5"), "3.36e+8 seeds, about 2.01e+3 s"),
+    # Past the estimate's cap on max_n the refusal names a lower bound, built without a huge integer.
+    (("prop1-preservation", "--limit-n", "9" * 4000, "--instances", "9" * 4000), "at least 1.84e+4019 seeds"),
+])
+def test_a_sweep_over_its_work_budget_exits_4_before_the_first_instance(capsys, monkeypatch, argv, estimate):
+    def unreachable(*args):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setitem(checks.CHECKS, argv[0], (unreachable, *checks.CHECKS[argv[0]][1:]))
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"oracle limit: check {argv[0]} (instances ") and err.count("\n") == 1
+    assert estimate in err and f"over the budget of {checks.WORK_BUDGET_S} s" in err
+
+
+# Every size run today: the defaults, the fixture's, `tsbench`'s and the console smoke's.
+@pytest.mark.parametrize("name, instances, max_n", [
+    *((name, instances, max_n) for name, (_, instances, max_n) in checks.CHECKS.items()),
+    *((name, 6, 2 if name == "otv-grid" else 5) for name in checks.CHECKS),
+    *((name, 16, checks.CHECKS[name][2]) for name in checks.CHECKS),
+    *((name, 2, 3) for name in checks.CHECKS),
+    ("prop1-preservation", 30, 12),
+])
+def test_every_size_in_use_is_within_the_work_budget(name, instances, max_n):
+    checks._check_work(name, instances, max_n)
+
+
 def test_deterministic_flag_makes_runs_byte_identical(fixtures, capsys):
     args = ("solve", "--method", "degenerate", str(fixtures / "p3.wtg"), "--deterministic")
     _, out1, _ = run(capsys, *args)

@@ -62,6 +62,25 @@ def test_target_vector_matches_the_model(inst):
     assert list(got.witness.items()) == list(expected.witness.items())
 
 
+# Half the weights 0, the rest rational; thresholds drawn freely or, in the
+# second strategy, at 0, at the incoming total or above it.
+_ZERO_OR_RATIONAL = st.one_of(st.just(Fraction(0)), model.WEIGHTS)
+
+
+@given(st.one_of(model.instances(weights=_ZERO_OR_RATIONAL),
+                 model.patterned(("cuts",), modes=(UNDIRECTED, DIRECTED), min_n=0, max_n=9,
+                                 weights=_ZERO_OR_RATIONAL, free=model.THRESHOLDS)))
+@settings(max_examples=300, deadline=None)
+def test_the_dp_split_changes_no_result(inst):
+    # The program alone reads tables split at `_dp_split(n)`; the search's fallback at n // 2.
+    view = inst.compiled
+    assert (_subset_dp(view, *_subset_weights(view, oracles._dp_split(inst.n)))
+            == _subset_dp(view, *_subset_weights(view)))
+    got, expected = exact_min_target_vector(inst, limit=9), model.min_target_vector(inst)
+    assert got == expected
+    assert list(got.witness.items()) == list(expected.witness.items())
+
+
 # Some thresholds at 0, at the incoming total or above it, where the
 # target-set search's skip and feasibility cuts apply.
 @given(model.patterned(("cuts",), modes=(UNDIRECTED, DIRECTED), min_n=0, max_n=9, free=model.THRESHOLDS))

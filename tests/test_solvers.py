@@ -310,6 +310,24 @@ def test_classify_peels_once_and_labels_components_only_when_needed(monkeypatch,
     assert (calls["peel"], calls["components"]) == (peels, passes)
 
 
+def test_two_level_labels_components_once_per_view(monkeypatch):
+    # All-low K4 with unit weights: every one of its six edges is a minimum-weight edge.
+    inst = build_instance(UNDIRECTED, 4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 2)
+    passes, label = [], instance_module._label_components
+
+    def counted(*args):
+        passes.append(args)
+        return label(*args)
+
+    monkeypatch.setattr(instance_module, "_label_components", counted)
+    monkeypatch.setattr(solvers, "_label_components", counted)
+    reports = [solve_two_level(inst)]
+    reports += [solve_two_level(inst, removed_edge=(u, v)) for u, v, _ in inst.edges]
+    reports.append(classify_and_solve(inst))
+    assert {r.certificate["branch"] for r in reports} == {"split"} and len({r.cost for r in reports}) == 1
+    assert len(passes) == 1
+
+
 # ------------------------------------------------- random oracle spot sweep
 
 def test_solver_costs_match_oracle_on_small_random_instances():
