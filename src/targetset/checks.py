@@ -27,7 +27,7 @@ from .degeneracy import (
 )
 from .engine import _activates_all, _rounds, is_target_set, is_target_vector
 from .errors import OracleLimitError
-from .generators import GenSpec, generate
+from .generators import GenSpec, _check_size, generate
 from .instance import UNDIRECTED, Instance, _view_edges, min_edge_weight
 from .oracles import (
     exact_min_target_set,
@@ -61,10 +61,14 @@ def _child_seed(rng: random.Random) -> int:
     return rng.randrange(2**32)
 
 
+# The edge probabilities a sweep draws from.
+_EDGE_PROBS = (0.2, 0.4, 0.6, 0.8)
+
+
 def _mixed_spec(rng: random.Random, n: int, draw_slack: bool = False, **overrides) -> GenSpec:
     drawn = {  # drawn in this order even where `overrides` replaces them
         "seed": _child_seed(rng),
-        "edge_prob": rng.choice((0.2, 0.4, 0.6, 0.8)),
+        "edge_prob": rng.choice(_EDGE_PROBS),
         "weights": rng.choice(("int", "halves", "unit")),
     }
     if draw_slack:
@@ -401,11 +405,33 @@ def _check_work(name: str, instances: int, max_n: int) -> None:
             f"over the budget of {WORK_BUDGET_S} s")
 
 
+# Past this many vertices every draw is over the generators' pair limit; the size check stops here,
+# so that its figures stay within what a float and an int's decimal string hold.
+_DRAW_MAX_N = 10**9
+
+
+def _check_draws(name: str, max_n: int) -> None:
+    """Raise OracleLimitError if sweep `name` may draw an instance that the generators refuse.
+
+    Every sweep but `otv-grid` may draw a random or degenerate spec of max_n
+    vertices at the largest edge probability, connected, which has the most
+    vertex pairs and expected edges of any of its draws.
+    """
+    if name == "otv-grid":
+        return
+    try:
+        _check_size(GenSpec(n=min(max_n, _DRAW_MAX_N), edge_prob=max(_EDGE_PROBS), connected=True))
+    except ValueError as error:
+        raise OracleLimitError(f"check {name} (max_n {max_n}) may draw instances the generators refuse: "
+                               f"{error}") from None
+
+
 def run_check(name: str, instances: int | None = None, max_n: int | None = None,
               seed: int | None = None) -> CheckResult:
     """Run a named sweep; omitted parameters use the sweep's own defaults.
 
-    A sweep of `_WORK` whose worst-case work exceeds `WORK_BUDGET_S` raises
+    A sweep of `_WORK` whose worst-case work exceeds `WORK_BUDGET_S`, and a
+    sweep that may draw an instance over the generators' size limits, raise
     OracleLimitError before the first instance.
     """
     try:
@@ -415,6 +441,7 @@ def run_check(name: str, instances: int | None = None, max_n: int | None = None,
     instances = default_instances if instances is None else instances
     max_n = default_max_n if max_n is None else max_n
     _check_work(name, instances, max_n)
+    _check_draws(name, max_n)
     failures: list[str] = []
     checked = instances
     if sweep is _otv_grid:

@@ -5,9 +5,9 @@ to report commands, writes the text and maps exceptions to exit codes.
 
 Exit codes: 0 success, 1 usage, 2 validation or parse failure or an
 unreadable path (also a failing check sweep), 3 solver precondition unmet,
-4 oracle size limit exceeded (also a check sweep over its work budget), 5 a
-solver's, oracle's or reduction's result failed its own verification (a bug,
-never an input problem).
+4 oracle size limit exceeded (also a check sweep over its work budget or
+past the generators' size limits), 5 a solver's, oracle's or reduction's
+result failed its own verification (a bug, never an input problem).
 """
 
 from __future__ import annotations

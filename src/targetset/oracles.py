@@ -12,8 +12,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OracleLimitError, VerificationError
+from .degeneracy import _peel
 from .engine import _activates_all
+from .errors import OracleLimitError, VerificationError
 from .instance import CompiledInstance, Instance, VertexSet, _fraction, _subset_weights
 
 TARGET_SET_LIMIT = 20
@@ -24,17 +25,22 @@ TARGET_VECTOR_LIMIT = 9
 # No `limit` argument lifts it.
 TARGET_VECTOR_CEILING = 22
 # The closed-set search gives up for the DP once it stores more than this
-# share of the 2^n sets. Of 200 instances at n = 14 (seeds 1-100 each of
-# the degenerate family and of uniform thresholds on connected graphs, edge
-# probability 0.3, halves weights), none falls back, nor at half this
-# share; at a quarter, 5 would. On sparse connected graphs (edge
-# probability 0.2, halves weights) with uniform or capped thresholds,
+# share of the 2^k sets of the k-vertex core it searches (see
+# `exact_min_target_vector`). The shares below were measured on whole
+# instances, before the oracle peeled first. Of 200 instances at n = 14
+# (seeds 1-100 each of the degenerate family and of uniform thresholds on
+# connected graphs, edge probability 0.3, halves weights), none falls back,
+# nor at half this share; at a quarter, 5 would. On sparse connected graphs
+# (edge probability 0.2, halves weights) with uniform or capped thresholds,
 # seeds 1-40 at n = 10-14, 1-20 at 16 and 1-10 at 18, none of the 220 at
 # n = 12-18 falls back, expanding at most 350 sets; at n = 10, where the
 # share is 64 sets, 10 of 80 do, and the DP there is 5,120 pairs.
 # Saturated (tau = incident weight), two-level and all-low thresholds,
 # where nearly every set is closed, stay far below it: at n = 22 (seeds
-# 1-3) the search expands 16, 15-19 and 22-96 sets.
+# 1-3) the search expands 16, 15-19 and 22-96 sets. Peeled first, the 200
+# instances at n = 14 leave 120 empty cores and 80 of 2-14 vertices; 25
+# fall back, all on cores of at most 7 vertices, where the share is at
+# most 8 sets and the DP at most 448 pairs.
 _SEARCH_BUDGET = 1 / 16
 # The largest multiple of 10 at which the slowest of five seeds each of
 # G(n, p), p in {0.1, 0.2, 0.3, 0.5, 0.8}, and the cubic family stays under
@@ -194,18 +200,32 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
     follows the one whose every last vertex has the largest id, and
     `explored` is n * 2^(n-1), the number of (set, last vertex) pairs.
 
-    Above that limit a best-first search over the sets closed under free
-    activation runs first (`_closed_set_search`). In undirected mode, and
-    on a digraph whose arcs pair up with equal opposite arcs, its estimate
-    counts the weight some vertex outside a set must receive past
-    its threshold when the rest does not peel. Its witness is some optimal
-    vector, in general not the dynamic program's: it pays each vertex on
-    the cheapest path its deficit and gives 0 to every vertex that then
-    activates for free, and `explored` counts the closed sets expanded, not
-    the sets pushed again when their estimate rose. If the search stores
-    more than `_SEARCH_BUDGET` of the 2^n sets, it gives up and the dynamic
-    program answers with its own witness; `explored` is then the sets the
-    search expanded plus n * 2^(n-1).
+    Above that limit the instance is peeled first where influence is
+    symmetric: in undirected mode, and on a digraph whose arcs pair up with
+    equal opposite arcs. Suppose tau(v) is at least the weight v receives
+    from the vertices still present. Then v's deficit is never clamped,
+    wherever v stands, and moving v past a later neighbour u lowers v's
+    payment by w(uv) and raises u's by at most w(uv). So some optimal order
+    puts v last, and the optimum is v's slack plus the optimum without v.
+    Repeating this is the degeneracy test's peeling (`degeneracy._peel`):
+    the optimum is the sum of the slacks plus the optimum of the core, the
+    positions left stuck. The witness is the core's order, then the peeled
+    vertices in reverse deletion order, each paid its slack. An empty core,
+    a degenerate instance, needs no tables and no search: its witness is
+    `solve_degenerate`'s incentives and `explored` is 0. Other digraphs keep
+    the whole instance as their core.
+
+    On the core a best-first search over the sets closed under free
+    activation runs first (`_closed_set_search`). Where influence is
+    symmetric, its estimate counts the weight some vertex outside a set must
+    receive past its threshold when the rest does not peel. Its witness is
+    some optimal vector, in general not the dynamic program's: it pays each
+    vertex on the cheapest path its deficit and gives 0 to every vertex that
+    then activates for free, and `explored` counts the closed sets expanded,
+    not the sets pushed again when their estimate rose. If the search stores
+    more than `_SEARCH_BUDGET` of the 2^k sets of a k-vertex core, it gives
+    up and the dynamic program answers on the core with its own order;
+    `explored` is then the sets the search expanded plus k * 2^(k-1).
     Either way the witness lists every vertex, in activation order; its
     scaled payments are checked against the optimum and the engine first.
     """
@@ -216,20 +236,67 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
     if n == 0:
         return OracleResult(Fraction(0), {}, 0)
     view = instance.compiled
-    search = n > TARGET_VECTOR_LIMIT
-    # The search and its fallback share the smallest tables; the program alone takes its own split.
-    tables = _subset_weights(view, None if search else _dp_split(n))
-    found, explored = _closed_set_search(view, *tables) if search else (None, 0)
-    if found is None:
-        found = _subset_dp(view, *tables)
-        explored += n << (n - 1)
-    order, cost = found
+    if n > TARGET_VECTOR_LIMIT:
+        order, cost, explored = _peel_and_search(view)
+    else:
+        order, cost = _subset_dp(view, *_subset_weights(view, _dp_split(n)))
+        explored = n << (n - 1)
     paid = dict(order)
     if sum(paid.values()) != cost or not _activates_all(view, (), [t - paid.get(i, 0) for i, t in enumerate(view.tau)]):
         raise VerificationError("oracle witness failed engine verification")
     verts = instance.vertices
     witness = {verts[i]: _fraction(d, view.scale) for i, d in order}
     return OracleResult(Fraction(cost, view.scale), witness, explored)
+
+
+def _symmetric(view: CompiledInstance) -> bool:
+    """Whether each position receives from every other the weight it gives it, as in undirected mode."""
+    # An undirected view shares one list for in and out neighbours (`_integer_view`); a symmetric
+    # digraph has equal lists, which takes longer to see.
+    return view.incoming is view.out or list(map(sorted, view.out)) == list(map(sorted, view.incoming))
+
+
+def _peel_and_search(view: CompiledInstance) -> tuple[list[tuple[int, int]], int, int]:
+    """The cheapest order above the program's limit: (order, scaled cost, explored).
+
+    Peels a symmetric view and searches only its core, the positions left
+    stuck, as an undirected view of its own; the peeled positions follow in
+    reverse deletion order, each paid its slack (see `exact_min_target_vector`).
+    """
+    n = len(view.tau)
+    core, keep, peeled = view, range(n), []
+    if _symmetric(view):
+        alive = [True] * n
+        slacks = _peel(view, view.tau, list(view.totals), alive)
+        peeled = [(i, slacks[i]) for i in reversed(slacks)]
+        if peeled:
+            keep = [i for i in range(n) if alive[i]]
+            core = _induced(view, keep)
+    slack = sum(d for _, d in peeled)
+    k = len(keep)
+    if not k:
+        return peeled, slack, 0
+    # The search and its fallback share the smallest tables.
+    tables = _subset_weights(core)
+    found, explored = _closed_set_search(core, *tables)
+    if found is None:
+        found = _subset_dp(core, *tables)
+        explored += k << (k - 1)
+    order, cost = found
+    return [(keep[i], d) for i, d in order] + peeled, cost + slack, explored
+
+
+def _induced(view: CompiledInstance, keep: list[int]) -> CompiledInstance:
+    """The symmetric `view` restricted to the ascending positions `keep`, renumbered from 0.
+
+    One list per position serves as both its in and out neighbours, as in an
+    undirected view.
+    """
+    at = dict(zip(keep, range(len(keep))))
+    ids = list(view.position)
+    lists = [[(at[j], w) for j, w in view.incoming[i] if j in at] for i in keep]
+    return CompiledInstance(view.scale, {ids[i]: c for i, c in at.items()},
+                            tuple(map(view.tau.__getitem__, keep)), lists, lists)
 
 
 def _dp_split(n: int) -> int:
@@ -374,9 +441,7 @@ def _closed_set_search(view: CompiledInstance, h: int, lo: list[list[int]],
     budget = int((1 << n) * _SEARCH_BUDGET)
     excess = [t - s if t > s else 0 for t, s in zip(thresholds, view.totals)]
     raises = _raises(view)
-    # An undirected view shares one list for in and out neighbours (`_integer_view`); a symmetric
-    # digraph has equal lists, which takes longer to see.
-    undirected = view.incoming is view.out or list(map(sorted, view.out)) == list(map(sorted, view.incoming))
+    undirected = _symmetric(view)
 
     def drop(before: int, after: int) -> int:
         """T(before) - T(after), for a set `after` that holds `before`."""

@@ -16,6 +16,7 @@ from targetset.instance import SUBSET_TABLE_CEILING
 from targetset.reports import trace_report
 from targetset import (
     UNDIRECTED,
+    OracleLimitError,
     build_instance,
     parse_wtg,
     run_activation,
@@ -440,6 +441,34 @@ def test_a_sweep_over_its_work_budget_exits_4_before_the_first_instance(capsys, 
 ])
 def test_every_size_in_use_is_within_the_work_budget(name, instances, max_n):
     checks._check_work(name, instances, max_n)
+
+
+# A draw of max_n vertices at edge probability 0.8, connected, is the largest any generated sweep
+# makes; past the generators' limits the sweep exits 4 before its first instance, naming the limit.
+@pytest.mark.parametrize("argv, limit", [
+    (("kappa", "--limit-n", "100000", "--instances", "1"),
+     "100000 vertices make 4,999,950,000 vertex pairs, over the limit of 150,000,000"),
+    (("min-or-full", "--limit-n", "2237"), "2237 vertices expect 2,001,220 edges, over the limit of 2,000,000"),
+    # Past 10^9 vertices the check names 10^9, built without a huge integer.
+    (("bidirected", "--limit-n", "9" * 4000), "1000000000 vertices make"),
+])
+def test_a_sweep_past_the_generator_limits_exits_4_before_the_first_instance(capsys, monkeypatch, argv, limit):
+    def unreachable(*args):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setitem(checks.CHECKS, argv[0], (unreachable, *checks.CHECKS[argv[0]][1:]))
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"oracle limit: check {argv[0]} (max_n ") and err.count("\n") == 1
+    assert limit in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", checks.CHECKS)
+def test_every_sweep_admits_draws_up_to_the_generator_limits(name):
+    # 2236 vertices at probability 0.8 expect 1,999,431 edges; otv-grid draws without the generators.
+    checks._check_draws(name, 2236)
+    if name != "otv-grid":
+        with pytest.raises(OracleLimitError):
+            checks._check_draws(name, 2237)
 
 
 def test_deterministic_flag_makes_runs_byte_identical(fixtures, capsys):

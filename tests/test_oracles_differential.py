@@ -13,7 +13,11 @@ Above the target-vector oracle's default limit, its closed-set search is
 checked against the subset dynamic program it runs in front of: the same
 optimum, and a witness that pays every vertex, sums to the optimum and
 passes the engine. When the search gives up, the program's answer comes
-back unchanged. A digraph whose arcs pair up with equal opposite arcs, as
+back unchanged. The oracle peels symmetric instances first and searches
+only the core left stuck: the optimum must still be the program's on the
+whole instance, and a degenerate instance, which leaves no core, gets the
+degenerate solver's vector without a search. Other digraphs are searched
+whole, as before. A digraph whose arcs pair up with equal opposite arcs, as
 the bidirected image of an undirected instance does, takes the search's
 undirected estimate, and must give the undirected instance's answer; one
 with a single unequal pair must still reach the program's optimum. The
@@ -23,6 +27,7 @@ model's cheapest cost still to come.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +36,7 @@ from hypothesis import given, settings, strategies as st
 from targetset import (
     DIRECTED,
     UNDIRECTED,
+    DegeneracyOrdering,
     GenSpec,
     Instance,
     OracleResult,
@@ -41,6 +47,8 @@ from targetset import (
     generate,
     grid_min_target_vector,
     min_edge_weight,
+    peel_ordering,
+    solve_degenerate,
     target_vector_lower_bound,
     to_bidirected,
 )
@@ -157,23 +165,36 @@ def test_closed_set_search_matches_dp(kind, n, seed):
     _check_closed_set_path(_kind_instance(kind, n, seed))
 
 
-# The closed-set search's work on a fixed corpus: G(14, 0.3) with halves weights, seeds 1-10, each
-# with its generated thresholds, saturated ones (tau = incident weight), and its generated ones with
-# every third id raised above its incident weight. name -> `explored`. An estimate that stays too
-# high still finds the optimum, but only through the fallback to the DP, whose `explored` is at
-# least n * 2^(n-1) = 57,344; so only this table sees it. Change an entry only with the reason for
-# its change.
+def _all_low(n: int, seed: int) -> Instance:
+    """Connected G(n, 0.3), halves weights, every threshold its incident sum minus the least weight:
+    no vertex peels, so the target-vector oracle's core is every vertex."""
+    base = generate(GenSpec(n=n, seed=seed, edge_prob=0.3, weights="halves", connected=True))
+    mu = min_edge_weight(base)
+    return Instance(base.mode, base.vertices, base.edges, {v: t - mu for v, t in base.incident_totals.items()})
+
+
+# The target-vector oracle's work on a fixed corpus: G(14, 0.3) with halves weights, seeds 1-10, each
+# with its generated thresholds, saturated ones (tau = incident weight), its generated ones with every
+# third id raised above its incident weight, and those read as a digraph, each edge an arc; and
+# `_all_low(14, seed)`. name -> `explored`. Rows whose vertices all peel, the saturated ones among
+# them, read 0, and so do rows whose core activates for free from the empty set. The other undirected
+# rows count the search on the core left after peeling, and the DP on it where the search gives up
+# (on a core of at most 4 vertices its budget is at most one set). An estimate that stays too high
+# still finds the optimum, but only through the fallback to the DP, whose `explored` is at least
+# k * 2^(k-1) on a core of k vertices; so only this table sees it. No vertex of a symmetric core
+# receives less than its threshold, so the excess bound is 0 there and only the digraph rows see it.
+# Change an entry only with the reason for its change.
 _SEARCH_WORK = {
-    "generated-1": 6, "saturated-1": 8, "over-1": 10,
-    "generated-2": 2, "saturated-2": 6, "over-2": 6,
-    "generated-3": 9, "saturated-3": 7, "over-3": 10,
-    "generated-4": 10, "saturated-4": 9, "over-4": 14,
-    "generated-5": 8, "saturated-5": 9, "over-5": 67,
-    "generated-6": 14, "saturated-6": 8, "over-6": 14,
-    "generated-7": 11, "saturated-7": 9, "over-7": 14,
-    "generated-8": 57, "saturated-8": 8, "over-8": 51,
-    "generated-9": 2, "saturated-9": 9, "over-9": 7,
-    "generated-10": 12, "saturated-10": 9, "over-10": 12,
+    "generated-1": 0, "saturated-1": 0, "over-1": 4, "directed-1": 10, "all-low-1": 11,
+    "generated-2": 1, "saturated-2": 0, "over-2": 0, "directed-2": 7, "all-low-2": 11,
+    "generated-3": 0, "saturated-3": 0, "over-3": 12, "directed-3": 9, "all-low-3": 23,
+    "generated-4": 33, "saturated-4": 0, "over-4": 0, "directed-4": 9, "all-low-4": 11,
+    "generated-5": 0, "saturated-5": 0, "over-5": 33, "directed-5": 10, "all-low-5": 19,
+    "generated-6": 0, "saturated-6": 0, "over-6": 0, "directed-6": 10, "all-low-6": 24,
+    "generated-7": 4, "saturated-7": 0, "over-7": 0, "directed-7": 11, "all-low-7": 15,
+    "generated-8": 81, "saturated-8": 0, "over-8": 81, "directed-8": 10, "all-low-8": 106,
+    "generated-9": 0, "saturated-9": 0, "over-9": 0, "directed-9": 9, "all-low-9": 13,
+    "generated-10": 0, "saturated-10": 0, "over-10": 0, "directed-10": 11, "all-low-10": 12,
 }
 
 
@@ -181,10 +202,12 @@ def _search_corpus():
     for seed in range(1, 11):
         base = generate(GenSpec(n=14, seed=seed, edge_prob=0.3, weights="halves"))
         totals = base.incident_totals
+        over = {v: totals[v] + 1 if v % 3 == 0 else base.tau[v] for v in base.vertices}
         yield f"generated-{seed}", base
         yield f"saturated-{seed}", Instance(base.mode, base.vertices, base.edges, totals)
-        yield f"over-{seed}", Instance(base.mode, base.vertices, base.edges,
-                                       {v: totals[v] + 1 if v % 3 == 0 else base.tau[v] for v in base.vertices})
+        yield f"over-{seed}", Instance(base.mode, base.vertices, base.edges, over)
+        yield f"directed-{seed}", Instance(DIRECTED, base.vertices, base.edges, over)
+        yield f"all-low-{seed}", _all_low(14, seed)
 
 
 def test_closed_set_search_work_is_pinned():
@@ -293,7 +316,7 @@ def test_closed_set_search_matches_dp_on_rationals(inst):
 
 
 def test_exhausted_budget_returns_the_dp_answer(monkeypatch):
-    inst = generate(GenSpec(family="degenerate", n=12, seed=3, edge_prob=0.3, weights="halves"))
+    inst = _all_low(12, 3)
     monkeypatch.setattr(oracles, "_SEARCH_BUDGET", 0)
     got = exact_min_target_vector(inst, limit=12)
     expected = _dp_result(inst)
@@ -304,10 +327,9 @@ def test_exhausted_budget_returns_the_dp_answer(monkeypatch):
 
 
 def test_search_past_its_budget_falls_back_to_the_dp(monkeypatch):
-    # The search reaches the full set after 11 expansions here, so a budget
+    # The search reaches the full set after 28 expansions here, so a budget
     # of 2^(n-7) sets runs out after it has expanded a few.
-    inst = generate(GenSpec(n=12, seed=7, edge_prob=0.2, weights="halves", tau_policy="uniform",
-                            connected=True))
+    inst = _all_low(12, 7)
     monkeypatch.setattr(oracles, "_SEARCH_BUDGET", 1 / 128)
     view = inst.compiled
     found, expanded = _closed_set_search(view, *_subset_weights(view))
@@ -317,6 +339,92 @@ def test_search_past_its_budget_falls_back_to_the_dp(monkeypatch):
     assert got.optimum == expected.optimum
     assert list(got.witness.items()) == list(expected.witness.items())
     assert got.explored == expanded + 12 * 2**11
+
+
+@st.composite
+def _peeling(draw):
+    """Connected undirected instances of 10-14 vertices that peel completely, partly or not at all.
+
+    Along a random order each vertex joins an earlier one, and every other
+    pair is an edge with a drawn number of tenths of a chance; weights are
+    positive. A vertex that peels takes its weight to earlier vertices plus a
+    drawn slack, so a vertex set of only those peels completely; one that
+    sticks takes none to three quarters of its incident sum, so a vertex set
+    of only those does not peel at all.
+    """
+    n = draw(st.integers(10, 14))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    order = rng.sample(range(1, 61), n)
+    tenths = draw(st.integers(0, 4))
+    pairs = [(order[rng.randrange(i)], order[i]) for i in range(1, n)]
+    pairs += [(u, v) for i, v in enumerate(order) for u in order[:i]
+              if (u, v) not in pairs and rng.randrange(10) < tenths]
+    edges = [(u, v, draw(model.rationals(12, low=1))) for u, v in pairs]
+    stuck = draw(st.sampled_from(("some", "all", "none")))
+    back = dict.fromkeys(order, Fraction(0))
+    total = dict.fromkeys(order, Fraction(0))
+    for u, v, w in edges:  # u comes before v in `order`
+        back[v] += w
+        total[u] += w
+        total[v] += w
+    tau = {}
+    for v in order:
+        if stuck == "all" or stuck == "some" and draw(st.booleans()):
+            tau[v] = total[v] * draw(st.sampled_from((0, 1, 2, 3))) / 4
+        else:
+            tau[v] = back[v] + draw(model.rationals(6))
+    return Instance(UNDIRECTED, order, edges, tau)
+
+
+@given(_peeling())
+@settings(max_examples=60, deadline=None)
+def test_peeled_search_matches_the_dp_on_the_whole_instance(inst):
+    # Peeling leaves the optimum unchanged, and the witness pays every vertex and passes the engine.
+    # Without a core there is no search: the witness is the degenerate solver's. The bi-directed
+    # image peels and searches alike.
+    n = inst.n
+    got = exact_min_target_vector(inst, limit=n)
+    assert got.optimum == _dp_result(inst).optimum
+    assert sorted(got.witness) == sorted(inst.vertices)
+    assert sum(got.witness.values()) == got.optimum
+    assert is_target_vector(inst, got.witness)
+    if isinstance(peel_ordering(inst), DegeneracyOrdering):
+        assert got.explored == 0
+        assert got.witness == solve_degenerate(inst).incentives
+    image = to_bidirected(inst).image
+    assert exact_min_target_vector(image, limit=n) == got
+    assert is_target_vector(image, got.witness)
+
+
+def _lopsided(n: int, seed: int) -> Instance:
+    """The bi-directed image of a degenerate instance with one arc 1 heavier than its opposite arc."""
+    image = to_bidirected(generate(GenSpec(family="degenerate", n=n, seed=seed, edge_prob=0.3,
+                                           weights="halves"))).image
+    (u, v, w), *rest = image.edges
+    return Instance(image.mode, image.vertices, [(u, v, w + 1), *rest], image.tau)
+
+
+# Digraphs without equal opposite arcs are not peeled: the search runs on every vertex, as it did
+# before the oracle peeled. (optimum, explored, the paid vertices and payments in witness order).
+@pytest.mark.parametrize("inst, optimum, explored, paid", [
+    (generate(GenSpec(family="tournament", n=10, seed=1, weights="halves")), "53/16", 3,
+     [(5, "5/16"), (8, "3")]),
+    (generate(GenSpec(family="tournament", n=12, seed=2, weights="halves")), "33/4", 5,
+     [(8, "7"), (3, "5/4")]),
+    (generate(GenSpec(family="tournament", n=14, seed=3, weights="halves")), "43/4", 8,
+     [(1, "93/16"), (8, "17/4"), (13, "11/16")]),
+    (_lopsided(10, 1), "14", 12,
+     [(8, "3/2"), (9, "2"), (3, "1"), (7, "5/2"), (6, "4"), (5, "1/2"), (2, "3/2"), (4, "1")]),
+    (_lopsided(12, 2), "16", 104,
+     [(5, "2"), (8, "2"), (9, "1"), (2, "3"), (11, "5/2"), (12, "5/2"), (7, "1/2"), (10, "5/2")]),
+    (_lopsided(14, 3), "20", 120,
+     [(2, "1"), (10, "1"), (13, "2"), (8, "5/2"), (14, "5/2"), (11, "5/2"), (12, "3/2"), (3, "3/2"),
+      (4, "1"), (9, "5/2"), (1, "2")]),
+], ids=[f"tournament-{n}" for n in (10, 12, 14)] + [f"lopsided-{n}" for n in (10, 12, 14)])
+def test_non_symmetric_digraphs_are_searched_whole(inst, optimum, explored, paid):
+    got = exact_min_target_vector(inst, limit=inst.n)
+    assert (got.optimum, got.explored) == (Fraction(optimum), explored)
+    assert [(v, str(p)) for v, p in got.witness.items() if p] == paid
 
 
 @given(model.instances(modes=(UNDIRECTED,)))
@@ -397,8 +505,9 @@ def test_failed_engine_check_raises_in_the_other_oracles(monkeypatch):
 
 @pytest.mark.parametrize("n, path", [(9, "_subset_dp"), (10, "_closed_set_search")])
 def test_cost_off_by_one_unit_raises(monkeypatch, n, path):
-    # The payments still activate everything; only the claimed scaled cost is wrong.
-    inst = generate(GenSpec(family="degenerate", n=n, seed=4, edge_prob=0.3, weights="halves"))
+    # The payments still activate everything; only the claimed scaled cost is wrong. No vertex
+    # peels, so the search runs on every vertex.
+    inst = _all_low(n, 4)
     exact_min_target_vector(inst, limit=n)
     search = getattr(oracles, path)
 
