@@ -11,6 +11,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .degeneracy import _peel
 from .engine import _activates_all
@@ -64,7 +66,7 @@ def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> O
     of the positions 0..n-1, which ascend with the ids. A node holds the
     next position to decide, the seed taken so far, the seed's closure and
     its size; it takes the position before it leaves it out. Closure is
-    monotone, which makes four cuts sound:
+    monotone, which makes five cuts sound:
 
     - success: a seed whose closure is everything ends its branch;
     - size bound: a branch stops once its size plus one reaches the best
@@ -75,14 +77,32 @@ def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> O
     - feasibility: leaving a position out is tried only if the closure of
       the current closure plus every later position outside it is
       everything (a threshold above the vertex's incoming total puts it in
-      every seed).
+      every seed);
+    - forced pairs: u needs j when w(j -> u) exceeds u's incoming total
+      minus tau(u), and u and j form a forced pair when each needs the
+      other. Outside a seed, neither can activate first, so every seed
+      holds one of them. A position the node left out that is not yet
+      active must still activate, so each undecided position outside the
+      closure that forms a pair with it must be taken; a greedy matching of
+      pairs among the other undecided positions outside the closure needs
+      one more seed per pair (`_forced_bound`). A branch stops once its
+      size plus these seeds reaches the best seed found.
 
     A minimum seed meets none of the skip, feasibility and success cuts on
-    its own path. Taking before leaving out visits the seeds of one size in
-    lexicographic order, and the size bound keeps only strictly smaller
+    its own path, and the bounds stop only branches that hold no seed
+    smaller than the best. Taking before leaving out visits the seeds of one
+    size in lexicographic order, and the bounds keep only strictly smaller
     seeds once one is found, so the witness is the lexicographically
-    smallest minimum seed. `explored` counts the nodes popped from the
-    stack. The engine checks the witness's positions on the integer view.
+    smallest minimum seed. On saturated thresholds (tau = incident weight,
+    positive weights) the seeds are the vertex covers, and the forced-pair
+    bound is the vertex-cover oracle's matching bound.
+
+    Short searches do not pay for the pair rows: they are built, in one
+    pass over the lists, once the search has popped more than 4n nodes, a
+    few root-to-leaf descents, and the bound is skipped when there is no
+    pair or when the node's undecided paired positions are too few to
+    reach the best. `explored` counts the nodes popped from the stack. The
+    engine checks the witness's positions on the integer view.
     """
     n = instance.n
     if n > limit:
@@ -95,6 +115,8 @@ def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> O
     best, found = n + 1, 0
     stack = [(0, 0, _close(lo, hi, thresholds, raises, h, 0, everyone), 0)]
     explored = 0
+    # Forced-pair rows, built once the search has popped more than `ready` nodes.
+    forced, paired, ready = None, 0, 4 * n
     while stack:
         i, seed, closed, size = stack.pop()
         explored += 1
@@ -106,6 +128,17 @@ def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> O
             continue
         if size + 1 >= best:
             continue
+        if explored > ready:
+            if forced is None:
+                forced = _forced_pairs(view)
+                paired = reduce(or_, forced, 0)
+                if not paired:
+                    ready = 2 << n  # never: a search pops fewer than 2^(n+1) nodes
+            # Each seed the bound counts is a distinct undecided position of some pair.
+            free = everyone >> i << i & ~closed
+            if (size + (free & paired).bit_count() >= best
+                    and size + _forced_bound(forced, (1 << i) - 1 & ~closed & paired, free) >= best):
+                continue
         # The closure of the closure plus every later position outside it is
         # everything at every node, so a position outside remains.
         while closed >> i & 1:
@@ -121,6 +154,39 @@ def exact_min_target_set(instance: Instance, limit: int = TARGET_SET_LIMIT) -> O
         raise VerificationError("oracle witness failed engine verification")
     witness = frozenset(v for i, v in enumerate(instance.vertices) if found >> i & 1)
     return OracleResult(best, witness, explored)
+
+
+def _forced_pairs(view: CompiledInstance) -> list[int]:
+    """Per position u, the bitmask of positions j such that u and j each need the other.
+
+    u needs j when w(j -> u) exceeds u's gap, its incoming total minus its
+    threshold: without j, u cannot reach its threshold. The rows are
+    symmetric, and an undirected view needs one pass over its lists.
+    """
+    gap = [s - t for t, s in zip(view.tau, view.totals)]
+    if view.incoming is view.out:
+        return [sum(1 << j for j, w in pairs if w > g and w > gap[j]) for pairs, g in zip(view.out, gap)]
+    # u needs the j of `incoming[u]`; the j of `out[u]` need u.
+    return [sum(1 << j for j, w in into if w > g) & sum(1 << j for j, w in out if w > gap[j])
+            for into, out, g in zip(view.incoming, view.out, gap)]
+
+
+def _forced_bound(forced: list[int], left_out: int, free: int) -> int:
+    """A lower bound on the seeds a search node still takes, from its forced pairs.
+
+    `left_out` holds positions the node left out that are not yet active,
+    and `free` its undecided positions outside the closure. A forced pair
+    with no seed cannot activate, since neither can be active first. So a
+    free partner of a left-out position must be taken, and a greedy matching
+    of forced pairs among the other free positions needs one seed per pair.
+    """
+    must = 0
+    while left_out:
+        bit = left_out & -left_out
+        left_out ^= bit
+        must |= forced[bit.bit_length() - 1]
+    must &= free
+    return must.bit_count() + _matching(forced, free & ~must)
 
 
 def _raises(view: CompiledInstance) -> list[int]:

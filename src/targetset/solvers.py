@@ -75,9 +75,14 @@ def approx_target_set(instance: Instance) -> ApproxTargetSetResult:
     return ApproxTargetSetResult(seed, tau_max, c, ratio)
 
 
-def _certified_report(instance: Instance, paid: list[int], method: str, cert: dict[str, str]) -> SolveReport:
-    """Certify the scaled incentives `paid` with the engine, then make the report's Fractions."""
-    view = instance.compiled
+def _certified_report(instance: Instance, paid: list[int], method: str, cert: dict[str, str],
+                      view: CompiledInstance | None = None) -> SolveReport:
+    """Certify the scaled incentives `paid` with the engine, then make the report's Fractions.
+
+    The engine runs on `view`, by default the instance's; a spanning subgraph's view will do, as
+    the instance only adds influence to it.
+    """
+    view = instance.compiled if view is None else view
     if min(paid, default=0) < 0:
         v, x = next((v, x) for v, x in zip(instance.vertices, paid) if x < 0)
         raise ValueError(f"negative incentive {Fraction(x, view.scale)} at vertex {v}")
@@ -204,7 +209,8 @@ def _split_report(instance: Instance, a: int, b: int) -> SolveReport:
     minimum-weight edge between positions a and b is gone.
 
     The reduced graph is an integer view without the edge, peeled like any
-    other; the engine verifies the vector on it and on the instance.
+    other. The engine verifies the vector on it alone: the instance only
+    adds the edge's influence, so the vector activates it too.
     """
     view, out = instance.compiled, instance.compiled.out
     adjacency = list(out)
@@ -217,11 +223,9 @@ def _split_report(instance: Instance, a: int, b: int) -> SolveReport:
     residual[b] -= view.min_weight
     slacks = _peel_or_fail(instance, reduced, residual)
     paid = list(map(slacks.__getitem__, range(instance.n)))
-    if not _activates_all(reduced, (), list(map(sub, view.tau, paid))):
-        raise VerificationError("degenerate incentive vector failed engine verification")
     verts = instance.vertices
     cert = {"branch": "split", "removed_edge": f"{verts[a]} {verts[b]}", "ordering": _ordering(instance, slacks)}
-    return _certified_report(instance, paid, "two-level", cert)
+    return _certified_report(instance, paid, "two-level", cert, reduced)
 
 
 def solve_min_or_full(instance: Instance) -> SolveReport:

@@ -615,10 +615,11 @@ PATTERNS = {
 
 @st.composite
 def patterned(draw, patterns=tuple(PATTERNS), modes=(UNDIRECTED,), min_n=1, max_n=10, weights=WEIGHTS,
-              free=WEIGHTS, min_edges=0):
+              free=WEIGHTS, min_edges=0, **graph):
     """Instances whose thresholds sit on a drawn class pattern: each vertex takes one of the pattern's
-    values, clamped at 0, where a free one is drawn from `free`."""
-    mode, ids, edges = draw(graphs(modes, min_n, max_n, weights, min_edges))
+    values, clamped at 0, where a free one is drawn from `free`. `graphs` takes the keywords in
+    `graph`."""
+    mode, ids, edges = draw(graphs(modes, min_n, max_n, weights, min_edges, **graph))
     graph = SimpleNamespace(mode=mode, vertices=ids, edges=edges, tau=dict.fromkeys(ids, 0))
     mu = min_weight(graph) if edges else Fraction(0)
     total = totals(graph)

@@ -24,6 +24,11 @@ with a single unequal pair must still reach the program's optimum. The
 search's undirected estimate is checked on every vertex set of small
 instances: its waste against the model's, and the estimate against the
 model's cheapest cost still to come.
+
+The target-set search's forced-pair rows are checked against their
+definition, and the search against the model at sizes where it builds
+them. On saturated thresholds its seeds are the vertex covers, so its
+answer must be the vertex-cover oracle's.
 """
 
 import itertools
@@ -218,16 +223,39 @@ def test_closed_set_search_work_is_pinned():
 # The target-set and vertex-cover searches' work at the sizes the `oracle-small` benchmark runs,
 # built as it builds them: target-set on G(13, 0.5) with integer weights and every threshold at
 # its incident weight, vertex cover on G(22, 0.3) with integer weights; seeds 1-10.
-# seed -> `explored`. Change an entry only with the reason for its change.
-_TARGET_SET_WORK = {1: 214, 2: 204, 3: 281, 4: 219, 5: 234, 6: 237, 7: 145, 8: 186, 9: 178, 10: 250}
+# Change an entry only with the reason for its change.
+#
+# Target-set, name -> `explored`. The forced-pair bound (a pair of positions that each need the
+# other holds a seed) cut the saturated rows, where it is the vertex-cover matching bound: old -> new
+# 214 -> 99, 204 -> 74, 281 -> 99, 219 -> 71, 234 -> 85, 237 -> 91, 145 -> 72, 186 -> 81,
+# 178 -> 64, 250 -> 87 (2,148 -> 823 in sum). The all-low rows (`_all_low(14, seed)`: every
+# threshold its incident sum minus the least weight, so an edge of that weight is a tie, no need)
+# read 403, 487, 456, 533, 468, 419, 386, 519, 484 and 442 without the bound. The tournament rows
+# (G(12) oriented, every threshold its incoming weight) pop more than 4n nodes, so the rows are
+# built, but no arc has an opposite, so there is no forced pair: each equals its count without the
+# bound.
+_TARGET_SET_WORK = {
+    "saturated-1": 99, "saturated-2": 74, "saturated-3": 99, "saturated-4": 71, "saturated-5": 85,
+    "saturated-6": 91, "saturated-7": 72, "saturated-8": 81, "saturated-9": 64, "saturated-10": 87,
+    "all-low-1": 66, "all-low-2": 116, "all-low-3": 101, "all-low-4": 134, "all-low-5": 84,
+    "all-low-6": 84, "all-low-7": 95, "all-low-8": 123, "all-low-9": 94, "all-low-10": 99,
+    "tournament-1": 182, "tournament-2": 253, "tournament-3": 398, "tournament-4": 279, "tournament-5": 354,
+    "tournament-6": 255, "tournament-7": 396, "tournament-8": 315, "tournament-9": 195, "tournament-10": 251,
+}
 _VERTEX_COVER_WORK = {1: 31, 2: 60, 3: 36, 4: 45, 5: 22, 6: 41, 7: 43, 8: 37, 9: 38, 10: 26}
 
 
+def _target_set_corpus():
+    for seed in range(1, 11):
+        # The policy only draws thresholds that are then replaced, but it fixes the random stream.
+        yield f"saturated-{seed}", _saturated(GenSpec(n=13, seed=seed, edge_prob=0.5, weights="int",
+                                                      tau_policy="capped"))
+        yield f"all-low-{seed}", _all_low(14, seed)
+        yield f"tournament-{seed}", _saturated(GenSpec(family="tournament", n=12, seed=seed, weights="halves"))
+
+
 def test_target_set_search_work_is_pinned():
-    # The policy only draws thresholds that are then replaced, but it fixes the random stream.
-    work = {seed: exact_min_target_set(_saturated(GenSpec(n=13, seed=seed, edge_prob=0.5, weights="int",
-                                                          tau_policy="capped"))).explored
-            for seed in _TARGET_SET_WORK}
+    work = {name: exact_min_target_set(inst).explored for name, inst in _target_set_corpus()}
     assert work == _TARGET_SET_WORK
 
 
@@ -236,6 +264,62 @@ def test_vertex_cover_search_work_is_pinned():
                                          limit=22).explored
             for seed in _VERTEX_COVER_WORK}
     assert work == _VERTEX_COVER_WORK
+
+
+# Weights from a few values, so that many edges weigh the least weight, mu: with thresholds at the
+# incident sum minus mu such an edge is a tie, which the forced-pair bound must not count as a need.
+_FEW_WEIGHTS = model.rationals(3, (1, 2), low=1)
+
+
+# n = 10-12 and at least four pairs in ten joined, so that most searches pop more than 4n nodes and
+# build their forced-pair rows.
+@given(model.patterned(("two-level", "all-low", "cuts"), modes=(UNDIRECTED, DIRECTED), min_n=10, max_n=12,
+                       weights=_FEW_WEIGHTS, free=model.THRESHOLDS, density=st.integers(4, 10)))
+@settings(max_examples=100, deadline=None)
+def test_target_set_matches_the_model_where_the_forced_pair_bound_runs(inst):
+    got, expected = exact_min_target_set(inst), model.min_target_set(inst)
+    assert (got.optimum, got.witness) == (expected.optimum, expected.witness)
+
+
+@given(st.one_of(model.instances(),
+                 model.patterned(("two-level", "all-low", "cuts"), modes=(UNDIRECTED, DIRECTED),
+                                 weights=_FEW_WEIGHTS, free=model.THRESHOLDS)))
+@settings(max_examples=300, deadline=None)
+def test_forced_pair_rows_follow_the_definition(inst):
+    # u needs j when u cannot reach its threshold without the arc from j: its total minus that
+    # weight falls short. A tie, where it reaches the threshold exactly, is no need.
+    total = model.totals(inst)
+    into = {(v, u): w for u, v, w in inst.edges}
+    if inst.mode == UNDIRECTED:
+        into |= {(u, v): w for u, v, w in inst.edges}
+
+    def needs(u, j):
+        return (u, j) in into and total[u] - into[u, j] < inst.tau[u]
+
+    ids = sorted(inst.vertices)
+    expected = [sum(1 << k for k, j in enumerate(ids) if needs(u, j) and needs(j, u)) for u in ids]
+    assert oracles._forced_pairs(inst.compiled) == expected
+
+
+@st.composite
+def _saturated_graphs(draw):
+    # Positive weights and every threshold the vertex's incident weight, n up to 20.
+    mode, ids, edges = draw(model.graphs((UNDIRECTED,), max_n=20, weights=model.rationals(12, low=1),
+                                         density=st.integers(0, 6)))
+    base = Instance(mode, ids, edges, dict.fromkeys(ids, 0))
+    return Instance(mode, ids, edges, base.incident_totals)
+
+
+@given(_saturated_graphs())
+@settings(max_examples=60, deadline=None)
+def test_saturated_target_sets_are_vertex_covers(inst):
+    # A vertex at its incident sum activates once all its neighbours are active and never before,
+    # so the seed sets are the vertex covers, and both oracles take the lexicographically smallest
+    # minimum one; so does the target-set oracle on the bi-directed image.
+    cover = exact_min_vertex_cover(inst, limit=inst.n)
+    for subject in (inst, to_bidirected(inst).image):
+        got = exact_min_target_set(subject, limit=inst.n)
+        assert (got.optimum, got.witness) == (cover.optimum, cover.witness)
 
 
 @pytest.mark.parametrize("kind", ["two-level", "saturated"])
