@@ -75,22 +75,39 @@ def _require_degree_thresholds(instance: Instance) -> None:
             )
 
 
-def _peel(view: CompiledInstance, tau, residual, alive) -> dict[int, int]:
-    """Greedy reverse peeling of the `alive` positions, smallest position (so id) first.
+def _pop_largest(heap: list[int]) -> int:
+    return ~heappop(heap)
+
+
+def _push_largest(heap: list[int], i: int) -> None:
+    heappush(heap, ~i)
+
+
+def _peel(view: CompiledInstance, tau, residual, alive, largest_first: bool = False) -> dict[int, int]:
+    """Greedy reverse peeling of the `alive` positions, by default smallest position (so id) first.
 
     `residual[i]` is the weight position i receives from live positions. Both
     lists are updated in place, so the positions left alive are the stuck
     set. Returns each peeled position's slack, keyed in deletion order.
     A deletion only lowers other residuals, so the greedy choice never loses
     and a position stays eligible once it is: a min-heap enters each one
-    once, O((n + m) log n).
+    once, O((n + m) log n). The heap always holds every eligible position,
+    so the pop order fixes the deletion order and nothing else; the stuck
+    set is the same in any order. With `largest_first` the largest eligible
+    position goes first, as the target-vector oracle's dynamic program walks
+    back, and the heap holds ~i; the solvers keep the default, which pays
+    nothing for the choice.
     """
     incoming = view.incoming
     queued = [live and t >= r for live, t, r in zip(alive, tau, residual)]
     eligible = [i for i, q in enumerate(queued) if q]  # ascending, so already a heap
+    pop, push = heappop, heappush
+    if largest_first:
+        eligible = [~i for i in reversed(eligible)]
+        pop, push = _pop_largest, _push_largest
     slacks: dict[int, int] = {}
     while eligible:
-        pick = heappop(eligible)
+        pick = pop(eligible)
         slacks[pick] = tau[pick] - residual[pick]
         alive[pick] = False
         for j, w in incoming[pick]:
@@ -98,7 +115,7 @@ def _peel(view: CompiledInstance, tau, residual, alive) -> dict[int, int]:
                 residual[j] -= w
                 if not queued[j] and tau[j] >= residual[j]:
                     queued[j] = True
-                    heappush(eligible, j)
+                    push(eligible, j)
     return slacks
 
 

@@ -261,25 +261,39 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
     activation rounds costs at least some order: the cheapest order is the
     optimum.
 
-    Up to `TARGET_VECTOR_LIMIT` vertices a dynamic program over all vertex
-    subsets finds it (`_subset_dp`). Of the optimal orders, the witness
-    follows the one whose every last vertex has the largest id, and
-    `explored` is n * 2^(n-1), the number of (set, last vertex) pairs.
-
-    Above that limit the instance is peeled first where influence is
+    At every size the instance is peeled first where influence is
     symmetric: in undirected mode, and on a digraph whose arcs pair up with
     equal opposite arcs. Suppose tau(v) is at least the weight v receives
     from the vertices still present. Then v's deficit is never clamped,
     wherever v stands, and moving v past a later neighbour u lowers v's
     payment by w(uv) and raises u's by at most w(uv). So some optimal order
     puts v last, and the optimum is v's slack plus the optimum without v.
-    Repeating this is the degeneracy test's peeling (`degeneracy._peel`):
-    the optimum is the sum of the slacks plus the optimum of the core, the
-    positions left stuck. The witness is the core's order, then the peeled
-    vertices in reverse deletion order, each paid its slack. An empty core,
-    a degenerate instance, needs no tables and no search: its witness is
-    `solve_degenerate`'s incentives and `explored` is 0. Other digraphs keep
-    the whole instance as their core.
+    Repeating this is the degeneracy test's peeling (`degeneracy._peel`),
+    here largest id first: the optimum is the sum of the slacks plus the
+    optimum of the core, the positions left stuck, whatever the order.
+
+    A degenerate instance leaves no core and needs no tables: the witness is
+    the reverse deletion order, each vertex paid its slack, and `explored`
+    is 0. It is also the dynamic program's witness below. On a degenerate
+    instance the optimum of every vertex set S is tau(S) - W(S), W(S) the
+    weight inside S, so the program's walk-back takes, of the vertices left,
+    the largest whose threshold covers the weight it receives from the
+    others: the one the peel deletes next. The answer is certified without
+    trusting the peel. Every payment is nonnegative, the engine accepts the
+    vector, and its cost is tau(V) - W(V). No vector costs less on a
+    symmetric view: along an activation order each vertex is paid at least
+    its threshold minus the weight it receives from earlier vertices, and
+    each edge gives its weight to one endpoint only. A failed check raises
+    `VerificationError`.
+
+    Up to `TARGET_VECTOR_LIMIT` vertices any other instance goes whole to a
+    dynamic program over all vertex subsets (`_subset_dp`). Of the optimal
+    orders, the witness follows the one whose every last vertex has the
+    largest id, and `explored` is n * 2^(n-1), the number of (set, last
+    vertex) pairs. Above that limit only the core is searched. The witness
+    is the core's order, then the peeled vertices in reverse deletion order,
+    each paid its slack. Other digraphs keep the whole instance as their
+    core.
 
     On the core a best-first search over the sets closed under free
     activation runs first (`_closed_set_search`). Where influence is
@@ -292,8 +306,8 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
     more than `_SEARCH_BUDGET` of the 2^k sets of a k-vertex core, it gives
     up and the dynamic program answers on the core with its own order;
     `explored` is then the sets the search expanded plus k * 2^(k-1).
-    Either way the witness lists every vertex, in activation order; its
-    scaled payments are checked against the optimum and the engine first.
+    Every witness lists every vertex, in activation order; its scaled
+    payments are checked for sign, against the optimum and by the engine.
     """
     n = instance.n
     limit = min(limit, TARGET_VECTOR_CEILING)
@@ -302,12 +316,10 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
     if n == 0:
         return OracleResult(Fraction(0), {}, 0)
     view = instance.compiled
-    if n > TARGET_VECTOR_LIMIT:
-        order, cost, explored = _peel_and_search(view)
-    else:
-        order, cost = _subset_dp(view, *_subset_weights(view, _dp_split(n)))
-        explored = n << (n - 1)
+    order, cost, explored = _peel_and_search(view)
     paid = dict(order)
+    if min(paid.values()) < 0:
+        raise VerificationError("oracle witness pays a negative incentive")
     if sum(paid.values()) != cost or not _activates_all(view, (), [t - paid.get(i, 0) for i, t in enumerate(view.tau)]):
         raise VerificationError("oracle witness failed engine verification")
     verts = instance.vertices
@@ -323,33 +335,41 @@ def _symmetric(view: CompiledInstance) -> bool:
 
 
 def _peel_and_search(view: CompiledInstance) -> tuple[list[tuple[int, int]], int, int]:
-    """The cheapest order above the program's limit: (order, scaled cost, explored).
+    """The cheapest order: (order, scaled cost, explored); see `exact_min_target_vector`.
 
-    Peels a symmetric view and searches only its core, the positions left
-    stuck, as an undirected view of its own; the peeled positions follow in
-    reverse deletion order, each paid its slack (see `exact_min_target_vector`).
+    Peels a symmetric view, largest position first, and returns a complete
+    peel once its cost meets the edge-counting lower bound. Otherwise the
+    program runs on the whole view up to `TARGET_VECTOR_LIMIT` positions;
+    above it, only the core, the positions left stuck, is searched, as an
+    undirected view of its own, and the peeled positions follow in reverse
+    deletion order, each paid its slack.
     """
     n = len(view.tau)
     core, keep, peeled = view, range(n), []
     if _symmetric(view):
         alive = [True] * n
-        slacks = _peel(view, view.tau, list(view.totals), alive)
+        slacks = _peel(view, view.tau, list(view.totals), alive, largest_first=True)
         peeled = [(i, slacks[i]) for i in reversed(slacks)]
-        if peeled:
-            keep = [i for i in range(n) if alive[i]]
-            core = _induced(view, keep)
-    slack = sum(d for _, d in peeled)
-    k = len(keep)
-    if not k:
-        return peeled, slack, 0
+        if len(peeled) == n:
+            cost = sum(slacks.values())
+            # No vector on a symmetric view costs less: each edge gives its weight to one endpoint.
+            if cost != sum(view.tau) - sum(view.totals) // 2:
+                raise VerificationError("peeled witness misses the edge-counting lower bound")
+            return peeled, cost, 0
+    if n <= TARGET_VECTOR_LIMIT:
+        return *_subset_dp(view, *_subset_weights(view, _dp_split(n))), n << (n - 1)
+    if peeled:
+        keep = [i for i in range(n) if alive[i]]
+        core = _induced(view, keep)
     # The search and its fallback share the smallest tables.
     tables = _subset_weights(core)
     found, explored = _closed_set_search(core, *tables)
     if found is None:
+        k = len(keep)
         found = _subset_dp(core, *tables)
         explored += k << (k - 1)
     order, cost = found
-    return [(keep[i], d) for i, d in order] + peeled, cost + slack, explored
+    return [(keep[i], d) for i, d in order] + peeled, cost + sum(d for _, d in peeled), explored
 
 
 def _induced(view: CompiledInstance, keep: list[int]) -> CompiledInstance:
@@ -716,8 +736,9 @@ def exact_min_vertex_cover(instance: Instance, limit: int = VERTEX_COVER_LIMIT) 
     if n > limit:
         raise OracleLimitError(f"{n} vertices exceeds the vertex-cover oracle limit of {limit}")
     view = instance.compiled
-    adj = [sum(1 << j for j, _ in out) | sum(1 << j for j, _ in inc)
-           for out, inc in zip(view.out, view.incoming)]
+    adj = [sum(1 << j for j, _ in pairs) for pairs in view.out]
+    if view.incoming is not view.out:  # an undirected view shares one list for both
+        adj = [mask | sum(1 << j for j, _ in inc) for mask, inc in zip(adj, view.incoming)]
     alive = (1 << n) - 1
     # All n vertices always cover, so a cover below n + 1 is always found;
     # one as small as the matching bound is a minimum one.

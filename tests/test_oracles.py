@@ -7,6 +7,7 @@ import pytest
 from targetset import (
     DIRECTED,
     GenSpec,
+    Instance,
     OracleLimitError,
     OracleResult,
     UNDIRECTED,
@@ -20,8 +21,12 @@ from targetset import (
     grid_min_target_vector,
     is_target_set,
     is_target_vector,
+    min_edge_weight,
     target_vector_lower_bound,
 )
+from targetset import oracles
+from targetset.instance import _subset_weights
+from targetset.oracles import _subset_dp
 
 
 def path3(tau=1):
@@ -84,13 +89,17 @@ def test_min_target_vector_examples():
 
 
 def test_oracles_on_one_vertex():
-    # n = 1 leaves the low half of the subset tables empty (h = 0).
+    # n = 1 leaves the low half of the subset tables empty (h = 0). A lone vertex peels, so the
+    # target-vector oracle needs no tables; its dynamic program, called directly, reads both splits.
     single = build_instance(UNDIRECTED, [4], [], 3)
-    assert exact_min_target_vector(single) == OracleResult(3, {4: 3}, 1)
+    assert exact_min_target_vector(single) == OracleResult(3, {4: 3}, 0)
+    view = single.compiled
+    for h in (0, oracles._dp_split(1)):
+        assert _subset_dp(view, *_subset_weights(view, h)) == ([(0, 3)], 3)
     assert exact_min_target_set(single) == OracleResult(1, {4}, 2)
     assert brute_degeneracy_check(single)
     free = build_instance(UNDIRECTED, [4], [], 0)
-    assert exact_min_target_vector(free) == OracleResult(0, {4: 0}, 1)
+    assert exact_min_target_vector(free) == OracleResult(0, {4: 0}, 0)
     assert exact_min_target_set(free) == OracleResult(0, frozenset(), 1)
     assert brute_degeneracy_check(free)
 
@@ -123,10 +132,18 @@ def test_oracles_on_zero_thresholds():
 
 
 def test_target_vector_explores_every_transition():
+    # An instance that does not peel completely goes whole to the dynamic program, which examines
+    # every (set, last vertex) pair. All-low thresholds (incident weight minus the least weight) on
+    # a connected graph peel no vertex, and a tournament is not symmetric, so it is never peeled.
     rng = random.Random(21)
-    for n in range(1, 9):
-        inst = generate(GenSpec(n=n, seed=rng.randrange(2**32), weights="halves"))
-        assert exact_min_target_vector(inst).explored == n * 2 ** (n - 1)
+    for n in range(2, 9):
+        base = generate(GenSpec(n=n, seed=rng.randrange(2**32), weights="halves", connected=True))
+        mu = min_edge_weight(base)
+        all_low = Instance(base.mode, base.vertices, base.edges,
+                           {v: t - mu for v, t in base.incident_totals.items()})
+        assert exact_min_target_vector(all_low).explored == n * 2 ** (n - 1)
+        tournament = generate(GenSpec(family="tournament", n=n, seed=rng.randrange(2**32)))
+        assert exact_min_target_vector(tournament).explored == n * 2 ** (n - 1)
 
 
 def test_min_vertex_cover_examples():

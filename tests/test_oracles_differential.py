@@ -15,9 +15,10 @@ optimum, and a witness that pays every vertex, sums to the optimum and
 passes the engine. When the search gives up, the program's answer comes
 back unchanged. The oracle peels symmetric instances first and searches
 only the core left stuck: the optimum must still be the program's on the
-whole instance, and a degenerate instance, which leaves no core, gets the
-degenerate solver's vector without a search. Other digraphs are searched
-whole, as before. A digraph whose arcs pair up with equal opposite arcs, as
+whole instance. A degenerate instance, which leaves no core, gets the
+program's witness without tables, at every size, and a peel that pays a
+negative incentive or misses the lower bound is refused. Other digraphs
+are searched whole, as before. A digraph whose arcs pair up with equal opposite arcs, as
 the bidirected image of an undirected instance does, takes the search's
 undirected estimate, and must give the undirected instance's answer; one
 with a single unequal pair must still reach the program's optimum. The
@@ -53,26 +54,40 @@ from targetset import (
     grid_min_target_vector,
     min_edge_weight,
     peel_ordering,
-    solve_degenerate,
     target_vector_lower_bound,
     to_bidirected,
 )
 from targetset import oracles
 from targetset.engine import is_target_vector
 from targetset.errors import VerificationError
+from targetset.degeneracy import _peel
 from targetset.instance import _subset_weights
 from targetset.oracles import _closed_set_search, _subset_dp
 
 import model
 
 
+def _peels_completely(inst: Instance) -> bool:
+    """Whether influence is symmetric (undirected, or each arc has an equal opposite arc) and the
+    model's peel deletes every vertex: where the target-vector oracle answers without a program."""
+    arcs = {(u, v): w for u, v, w in inst.edges}
+    symmetric = inst.mode == UNDIRECTED or all(arcs.get((v, u)) == w for (u, v), w in arcs.items())
+    return symmetric and not model.peel(inst)[1]
+
+
+def _check_against_the_model(inst: Instance) -> None:
+    # The optimum and the witness, in order, are the model's program's; `explored` counts its
+    # (set, last vertex) pairs unless a complete peel answered.
+    got, expected = exact_min_target_vector(inst, limit=9), model.min_target_vector(inst)
+    assert (got.optimum, got.witness) == (expected.optimum, expected.witness)
+    assert list(got.witness.items()) == list(expected.witness.items())
+    assert got.explored == (0 if _peels_completely(inst) else expected.explored)
+
+
 @given(model.instances())
 @settings(max_examples=300, deadline=None)
 def test_target_vector_matches_the_model(inst):
-    got = exact_min_target_vector(inst, limit=9)
-    expected = model.min_target_vector(inst)
-    assert got == expected
-    assert list(got.witness.items()) == list(expected.witness.items())
+    _check_against_the_model(inst)
 
 
 # Half the weights 0, the rest rational; thresholds drawn freely or, in the
@@ -89,9 +104,7 @@ def test_the_dp_split_changes_no_result(inst):
     view = inst.compiled
     assert (_subset_dp(view, *_subset_weights(view, oracles._dp_split(inst.n)))
             == _subset_dp(view, *_subset_weights(view)))
-    got, expected = exact_min_target_vector(inst, limit=9), model.min_target_vector(inst)
-    assert got == expected
-    assert list(got.witness.items()) == list(expected.witness.items())
+    _check_against_the_model(inst)
 
 
 # Some thresholds at 0, at the incoming total or above it, where the
@@ -426,7 +439,7 @@ def test_search_past_its_budget_falls_back_to_the_dp(monkeypatch):
 
 
 @st.composite
-def _peeling(draw):
+def _peeling(draw, min_n=10, max_n=14, stuck=("some", "all", "none")):
     """Connected undirected instances of 10-14 vertices that peel completely, partly or not at all.
 
     Along a random order each vertex joins an earlier one, and every other
@@ -434,9 +447,10 @@ def _peeling(draw):
     positive. A vertex that peels takes its weight to earlier vertices plus a
     drawn slack, so a vertex set of only those peels completely; one that
     sticks takes none to three quarters of its incident sum, so a vertex set
-    of only those does not peel at all.
+    of only those does not peel at all. `min_n`, `max_n` and the `stuck`
+    choices narrow or widen the draw.
     """
-    n = draw(st.integers(10, 14))
+    n = draw(st.integers(min_n, max_n))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     order = rng.sample(range(1, 61), n)
     tenths = draw(st.integers(0, 4))
@@ -444,7 +458,7 @@ def _peeling(draw):
     pairs += [(u, v) for i, v in enumerate(order) for u in order[:i]
               if (u, v) not in pairs and rng.randrange(10) < tenths]
     edges = [(u, v, draw(model.rationals(12, low=1))) for u, v in pairs]
-    stuck = draw(st.sampled_from(("some", "all", "none")))
+    stuck = draw(st.sampled_from(stuck))
     back = dict.fromkeys(order, Fraction(0))
     total = dict.fromkeys(order, Fraction(0))
     for u, v, w in edges:  # u comes before v in `order`
@@ -464,20 +478,75 @@ def _peeling(draw):
 @settings(max_examples=60, deadline=None)
 def test_peeled_search_matches_the_dp_on_the_whole_instance(inst):
     # Peeling leaves the optimum unchanged, and the witness pays every vertex and passes the engine.
-    # Without a core there is no search: the witness is the degenerate solver's. The bi-directed
-    # image peels and searches alike.
+    # Without a core there is no search: the witness, in order, is the program's on the whole
+    # instance. The bi-directed image peels and searches alike.
     n = inst.n
-    got = exact_min_target_vector(inst, limit=n)
-    assert got.optimum == _dp_result(inst).optimum
+    got, expected = exact_min_target_vector(inst, limit=n), _dp_result(inst)
+    assert got.optimum == expected.optimum
     assert sorted(got.witness) == sorted(inst.vertices)
     assert sum(got.witness.values()) == got.optimum
     assert is_target_vector(inst, got.witness)
     if isinstance(peel_ordering(inst), DegeneracyOrdering):
         assert got.explored == 0
-        assert got.witness == solve_degenerate(inst).incentives
+        assert list(got.witness.items()) == list(expected.witness.items())
     image = to_bidirected(inst).image
     assert exact_min_target_vector(image, limit=n) == got
     assert is_target_vector(image, got.witness)
+
+
+@given(_peeling(min_n=1, max_n=12, stuck=("none",)))
+@settings(max_examples=100, deadline=None)
+def test_a_complete_peel_is_the_programs_answer(inst):
+    # At every size, on the instance and on its bi-directed image, a complete peel answers with the
+    # program's optimum and witness, in order, and without examining a set.
+    for subject in (inst, to_bidirected(inst).image):
+        got, expected = exact_min_target_vector(subject, limit=inst.n), _dp_result(subject)
+        assert (got.optimum, got.explored) == (expected.optimum, 0)
+        assert list(got.witness.items()) == list(expected.witness.items())
+
+
+def _loosened(view, tau, residual, alive, largest_first=False):
+    """A peel that deems a position eligible once its threshold plus every incoming weight covers what
+    it receives, so every position goes, and reports its true slack, negative where it stuck."""
+    loose = [t + sum(w for _, w in pairs) for t, pairs in zip(tau, view.incoming)]
+    slacks = _peel(view, loose, residual, alive, largest_first)
+    return {i: s - loose[i] + tau[i] for i, s in slacks.items()}
+
+
+def _shifted(view, tau, residual, alive, largest_first=False):
+    """The peel, with one slack unit moved from the first position deleted that has a neighbour to
+    that neighbour."""
+    slacks = _peel(view, tau, residual, alive, largest_first)
+    first = next(i for i in slacks if view.incoming[i])
+    slacks[first] -= 1
+    slacks[view.incoming[first][0][0]] += 1
+    return slacks
+
+
+def _overpaid(view, tau, residual, alive, largest_first=False):
+    """The peel, with one unit more for the first position deleted."""
+    slacks = _peel(view, tau, residual, alive, largest_first)
+    slacks[next(iter(slacks))] += 1
+    return slacks
+
+
+# A wrong peel the certificate must refuse, the instance it runs on, and the check that refuses it.
+# The loosened peel's vector costs the lower bound and the engine accepts it: each vertex, paid its
+# threshold minus what it received at its deletion, activates in reverse deletion order. The shifted
+# one keeps the cost; the first vertex a saturated peel deletes has slack 0. The overpaid one only
+# misses the bound.
+@pytest.mark.parametrize("peel, kind, message", [
+    (_loosened, "all-low", "pays a negative incentive"),
+    (_shifted, "saturated", "pays a negative incentive"),
+    (_overpaid, "degenerate", "misses the edge-counting lower bound"),
+])
+@pytest.mark.parametrize("n", [9, 12])
+def test_the_certificate_does_not_trust_the_peel(monkeypatch, peel, kind, message, n):
+    inst = _all_low(n, 5) if kind == "all-low" else _kind_instance(kind, n, 5)
+    exact_min_target_vector(inst, limit=n)
+    monkeypatch.setattr(oracles, "_peel", peel)
+    with pytest.raises(VerificationError, match=message):
+        exact_min_target_vector(inst, limit=n)
 
 
 def _lopsided(n: int, seed: int) -> Instance:
@@ -568,12 +637,14 @@ def test_all_low_two_level_answers_without_the_program(n):
     assert is_target_vector(inst, got.witness)
 
 
-@pytest.mark.parametrize("n", [9, 10])  # the program's path, then the search's
+@pytest.mark.parametrize("n", [9, 10])  # at the program's limit, then above it
 def test_failed_engine_check_raises_on_both_paths(monkeypatch, n):
-    inst = generate(GenSpec(family="degenerate", n=n, seed=4, edge_prob=0.3))
+    # A degenerate instance peels completely; an all-low one peels no vertex, so it goes to the
+    # program at n = 9 and to the search at n = 10.
     monkeypatch.setattr(oracles, "_activates_all", lambda view, seed, need: False)
-    with pytest.raises(VerificationError):
-        exact_min_target_vector(inst, limit=n)
+    for inst in generate(GenSpec(family="degenerate", n=n, seed=4, edge_prob=0.3)), _all_low(n, 4):
+        with pytest.raises(VerificationError, match="oracle witness failed engine verification"):
+            exact_min_target_vector(inst, limit=n)
 
 
 def test_failed_engine_check_raises_in_the_other_oracles(monkeypatch):
