@@ -330,8 +330,10 @@ def exact_min_target_vector(instance: Instance, limit: int = TARGET_VECTOR_LIMIT
 def _symmetric(view: CompiledInstance) -> bool:
     """Whether each position receives from every other the weight it gives it, as in undirected mode."""
     # An undirected view shares one list for in and out neighbours (`_integer_view`); a symmetric
-    # digraph has equal lists, which takes longer to see.
-    return view.incoming is view.out or list(map(sorted, view.out)) == list(map(sorted, view.incoming))
+    # digraph has equal lists, which takes longer to see. Unequal degrees settle most digraphs, such
+    # as tournaments, before any list is sorted.
+    return view.incoming is view.out or (list(map(len, view.out)) == list(map(len, view.incoming))
+                                         and list(map(sorted, view.out)) == list(map(sorted, view.incoming)))
 
 
 def _peel_and_search(view: CompiledInstance) -> tuple[list[tuple[int, int]], int, int]:

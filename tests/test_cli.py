@@ -411,7 +411,7 @@ def test_check_lifts_the_oracle_limit_for_hub_images(capsys):
     code, out, _ = run(capsys, "check", "prop3-preservation", "--limit-n", "20", "--instances",
                        "3", "--seed", "2", "--deterministic")
     assert code == 0
-    assert "pass true" in out
+    assert "pass true" in out.splitlines()
 
 
 @pytest.mark.parametrize("argv, estimate", [
@@ -430,13 +430,15 @@ def test_a_sweep_over_its_work_budget_exits_4_before_the_first_instance(capsys, 
     assert estimate in err and f"over the budget of {checks.WORK_BUDGET_S} s" in err
 
 
-# Every size run today: the defaults, the fixture's, `tsbench`'s and the console smoke's.
+# Every size run today: the defaults, the fixture's, `tsbench`'s and those of `tests/test_console.py`.
 @pytest.mark.parametrize("name, instances, max_n", [
     *((name, instances, max_n) for name, (_, instances, max_n) in checks.CHECKS.items()),
     *((name, 6, 2 if name == "otv-grid" else 5) for name in checks.CHECKS),
     *((name, 16, checks.CHECKS[name][2]) for name in checks.CHECKS),
     *((name, 2, 3) for name in checks.CHECKS),
     ("prop1-preservation", 30, 12),
+    ("bidirected", 100, 16),
+    ("two-level", checks.CHECKS["two-level"][1], 20),
 ])
 def test_every_size_in_use_is_within_the_work_budget(name, instances, max_n):
     checks._check_work(name, instances, max_n)

@@ -22,7 +22,8 @@ are searched whole, as before. A digraph whose arcs pair up with equal opposite 
 the bidirected image of an undirected instance does, takes the search's
 undirected estimate, and must give the undirected instance's answer; one
 with a single unequal pair must still reach the program's optimum. The
-search's undirected estimate is checked on every vertex set of small
+test for paired arcs must agree with comparing both sorted adjacency
+lists. The search's undirected estimate is checked on every vertex set of small
 instances: its waste against the model's, and the estimate against the
 model's cheapest cost still to come.
 
@@ -578,6 +579,20 @@ def test_non_symmetric_digraphs_are_searched_whole(inst, optimum, explored, paid
     got = exact_min_target_vector(inst, limit=inst.n)
     assert (got.optimum, got.explored) == (Fraction(optimum), explored)
     assert [(v, str(p)) for v, p in got.witness.items() if p] == paid
+
+
+# The degree test in front of the sorted comparison may only reject earlier, never change the answer.
+@given(st.one_of(
+    st.builds(lambda n, seed: generate(GenSpec(family="tournament", n=n, seed=seed, weights="halves")),
+              st.integers(2, 12), st.integers(0, 2**32 - 1)),
+    model.instances(modes=(DIRECTED,)),
+    model.instances(modes=(UNDIRECTED,)).map(lambda inst: to_bidirected(inst).image),
+    st.builds(_lopsided, st.integers(7, 12), st.integers(0, 1999)),  # every one of these has an edge
+))
+@settings(max_examples=300, deadline=None)
+def test_symmetric_is_the_sorted_adjacency_comparison(inst):
+    view = inst.compiled
+    assert oracles._symmetric(view) == (list(map(sorted, view.out)) == list(map(sorted, view.incoming)))
 
 
 @given(model.instances(modes=(UNDIRECTED,)))
